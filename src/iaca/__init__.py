@@ -20,7 +20,7 @@ from .attention import (
     tca_attention,
     tca_block,
 )
-from .autodiff import ShapeError, Tensor, finite_diff
+from .autodiff import ShapeError, Tensor, finite_diff, no_grad
 from .checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -39,12 +39,10 @@ from .experiments import (
 from .gating import (
     Diagnostics,
     FusionModel,
-    GateParams,
     GateScores,
     HeadParams,
     JointParams,
     ModelFlags,
-    iaca_forward,
     joint_representation,
     predict,
     stage1_gate,

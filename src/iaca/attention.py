@@ -16,6 +16,7 @@ from typing import Sequence, Union
 from .autodiff import (
     ShapeError,
     Tensor,
+    add_col,
     concat_rows,
     matmul,
     relu,
@@ -111,7 +112,7 @@ def tca_block(xq, xkv, p: TcaBlockParams) -> tuple[Tensor, Tensor]:
     Returns (attended features, L x L row-stochastic weights).
     """
     _check_pair(xq, xkv)
-    d, n_clips = xq.shape
+    d = xq.shape[0]
     q = matmul(p.wq, xq)
     k = matmul(p.wk, xkv)
     v = matmul(p.wv, xkv)
@@ -119,8 +120,8 @@ def tca_block(xq, xkv, p: TcaBlockParams) -> tuple[Tensor, Tensor]:
     weights = softmax(scores, axis="rows")
     attended = matmul(v, transpose(weights))
     h = xq + attended
-    hidden = relu(matmul(p.ff1_w, h) + tile_cols(p.ff1_b, n_clips))
-    ff = matmul(p.ff2_w, hidden) + tile_cols(p.ff2_b, n_clips)
+    hidden = relu(add_col(matmul(p.ff1_w, h), p.ff1_b))
+    ff = add_col(matmul(p.ff2_w, hidden), p.ff2_b)
     return tanh(h + ff), weights
 
 
@@ -149,6 +150,8 @@ def joint_cross_attention(xa, xv, p: JcaParams) -> AttendedPair:
     """
     _check_pair(xa, xv)
     n_clips = xa.shape[1]
+    # Kept as a tiled add: with shared RJCA weights, joint_b collects one
+    # contribution per iteration, and add_col would reorder their summation.
     joint = matmul(p.joint_w, concat_rows(xa, xv)) + tile_cols(p.joint_b, n_clips)
     att_a, w_a = _attend_to(xa, joint, p.cross_a)
     att_v, w_v = _attend_to(xv, joint, p.cross_v)

@@ -1,11 +1,18 @@
 """Dense 2-D float64 tensors with reverse-mode automatic differentiation.
 
 Payloads are plain numpy arrays of shape (rows, cols), row-major, float64.
-A :class:`Tensor` couples one payload with a zero-initialized gradient
-buffer, the tag of the op that produced it, and references to its inputs.
-Graphs are acyclic by construction and single-use: build the forward pass
-with the op functions below, call ``backward()`` once on a 1x1 output,
-read gradients off the leaves, then rebuild for the next pass.
+A :class:`Tensor` couples one payload with the tag of the op that produced
+it and references to its inputs. Graphs are acyclic by construction and
+single-use: build the forward pass with the op functions below, call
+``backward()`` once on a 1x1 output, read gradients off the leaves, then
+rebuild for the next pass. Gradient buffers are allocated by backward, and
+only for the nodes it reaches; until then, and on any node it does not
+reach, ``grad`` is None.
+
+Inside ``with no_grad():`` the same op functions build value-only nodes
+that record no parents and no vector-Jacobian products, so a forward pass
+run only for its values keeps no graph behind its output. The mode is per
+thread and restored when the block exits.
 
 Values are treated as immutable once wrapped; sharing them across threads
 is safe. A graph itself belongs to one thread from construction through
@@ -14,7 +21,9 @@ backward.
 
 from __future__ import annotations
 
-from typing import Callable
+import threading
+from contextlib import contextmanager
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,16 +39,16 @@ __all__ = [
     "transpose",
     "tanh",
     "relu",
-    "elementwise",
     "softmax",
     "concat_rows",
     "concat_cols",
-    "tile_rows",
     "tile_cols",
-    "take_col",
+    "add_col",
+    "gate_mix",
     "sum_all",
     "mean_all",
     "finite_diff",
+    "no_grad",
 ]
 
 _AXES = {"columns": 0, "rows": 1}
@@ -47,6 +56,29 @@ _AXES = {"columns": 0, "rows": 1}
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_MODE = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Build value-only nodes for the duration of the block.
+
+    Ops called inside compute the same values but keep no parents and no
+    vector-Jacobian products, so nothing built inside can be differentiated.
+    Blocks nest; each restores the mode it found, also on an exception.
+    """
+    previous = _MODE.enabled
+    _MODE.enabled = False
+    try:
+        yield
+    finally:
+        _MODE.enabled = previous
 
 
 def _as_value(data) -> np.ndarray:
@@ -63,19 +95,23 @@ def _as_value(data) -> np.ndarray:
 class Tensor:
     """One node of the computation graph.
 
-    ``value`` is the (rows, cols) payload, ``grad`` a same-shaped buffer
-    populated by backward(), ``op`` the producing operation's tag, and
-    ``parents`` the ordered input nodes.
+    ``value`` is the (rows, cols) payload, ``grad`` a same-shaped array
+    set by backward() (None before, or where backward does not reach),
+    ``op`` the producing operation's tag, and ``parents`` the ordered input
+    nodes (empty for leaves and for nodes built under :func:`no_grad`).
     """
 
     __slots__ = ("value", "grad", "op", "parents", "_vjps", "_used")
 
     def __init__(self, value, op: str = "leaf", parents: tuple = (), vjps: tuple = ()):
         self.value = _as_value(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
         self.op = op
-        self.parents = tuple(parents)
-        self._vjps = tuple(vjps)
+        if _MODE.enabled:
+            self.parents = tuple(parents)
+            self._vjps = tuple(vjps)
+        else:
+            self.parents = self._vjps = ()
         self._used = False
 
     @property
@@ -90,8 +126,10 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode accumulation from this node into every reachable grad.
 
-        The seed must be 1x1; its grad is seeded with ones. Each graph may be
-        differentiated once, a second call on any overlapping graph raises.
+        The seed must be 1x1; its grad is seeded with ones. A node's grad is
+        its first contribution, and later contributions are added to it in
+        the order the reverse topological walk produces them. Each graph may
+        be differentiated once, a second call on any overlapping graph raises.
         """
         if self.value.shape != (1, 1):
             raise ValueError(f"backward needs a 1x1 scalar seed, got shape {self.value.shape}")
@@ -102,7 +140,19 @@ class Tensor:
         for node in reversed(order):
             g = node.grad
             for parent, vjp in zip(node.parents, node._vjps):
-                parent.grad += vjp(g)
+                c = vjp(g)
+                if parent.grad is None:
+                    # Some vjps hand back g itself or a view of it, so grads
+                    # are never updated in place. A leaf's grad is read by
+                    # callers and gets memory of its own. Every grad is
+                    # C-contiguous: BLAS rounds differently on transposed
+                    # operands, and the result must not depend on layout.
+                    if not c.flags.c_contiguous or (
+                            not parent.parents and (c is g or c.base is not None)):
+                        c = c.copy()
+                    parent.grad = c
+                else:
+                    parent.grad = parent.grad + c
             node._used = True
 
     def __matmul__(self, other):
@@ -235,14 +285,6 @@ def relu(a) -> Tensor:
     return Tensor(a.value * mask, "relu", (a,), (lambda g: g * mask,))
 
 
-def elementwise(a, f: str) -> Tensor:
-    """Apply a named entrywise nonlinearity, one of {"tanh", "relu"}."""
-    try:
-        return {"tanh": tanh, "relu": relu}[f](a)
-    except KeyError:
-        raise ValueError(f"unknown elementwise function {f!r}; expected 'tanh' or 'relu'") from None
-
-
 def softmax(a, axis: str = "columns", temperature: float = 1.0) -> Tensor:
     """Temperature softmax along one axis, max-subtracted for stability.
 
@@ -304,14 +346,6 @@ def concat_cols(*parts) -> Tensor:
     return Tensor(value, "concat_cols", tuple(ts), tuple(vjps))
 
 
-def tile_rows(a, n: int) -> Tensor:
-    """Replicate a 1xL row down to an nxL matrix."""
-    a = _coerce(a)
-    if a.value.shape[0] != 1:
-        raise ShapeError(f"tile_rows needs a 1-row input, got shape {a.value.shape}")
-    return Tensor(np.tile(a.value, (n, 1)), "tile_rows", (a,), (lambda g: g.sum(axis=0, keepdims=True),))
-
-
 def tile_cols(a, n: int) -> Tensor:
     """Replicate an rx1 column across to an rxn matrix."""
     a = _coerce(a)
@@ -320,18 +354,47 @@ def tile_cols(a, n: int) -> Tensor:
     return Tensor(np.tile(a.value, (1, n)), "tile_cols", (a,), (lambda g: g.sum(axis=1, keepdims=True),))
 
 
-def take_col(a, j: int) -> Tensor:
-    """Extract column j as an rx1 matrix."""
-    a = _coerce(a)
-    if not 0 <= j < a.value.shape[1]:
-        raise IndexError(f"column {j} out of range for shape {a.value.shape}")
+def add_col(a, col, sign: float = 1.0) -> Tensor:
+    """a + col, or a - col for sign=-1, with the rx1 column applied to every
+    column of the rxn matrix a."""
+    a, col = _coerce(a), _coerce(col)
+    if col.value.shape != (a.value.shape[0], 1):
+        raise ShapeError(f"add_col needs a {a.value.shape[0]}x1 column, got shape {col.value.shape}")
+    if sign not in (1.0, -1.0):
+        raise ValueError(f"add_col sign must be 1 or -1, got {sign}")
+    value = a.value + col.value if sign > 0 else a.value - col.value
+    return Tensor(value, "add_col", (a, col),
+                  (lambda g: g, lambda g: sign * g.sum(axis=1, keepdims=True)))
 
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[:, j : j + 1] = g
+
+def gate_mix(gate, candidates: Sequence) -> Tensor:
+    """Mix K candidates clip by clip: column l is sum_k gate[l, k] * candidates[k][:, l].
+
+    gate is L x K, one row per clip; the K candidates share one d x L shape.
+    Terms are added left to right, candidate 0 first.
+    """
+    gate = _coerce(gate)
+    xs = [_coerce(x) for x in candidates]
+    n_clips, k = gate.value.shape
+    if len(xs) != k:
+        raise ShapeError(f"gate_mix: {k} gate columns for {len(xs)} candidates")
+    shape = xs[0].value.shape
+    if shape[1] != n_clips or any(x.value.shape != shape for x in xs):
+        raise ShapeError(f"gate_mix: candidates must share one shape with {n_clips} "
+                         f"columns, got {[x.value.shape for x in xs]}")
+    rows = gate.value.T  # row j scales the clips of candidate j
+    value = xs[0].value * rows[0]
+    for j in range(1, k):
+        value = value + xs[j].value * rows[j]
+
+    def gate_vjp(g):
+        out = np.empty((n_clips, k))
+        for j, x in enumerate(xs):
+            out[:, j] = (g * x.value).sum(axis=0)
         return out
 
-    return Tensor(a.value[:, j : j + 1].copy(), "take_col", (a,), (vjp,))
+    vjps = [lambda g, r=rows[j]: g * r for j in range(k)]
+    return Tensor(value, "gate_mix", (*xs, gate), (*vjps, gate_vjp))
 
 
 def sum_all(a) -> Tensor:

@@ -18,10 +18,12 @@ rather than propagating struct/JSON internals.
 
 from __future__ import annotations
 
-import io
 import json
+import os
+import secrets
 import struct
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -67,21 +69,28 @@ def save_checkpoint(model: FusionModel, path, extra_meta: dict = None) -> None:
         meta.update(extra_meta)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
 
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", FORMAT_VERSION))
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    buf.write(struct.pack("<I", len(model.params)))
-    for name, value in model.params.items():
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<II", value.shape[0], value.shape[1]))
-    for value in model.params.values():
-        buf.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    # Write a sibling temp file and rename it over the target, so a crash
+    # mid-write leaves any previous checkpoint at `path` intact.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<I", len(model.params)))
+            for name, value in model.params.items():
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<II", value.shape[0], value.shape[1]))
+            for value in model.params.values():
+                fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -17,7 +17,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .attention import VARIANTS
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .experiments import (
     DEFAULT_SWEEP_FRACTIONS,
     OUTPUT_DIMS,
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

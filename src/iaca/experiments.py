@@ -40,6 +40,10 @@ def relative_improvement(base: float, new: float) -> float:
     return (new - base) / base * 100.0
 
 
+# nested config objects and the types that parse them
+_SECTIONS = {"regime": Regime, "train": TrainConfig, "flags": ModelFlags}
+
+
 @dataclass
 class ExperimentConfig:
     variant: str = "CA"
@@ -71,15 +75,17 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
-        if "regime" in data:
-            data["regime"] = Regime(**data["regime"])
-        if "train" in data:
-            data["train"] = TrainConfig(**data["train"])
-        if "flags" in data:
-            data["flags"] = ModelFlags(**data["flags"])
+        sections = {key: kind for key, kind in _SECTIONS.items() if key in data}
         unknown = set(data) - set(cls.__dataclass_fields__)
+        for key in sections:
+            if not isinstance(data[key], dict):
+                raise ValueError(f"config field {key!r} must be an object")
+            unknown |= {f"{key}.{name}" for name in
+                        set(data[key]) - set(sections[key].__dataclass_fields__)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for key, kind in sections.items():
+            data[key] = kind(**data[key])
         return cls(**data)
 
     @classmethod

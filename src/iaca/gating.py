@@ -33,15 +33,14 @@ from .attention import (
 from .autodiff import (
     ShapeError,
     Tensor,
+    add_col,
     concat_rows,
-    hadamard,
+    gate_mix,
     matmul,
+    no_grad,
     relu,
     softmax,
-    take_col,
     tanh,
-    tile_cols,
-    tile_rows,
     transpose,
 )
 
@@ -57,14 +56,6 @@ class GateScores:
 
 
 @dataclass
-class GateParams:
-    w_gl_a: Tensor  # d x 2
-    w_gl_v: Tensor  # d x 2
-    w_avl: Tensor  # 3d x 3
-    temperature: float
-
-
-@dataclass
 class JointParams:
     w: Tensor  # d x 2d
     b: Tensor  # d x 1
@@ -76,12 +67,6 @@ class HeadParams:
     b1: Tensor  # h x 1
     w2: Tensor  # 1 x h
     b2: Tensor  # 1 x 1
-
-
-def _replicate_gate_column(g: Tensor, k: int, d: int) -> Tensor:
-    # Column k of the L x K score matrix, replicated to d rows so it can
-    # multiply a d x L feature entrywise.
-    return tile_rows(transpose(take_col(g, k)), d)
 
 
 def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, GateScores]:
@@ -99,18 +84,14 @@ def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, GateSc
         raise ShapeError(f"gate weights must be {d}x2, got {w_gl.shape}")
     logits = matmul(transpose(x_att), w_gl)
     g = softmax(logits, axis="rows", temperature=temperature)
-    g0 = _replicate_gate_column(g, 0, d)
-    g1 = _replicate_gate_column(g, 1, d)
-    out = relu(hadamard(x_base, g0) + hadamard(x_att, g1))
-    return out, GateScores(g)
+    return relu(gate_mix(g, (x_base, x_att))), GateScores(g)
 
 
 def joint_representation(x_ga, x_gv, p: JointParams) -> Tensor:
     """Concatenate the gated modalities and project back to d rows."""
     if x_ga.shape != x_gv.shape:
         raise ShapeError(f"gated shapes differ: {x_ga.shape} vs {x_gv.shape}")
-    n_clips = x_ga.shape[1]
-    return matmul(p.w, concat_rows(x_ga, x_gv)) + tile_cols(p.b, n_clips)
+    return add_col(matmul(p.w, concat_rows(x_ga, x_gv)), p.b)
 
 
 def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, GateScores]:
@@ -128,16 +109,13 @@ def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, G
         raise ShapeError(f"a-v gate weights must be {3 * d}x3, got {w_avl.shape}")
     stacked = concat_rows(x_ga, x_gv, x_gav)
     g = softmax(matmul(transpose(stacked), w_avl), axis="rows", temperature=temperature)
-    parts = [hadamard(x, _replicate_gate_column(g, k, d))
-             for k, x in enumerate((x_ga, x_gv, x_gav))]
-    return relu(parts[0] + parts[1] + parts[2]), GateScores(g)
+    return relu(gate_mix(g, (x_ga, x_gv, x_gav))), GateScores(g)
 
 
 def predict(x_fused, head: HeadParams) -> Tensor:
     """MLP head: ReLU hidden layer, linear output, tanh into [-1, 1]."""
-    n_clips = x_fused.shape[1]
-    hidden = relu(matmul(head.w1, x_fused) + tile_cols(head.b1, n_clips))
-    return tanh(matmul(head.w2, hidden) + tile_cols(head.b2, n_clips))
+    hidden = relu(add_col(matmul(head.w1, x_fused), head.b1))
+    return tanh(add_col(matmul(head.w2, hidden), head.b2))
 
 
 @dataclass
@@ -303,15 +281,12 @@ class FusionModel:
         return predict(fused, head), diag
 
     def forward(self, xa_value, xv_value) -> tuple[np.ndarray, Diagnostics]:
-        """Fresh-leaf forward on plain arrays; no gradient bookkeeping kept."""
-        pred, diag = self.forward_graph(Tensor(xa_value), Tensor(xv_value), self.bind())
+        """Fresh-leaf forward on plain arrays, built under no_grad: the
+        values are those of forward_graph, with no graph kept behind them."""
+        with no_grad():
+            pred, diag = self.forward_graph(Tensor(xa_value), Tensor(xv_value), self.bind())
         return pred.value.copy(), diag
 
     def predict_values(self, xa_value, xv_value) -> np.ndarray:
+        """The 1 x L prediction of :meth:`forward`."""
         return self.forward(xa_value, xv_value)[0]
-
-
-def iaca_forward(xa: Tensor, xv: Tensor, model: FusionModel,
-                 leaves: Optional[dict] = None) -> tuple[Tensor, Diagnostics]:
-    """Full pipeline on one sequence: attention, gating, prediction."""
-    return model.forward_graph(xa, xv, leaves if leaves is not None else model.bind())

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .autodiff import Tensor, div, hadamard, mean_all, scale, sub, tile_cols
+from .autodiff import Tensor, add_col, div, hadamard, mean_all, scale, sub
 
 
 def _as_track(x, name: str) -> np.ndarray:
@@ -52,8 +52,8 @@ def ccc_loss(pred: Tensor, gold) -> Tensor:
 
     mean_p = mean_all(pred)
     mean_g = mean_all(gold_t)
-    cp = sub(pred, tile_cols(mean_p, n))
-    cg = sub(gold_t, tile_cols(mean_g, n))
+    cp = add_col(pred, mean_p, sign=-1.0)
+    cg = add_col(gold_t, mean_g, sign=-1.0)
     cov = mean_all(hadamard(cp, cg))
     var_p = mean_all(hadamard(cp, cp))
     var_g = mean_all(hadamard(cg, cg))

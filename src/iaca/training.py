@@ -22,7 +22,7 @@ OPTIMIZERS = ("sgd", "adaptive-moment")
 
 
 class TrainingDivergence(RuntimeError):
-    """Loss became non-finite; training state is not trustworthy."""
+    """Loss or a gradient became non-finite; training state is not trustworthy."""
 
 
 @dataclass
@@ -148,7 +148,15 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
                     f"non-finite loss {value} at epoch {epoch}, "
                     f"batch starting at {start}")
             loss.backward()
-            grads = {name: leaf.grad for name, leaf in leaves.items()}
+            grads = {}
+            for name, leaf in leaves.items():
+                # a parameter the loss does not reach gets no grad buffer
+                g = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
+                if not np.isfinite(g).all():
+                    raise TrainingDivergence(
+                        f"non-finite gradient for {name} at epoch {epoch}, "
+                        f"batch starting at {start}")
+                grads[name] = g
             optimizer.step(model.params, grads)
             losses.append(value)
 

@@ -94,14 +94,6 @@ def test_tanh_and_relu_basic():
     assert abs(ad.tanh(np.array([[1.0]])).value[0, 0] - 0.761594) < 1e-6
 
 
-def test_elementwise_dispatch():
-    m = np.array([[-1.0, 0.5]])
-    np.testing.assert_array_equal(ad.elementwise(m, "relu").value, ad.relu(m).value)
-    np.testing.assert_array_equal(ad.elementwise(m, "tanh").value, ad.tanh(m).value)
-    with pytest.raises(ValueError):
-        ad.elementwise(m, "sigmoid")
-
-
 def test_relu_subgradient_at_zero_is_zero():
     x = Tensor(np.array([[0.0, -2.0, 3.0]]))
     out = ad.sum_all(ad.relu(x))
@@ -124,19 +116,12 @@ def test_concat_and_transpose_shapes():
     np.testing.assert_array_equal(ad.transpose(ad.transpose(m)).value, m)
 
 
-def test_tile_and_take_col():
-    row = Tensor(np.array([[1.0, 2.0, 3.0]]))
-    tiled = ad.tile_rows(row, 4)
-    assert tiled.shape == (4, 3)
-    out = ad.sum_all(tiled)
-    out.backward()
-    np.testing.assert_array_equal(row.grad, [[4.0, 4.0, 4.0]])
-
-    m = Tensor(np.arange(6.0).reshape(2, 3))
-    col = ad.take_col(m, 1)
-    np.testing.assert_array_equal(col.value, [[1.0], [4.0]])
-    ad.sum_all(col).backward()
-    np.testing.assert_array_equal(m.grad, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+def test_tile_cols_grad_sums_each_row():
+    col = Tensor(np.array([[1.0], [2.0]]))
+    tiled = ad.tile_cols(col, 3)
+    np.testing.assert_array_equal(tiled.value, [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    ad.sum_all(ad.hadamard(tiled, np.arange(6.0).reshape(2, 3))).backward()
+    np.testing.assert_array_equal(col.grad, [[3.0], [12.0]])
 
 
 def test_backward_sum_gives_ones():
@@ -166,6 +151,119 @@ def test_backward_rejects_second_pass():
     # a fresh graph over the same leaf is also rejected: grads would double up
     with pytest.raises(RuntimeError):
         ad.sum_all(x).backward()
+
+
+def test_grads_are_allocated_by_backward_for_reached_nodes_only():
+    x, unused = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))
+    hidden = ad.tanh(x)
+    out = ad.sum_all(hidden)
+    assert x.grad is None and hidden.grad is None
+    out.backward()
+    assert x.grad.shape == (2, 3) and hidden.grad.shape == (2, 3)
+    assert unused.grad is None
+
+
+def test_shared_leaf_accumulates_every_use():
+    rng = np.random.default_rng(7)
+    x_val = rng.normal(size=(3, 4))
+    x = Tensor(x_val)
+    out = ad.sum_all(x) + ad.sum_all(ad.hadamard(x, x)) + ad.sum_all(ad.tanh(x))
+    out.backward()
+    expected = 1.0 + 2.0 * x_val + (1.0 - np.tanh(x_val) ** 2)
+    np.testing.assert_allclose(x.grad, expected, atol=1e-12)
+
+
+def test_grads_own_c_contiguous_memory():
+    # add passes its incoming grad through, transpose and concat pass views
+    # of it; still no two leaves share memory, and every grad is
+    # C-contiguous, since BLAS rounds differently on transposed operands
+    a, b, c = (Tensor(np.full((2, 2), v)) for v in (1.0, 2.0, 3.0))
+    hidden = ad.tanh(c)
+    joined = ad.concat_cols(ad.add(a, b), ad.transpose(hidden))
+    ad.sum_all(ad.tanh(joined)).backward()
+    grads = [a.grad, b.grad, c.grad]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+    for g in grads + [hidden.grad]:
+        assert g.flags.c_contiguous
+
+
+def test_no_grad_records_no_parents_or_vjps():
+    x = Tensor(np.ones((2, 2)))
+    with ad.no_grad():
+        out = ad.sum_all(ad.tanh(ad.matmul(x, x)))
+    assert out.parents == () and out._vjps == ()
+    np.testing.assert_allclose(out.value, [[4.0 * np.tanh(2.0)]], atol=1e-15)
+    out.backward()
+    assert x.grad is None
+    assert ad.add(x, x).parents == (x, x)
+
+
+def test_no_grad_restores_mode_after_exception_and_nesting():
+    def recording():
+        return bool(ad.tanh(np.ones((1, 1))).parents)
+
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not recording()
+        assert not recording()
+    assert recording()
+    with pytest.raises(ShapeError):
+        with ad.no_grad():
+            ad.add(np.ones((1, 2)), np.ones((2, 1)))
+    assert recording()
+
+
+def _check_grads(build, values):
+    leaves = [Tensor(v) for v in values]
+    out = ad.sum_all(ad.tanh(build(*leaves)))
+    out.backward()
+    for k, v in enumerate(values):
+        def f(x, k=k):
+            trial = [Tensor(x if i == k else values[i]) for i in range(len(values))]
+            return ad.sum_all(ad.tanh(build(*trial))).item()
+        assert relative_error(leaves[k].grad, ad.finite_diff(f, v)) < 1e-7
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_add_col_broadcasts_and_matches_finite_diff(sign):
+    rng = np.random.default_rng(8)
+    a, col = rng.normal(size=(3, 5)), rng.normal(size=(3, 1))
+    out = ad.add_col(a, col, sign=sign)
+    np.testing.assert_array_equal(out.value, a + sign * col)
+    _check_grads(lambda x, c: ad.add_col(x, c, sign=sign), [a, col])
+
+
+def test_add_col_rejects_bad_column_and_sign():
+    for bad in (np.ones((2, 1)), np.ones((3, 2)), np.ones((1, 5))):
+        with pytest.raises(ShapeError):
+            ad.add_col(np.ones((3, 5)), bad)
+    with pytest.raises(ValueError):
+        ad.add_col(np.ones((3, 5)), np.ones((3, 1)), sign=2.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gate_mix_matches_loop_and_finite_diff(k):
+    rng = np.random.default_rng(9 + k)
+    gate = rng.uniform(size=(5, k))
+    xs = [rng.normal(size=(4, 5)) for _ in range(k)]
+    out = ad.gate_mix(gate, xs)
+    expected = np.zeros((4, 5))
+    for l in range(5):
+        for j in range(k):
+            expected[:, l] += gate[l, j] * xs[j][:, l]
+    np.testing.assert_allclose(out.value, expected, atol=1e-14)
+    _check_grads(lambda g, *cands: ad.gate_mix(g, cands), [gate, *xs])
+
+
+def test_gate_mix_rejects_mis_shaped_gates():
+    xs = [np.ones((4, 5)), np.ones((4, 5))]
+    for gate in (np.ones((5, 3)), np.ones((4, 2)), np.ones((5, 1))):
+        with pytest.raises(ShapeError):
+            ad.gate_mix(gate, xs)
+    with pytest.raises(ShapeError):
+        ad.gate_mix(np.ones((5, 2)), [np.ones((4, 5)), np.ones((3, 5))])
 
 
 def test_finite_diff_sum_and_squares():

@@ -174,3 +174,17 @@ def test_unparseable_metadata_rejected(tmp_path):
     path.write_bytes(bytes(out))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_failed_save_leaves_previous_file_and_no_temp(tmp_path):
+    rng = np.random.default_rng(75)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_random_model(rng), path)
+    before = path.read_bytes()
+    broken = _random_model(rng)
+    # the header is written before this payload fails to convert
+    broken.params[next(reversed(broken.params))] = np.array([["x"]])
+    with pytest.raises(ValueError):
+        save_checkpoint(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

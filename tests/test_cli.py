@@ -126,3 +126,25 @@ def test_unknown_variant_list_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["ablation", *TINY, "--variants", "CA,NOPE",
               "--out-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("command", ["sweep", "dump-attn"])
+def test_corrupt_checkpoint_exits_with_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"IACA" + b"\x00" * 5)
+    if command == "sweep":
+        argv = ["sweep", "--checkpoint-valence", str(bad),
+                "--checkpoint-arousal", str(bad), "--out-dir", str(tmp_path)]
+    else:
+        argv = ["dump-attn", "--checkpoint", str(bad), "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unknown_nested_config_key_exits_with_error(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"regime": {"bogus": 1}}))
+    rc = main(["gen-data", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "regime.bogus" in err

@@ -57,6 +57,8 @@ def test_config_json_round_trip():
 def test_config_rejects_unknown_fields():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"variannt": "CA"})
+    with pytest.raises(ValueError, match="regime.bogus"):
+        ExperimentConfig.from_dict({"regime": {"bogus": 1}})
 
 
 def test_config_validation_recurses():

@@ -8,7 +8,6 @@ from iaca.gating import (
     HeadParams,
     JointParams,
     ModelFlags,
-    iaca_forward,
     joint_representation,
     predict,
     stage1_gate,
@@ -345,15 +344,31 @@ def test_zeroed_modality_keeps_forward_finite(variant):
         assert np.all(np.isfinite(pred))
 
 
-def test_iaca_forward_builds_on_given_leaves():
+def test_forward_graph_builds_on_given_leaves():
     rng = np.random.default_rng(40)
     xa, xv = _features(rng, 3, 4)
     model = FusionModel.create(3, "CA", iaca=True, seed=8)
     leaves = model.bind()
-    pred, _ = iaca_forward(Tensor(xa), Tensor(xv), model, leaves)
+    pred, _ = model.forward_graph(Tensor(xa), Tensor(xv), leaves)
     loss = mean_all(pred)
     loss.backward()
     assert any(np.any(leaves[k].grad != 0.0) for k in leaves)
+
+
+@pytest.mark.parametrize("iaca", [False, True])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_predict_values_is_bitwise_the_graph_forward(variant, iaca):
+    rng = np.random.default_rng(42)
+    xa, xv = _features(rng, 5, 7)
+    model = FusionModel.create(5, variant, iaca=iaca, seed=10)
+    pred, diag = model.forward_graph(Tensor(xa), Tensor(xv), model.bind())
+    assert pred.parents
+    values = model.predict_values(xa, xv)
+    assert values.tobytes() == pred.value.tobytes()
+    _, no_grad_diag = model.forward(xa, xv)
+    for name in ("audio_weights", "visual_weights", "stage1_audio", "stage2"):
+        a, b = getattr(diag, name), getattr(no_grad_diag, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from iaca import training
+from iaca.autodiff import Tensor
 from iaca.gating import FusionModel, ModelFlags
 from iaca.metrics import ccc
 from iaca.synth import Regime, generate
@@ -119,6 +121,24 @@ def test_divergence_raises_structured_error():
     model.params["head.b2"][:] = np.nan
     with pytest.raises(TrainingDivergence):
         fit(model, train, val, TrainConfig(epochs=1))
+
+
+def test_non_finite_gradient_names_epoch_batch_and_parameter(monkeypatch):
+    train, val = _small_data()
+    model = _small_model()
+    real_loss = training.ccc_loss
+
+    def poisoned_loss(pred, gold):
+        # finite value, NaN gradient into every parameter
+        poison = Tensor([[0.0]], "poison", (pred,), (lambda g: np.full(pred.shape, np.nan),))
+        return real_loss(pred, gold) + poison
+
+    monkeypatch.setattr(training, "ccc_loss", poisoned_loss)
+    with pytest.raises(TrainingDivergence) as exc:
+        fit(model, train, val, TrainConfig(epochs=1, batch_size=4))
+    message = str(exc.value)
+    assert "gradient" in message and "epoch 0" in message
+    assert "batch starting at 0" in message and next(iter(model.params)) in message
 
 
 def test_training_improves_validation_ccc():
