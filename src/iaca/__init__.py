@@ -39,7 +39,6 @@ from .experiments import (
 from .gating import (
     Diagnostics,
     FusionModel,
-    GateScores,
     HeadParams,
     JointParams,
     ModelFlags,
@@ -54,7 +53,6 @@ from .synth import (
     Regime,
     SyntheticSequence,
     corrupt_missing,
-    corrupt_noise,
     derive_seed,
     generate,
     load_dataset,

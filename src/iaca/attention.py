@@ -1,17 +1,18 @@
 """Attention blocks over per-clip bimodal feature matrices.
 
 All inputs are d x L matrices: one column of deep features per clip of a
-sequence. The baseline block computes the audio/visual cross-correlation,
-normalizes it into stochastic weight maps, applies those back to each
-modality, and squashes through tanh around a residual. The transformer,
-joint, and recursive variants reuse the same conventions so the gating
-layer downstream can treat them interchangeably.
+sequence. CA, JCA, RJCA and self-attention share one query-side step: the
+L x L correlation of a modality with a context (the other modality, a
+joint feature, or itself) is normalized into a stochastic weight map that
+re-weights the modality's own clips, squashed through tanh around a
+residual. TCA is a scaled query/key/value block. Every variant returns an
+AttendedPair, so the gating layer downstream treats them interchangeably.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .autodiff import (
     ShapeError,
@@ -33,12 +34,15 @@ VARIANTS = ("CA", "TCA", "JCA", "RJCA")
 @dataclass
 class AttendedPair:
     """Attended features for both modalities plus the weight maps that
-    produced them (kept for interpretability dumps)."""
+    produced them (kept for interpretability dumps), each with the softmax
+    axis it is normalized along ("columns" or "rows")."""
 
     audio: Tensor  # d x L
     visual: Tensor  # d x L
     audio_weights: Tensor  # L x L, applied to the audio features
     visual_weights: Tensor  # L x L, applied to the visual features
+    audio_axis: str = "columns"
+    visual_axis: str = "columns"
 
 
 @dataclass
@@ -78,6 +82,14 @@ def cross_correlation(xa, xv, w) -> Tensor:
     return matmul(matmul(transpose(xa), w), xv)
 
 
+def _attend(x, z, axis: str) -> tuple[Tensor, Tensor]:
+    """Query side of the cross block: normalize the L x L correlation z
+    along `axis` and let x re-weight its own clips with it. Returns
+    (tanh(x + x . weights), weights)."""
+    weights = softmax(z, axis=axis)
+    return tanh(x + matmul(x, weights)), weights
+
+
 def cross_attention(xa, xv, w, av_axis: str = "columns") -> AttendedPair:
     """Bidirectional cross-attention with residual tanh squashing.
 
@@ -87,19 +99,15 @@ def cross_attention(xa, xv, w, av_axis: str = "columns") -> AttendedPair:
     switch rather than a constant).
     """
     z = cross_correlation(xa, xv, w)
-    audio_weights = softmax(z, axis="columns")
-    visual_weights = softmax(transpose(z), axis=av_axis)
-    att_a = tanh(xa + matmul(xa, audio_weights))
-    att_v = tanh(xv + matmul(xv, visual_weights))
-    return AttendedPair(att_a, att_v, audio_weights, visual_weights)
+    att_a, audio_weights = _attend(xa, z, "columns")
+    att_v, visual_weights = _attend(xv, transpose(z), av_axis)
+    return AttendedPair(att_a, att_v, audio_weights, visual_weights, "columns", av_axis)
 
 
 def self_attention(x, w) -> Tensor:
     """Intra-modal analogue of the cross block: the modality attends to its
     own clips, same residual and tanh."""
-    z = matmul(matmul(transpose(x), w), x)
-    weights = softmax(z, axis="columns")
-    return tanh(x + matmul(x, weights))
+    return _attend(x, cross_correlation(x, x, w), "columns")[0]
 
 
 def tca_block(xq, xkv, p: TcaBlockParams) -> tuple[Tensor, Tensor]:
@@ -129,15 +137,7 @@ def tca_attention(xa, xv, p_audio: TcaBlockParams, p_visual: TcaBlockParams) -> 
     """Both transformer-style directions packaged like the other variants."""
     att_a, w_a = tca_block(xa, xv, p_audio)
     att_v, w_v = tca_block(xv, xa, p_visual)
-    return AttendedPair(att_a, att_v, w_a, w_v)
-
-
-def _attend_to(x, context, w) -> tuple[Tensor, Tensor]:
-    # One query-side pass of the cross block: x correlates with a context
-    # matrix, normalizes per column, and re-weights its own clips.
-    z = matmul(matmul(transpose(x), w), context)
-    weights = softmax(z, axis="columns")
-    return tanh(x + matmul(x, weights)), weights
+    return AttendedPair(att_a, att_v, w_a, w_v, "rows", "rows")
 
 
 def joint_cross_attention(xa, xv, p: JcaParams) -> AttendedPair:
@@ -153,32 +153,22 @@ def joint_cross_attention(xa, xv, p: JcaParams) -> AttendedPair:
     # Kept as a tiled add: with shared RJCA weights, joint_b collects one
     # contribution per iteration, and add_col would reorder their summation.
     joint = matmul(p.joint_w, concat_rows(xa, xv)) + tile_cols(p.joint_b, n_clips)
-    att_a, w_a = _attend_to(xa, joint, p.cross_a)
-    att_v, w_v = _attend_to(xv, joint, p.cross_v)
+    att_a, w_a = _attend(xa, cross_correlation(xa, joint, p.cross_a), "columns")
+    att_v, w_v = _attend(xv, cross_correlation(xv, joint, p.cross_v), "columns")
     return AttendedPair(att_a, att_v, w_a, w_v)
 
 
-JcaParamsLike = Union[JcaParams, Sequence[JcaParams]]
+def recursive_jca(xa, xv, blocks: Sequence[JcaParams]) -> AttendedPair:
+    """Iterated joint cross-attention: attended outputs feed back in, one
+    pass per block.
 
-
-def recursive_jca(xa, xv, params: JcaParamsLike, t: int) -> AttendedPair:
-    """Iterated joint cross-attention: attended outputs feed back in t times.
-
-    `params` may be a single block (weights shared across iterations, the
-    default) or a sequence of t blocks for per-iteration weights. t=1 is
-    exactly one joint cross-attention pass.
+    Repeat one block for weights shared across iterations, or pass one
+    block per iteration. A single block is exactly one joint
+    cross-attention pass.
     """
-    if t < 1:
-        raise ValueError(f"recursion depth must be at least 1, got {t}")
-    if isinstance(params, JcaParams):
-        blocks = [params] * t
-    else:
-        blocks = list(params)
-        if len(blocks) != t:
-            raise ValueError(f"expected {t} parameter blocks, got {len(blocks)}")
-    cur_a, cur_v = xa, xv
-    pair = None
+    if not blocks:
+        raise ValueError("recursive joint cross-attention needs at least one block")
     for block in blocks:
-        pair = joint_cross_attention(cur_a, cur_v, block)
-        cur_a, cur_v = pair.audio, pair.visual
+        pair = joint_cross_attention(xa, xv, block)
+        xa, xv = pair.audio, pair.visual
     return pair

@@ -155,40 +155,12 @@ class Tensor:
                     parent.grad = parent.grad + c
             node._used = True
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
+    # + and - only; every other op is called by name
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return hadamard(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / other)
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    @property
-    def T(self):
-        return transpose(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, op={self.op!r})"
@@ -310,40 +282,31 @@ def softmax(a, axis: str = "columns", temperature: float = 1.0) -> Tensor:
     return Tensor(y, "softmax", (a,), (vjp,))
 
 
-def concat_rows(*parts) -> Tensor:
-    """Stack matrices vertically; every input must have the same column count."""
+def _concat(op: str, parts, axis: int) -> Tensor:
     if len(parts) < 2:
-        raise ValueError("concat_rows needs at least two inputs")
+        raise ValueError(f"{op} needs at least two inputs")
     ts = [_coerce(p) for p in parts]
-    cols = {t.value.shape[1] for t in ts}
-    if len(cols) != 1:
-        raise ShapeError(f"concat_rows: column counts differ, {[t.value.shape for t in ts]}")
-    value = np.concatenate([t.value for t in ts], axis=0)
+    if len({t.value.shape[1 - axis] for t in ts}) != 1:
+        raise ShapeError(f"{op}: {('row', 'column')[1 - axis]} counts differ, "
+                         f"{[t.value.shape for t in ts]}")
+    value = np.concatenate([t.value for t in ts], axis=axis)
     vjps = []
     offset = 0
     for t in ts:
-        r = t.value.shape[0]
-        vjps.append(lambda g, lo=offset, hi=offset + r: g[lo:hi, :])
-        offset += r
-    return Tensor(value, "concat_rows", tuple(ts), tuple(vjps))
+        n = t.value.shape[axis]
+        vjps.append(lambda g, i=(slice(None),) * axis + (slice(offset, offset + n),): g[i])
+        offset += n
+    return Tensor(value, op, tuple(ts), tuple(vjps))
+
+
+def concat_rows(*parts) -> Tensor:
+    """Stack matrices vertically; every input must have the same column count."""
+    return _concat("concat_rows", parts, 0)
 
 
 def concat_cols(*parts) -> Tensor:
     """Stack matrices horizontally; every input must have the same row count."""
-    if len(parts) < 2:
-        raise ValueError("concat_cols needs at least two inputs")
-    ts = [_coerce(p) for p in parts]
-    rows = {t.value.shape[0] for t in ts}
-    if len(rows) != 1:
-        raise ShapeError(f"concat_cols: row counts differ, {[t.value.shape for t in ts]}")
-    value = np.concatenate([t.value for t in ts], axis=1)
-    vjps = []
-    offset = 0
-    for t in ts:
-        c = t.value.shape[1]
-        vjps.append(lambda g, lo=offset, hi=offset + c: g[:, lo:hi])
-        offset += c
-    return Tensor(value, "concat_cols", tuple(ts), tuple(vjps))
+    return _concat("concat_cols", parts, 1)
 
 
 def tile_cols(a, n: int) -> Tensor:

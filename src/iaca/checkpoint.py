@@ -12,7 +12,10 @@ Little-endian layout:
               row-major, in shape-table order
 
 Loads rebuild the exact float64 arrays, so save/load round-trips are
-bitwise. Anything structurally off raises a CheckpointError subclass
+bitwise. A load checks the metadata, then the shape table against the
+parameter schema of the model the metadata describes and the declared
+payload size against the bytes left in the file, all before reading any
+payload. Anything structurally off raises a CheckpointError subclass
 rather than propagating struct/JSON internals.
 """
 
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gating import FusionModel, ModelFlags
+from .gating import FusionModel, ModelFlags, param_schema
 
 MAGIC = b"IACA"
 FORMAT_VERSION = 1
@@ -46,13 +49,6 @@ class Checkpoint:
     version: int
     model: FusionModel
     meta: dict
-
-
-def _read(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return data
 
 
 def save_checkpoint(model: FusionModel, path, extra_meta: dict = None) -> None:
@@ -95,43 +91,56 @@ def save_checkpoint(model: FusionModel, path, extra_meta: dict = None) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        if _read(fh, 4, "magic") != MAGIC:
+        end = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            # checked before reading, so a corrupt length never allocates
+            if n > end - fh.tell():
+                raise CheckpointError(f"truncated checkpoint while reading {what}")
+            return fh.read(n)
+
+        if read(4, "magic") != MAGIC:
             raise CheckpointError(f"bad magic; {path} is not a checkpoint")
-        version = struct.unpack("<I", _read(fh, 4, "version"))[0]
+        version = struct.unpack("<I", read(4, "version"))[0]
         if version != FORMAT_VERSION:
             raise CheckpointVersionError(
                 f"checkpoint version {version} unsupported (expected {FORMAT_VERSION})")
-        meta_len = struct.unpack("<I", _read(fh, 4, "metadata length"))[0]
+        meta_len = struct.unpack("<I", read(4, "metadata length"))[0]
         try:
-            meta = json.loads(_read(fh, meta_len, "metadata").decode("utf-8"))
+            meta = json.loads(read(meta_len, "metadata").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint metadata: {exc}") from exc
-        for key in ("variant", "iaca", "d", "flags"):
-            if key not in meta:
-                raise CheckpointError(f"checkpoint metadata missing {key!r}")
+        try:
+            flags = ModelFlags(**meta["flags"])
+            d, variant, iaca = int(meta["d"]), meta["variant"], bool(meta["iaca"])
+            schema = param_schema(d, variant, iaca, flags)
+        except KeyError as exc:
+            raise CheckpointError(f"checkpoint metadata missing {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointError(f"invalid model metadata in checkpoint: {exc}") from exc
 
-        n_params = struct.unpack("<I", _read(fh, 4, "parameter count"))[0]
-        shapes = []
+        n_params = struct.unpack("<I", read(4, "parameter count"))[0]
+        shapes = {}
         for i in range(n_params):
-            name_len = struct.unpack("<H", _read(fh, 2, f"name length {i}"))[0]
-            name = _read(fh, name_len, f"name {i}").decode("utf-8")
-            rows, cols = struct.unpack("<II", _read(fh, 8, f"shape of {name}"))
-            if rows == 0 or cols == 0:
-                raise CheckpointError(f"degenerate shape {rows}x{cols} for {name}")
-            shapes.append((name, rows, cols))
+            name_len = struct.unpack("<H", read(2, f"name length {i}"))[0]
+            try:
+                name = read(name_len, f"name {i}").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"unreadable name of parameter {i}: {exc}") from exc
+            shapes[name] = struct.unpack("<II", read(8, f"shape of {name}"))
+        payload = 8 * sum(rows * cols for rows, cols in shapes.values())
+        if payload != end - fh.tell():
+            raise CheckpointError(f"shape table declares {payload} payload bytes, "
+                                  f"file holds {end - fh.tell()}")
+        expected = {name: (rows, cols) for name, (rows, cols, _) in schema.items()}
+        if len(shapes) != n_params or shapes != expected:
+            raise CheckpointError(
+                f"parameters do not match a {variant} model with iaca={iaca}: missing "
+                f"or mis-shaped {sorted(set(expected.items()) - set(shapes.items()))}, "
+                f"unexpected {sorted(set(shapes.items()) - set(expected.items()))}")
+        params = {name: np.frombuffer(read(8 * rows * cols, f"payload of {name}"),
+                                      dtype="<f8").reshape(rows, cols).copy()
+                  for name, (rows, cols) in shapes.items()}
 
-        params = {}
-        for name, rows, cols in shapes:
-            raw = _read(fh, 8 * rows * cols, f"payload of {name}")
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after checkpoint payload")
-
-    try:
-        flags = ModelFlags(**meta["flags"])
-        flags.validate()
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"invalid flags in checkpoint: {exc}") from exc
-    model = FusionModel(d=int(meta["d"]), variant=meta["variant"],
-                        iaca=bool(meta["iaca"]), flags=flags, params=params)
+    model = FusionModel(d=d, variant=variant, iaca=iaca, flags=flags, params=params)
     return Checkpoint(version=version, model=model, meta=meta)

@@ -31,37 +31,50 @@ from .experiments import (
     save_sweep,
     train_one,
 )
-from .synth import REGIME_KINDS, Regime, generate, save_dataset
-from .training import save_history
+from .gating import AV_AXES, STAGE1_INPUTS
+from .synth import REGIME_KINDS, generate, save_dataset
+from .training import OPTIMIZERS, save_history
 
 ENV_OUT_DIR = "IACA_RESULTS_DIR"
 
 
+# Every config flag: (flag, dotted ExperimentConfig field, argparse keywords).
+# Its value is read back from argparse's default destination (--n-train ->
+# n_train).
+_CONFIG_FLAGS = (
+    ("--variant", "variant", {"choices": VARIANTS}),
+    ("--iaca", "iaca", {"action": "store_true", "default": None,
+                        "help": "attach the two-stage gating (default from config)"}),
+    ("--regime", "regime.kind", {"choices": REGIME_KINDS}),
+    ("--noise-sigma", "regime.noise_sigma", {"type": float}),
+    ("--corrupt-fraction", "regime.corrupt_fraction",
+     {"type": float, "help": "fraction of audio clips zeroed in training sequences"}),
+    ("--d", "d", {"type": int}),
+    ("--clips", "n_clips", {"type": int, "help": "sequence length L"}),
+    ("--n-train", "n_train", {"type": int}),
+    ("--n-val", "n_val", {"type": int}),
+    ("--seed", "seed", {"type": int}),
+    ("--epochs", "train.epochs", {"type": int}),
+    ("--batch-size", "train.batch_size", {"type": int}),
+    ("--lr", "train.lr", {"type": float}),
+    ("--optimizer", "train.optimizer", {"choices": OPTIMIZERS}),
+    ("--patience", "train.patience", {"type": int}),
+    ("--temperature", "flags.temperature", {"type": float}),
+    ("--av-axis", "flags.av_axis", {"choices": AV_AXES}),
+    ("--stage1-input", "flags.stage1_input", {"choices": STAGE1_INPUTS}),
+    ("--rjca-iterations", "flags.rjca_iterations", {"type": int}),
+)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with ExperimentConfig fields")
-    parser.add_argument("--variant", choices=VARIANTS)
-    gate = parser.add_mutually_exclusive_group()
-    gate.add_argument("--iaca", dest="iaca", action="store_true", default=None,
-                      help="attach the two-stage gating (default from config)")
-    gate.add_argument("--no-iaca", dest="iaca", action="store_false")
-    parser.add_argument("--regime", choices=REGIME_KINDS)
-    parser.add_argument("--noise-sigma", type=float)
-    parser.add_argument("--corrupt-fraction", type=float,
-                        help="fraction of audio clips zeroed in training sequences")
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--clips", type=int, help="sequence length L")
-    parser.add_argument("--n-train", type=int)
-    parser.add_argument("--n-val", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--optimizer", choices=("sgd", "adaptive-moment"))
-    parser.add_argument("--patience", type=int)
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--av-axis", choices=("columns", "rows"))
-    parser.add_argument("--stage1-input", choices=("raw", "self_attended"))
-    parser.add_argument("--rjca-iterations", type=int)
+    for flag, _, kwargs in _CONFIG_FLAGS:
+        if flag == "--iaca":
+            gate = parser.add_mutually_exclusive_group()
+            gate.add_argument(flag, **kwargs)
+            gate.add_argument("--no-iaca", dest="iaca", action="store_false")
+        else:
+            parser.add_argument(flag, **kwargs)
     parser.add_argument("--out-dir")
 
 
@@ -77,34 +90,11 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     elif "out_dir" not in data:
         cfg.out_dir = os.environ.get(ENV_OUT_DIR, ".")
 
-    for name in ("variant", "iaca", "d", "seed"):
-        value = getattr(args, name)
+    for flag, dotted, _ in _CONFIG_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            setattr(cfg, name, value)
-    if args.clips is not None:
-        cfg.n_clips = args.clips
-    if args.n_train is not None:
-        cfg.n_train = args.n_train
-    if args.n_val is not None:
-        cfg.n_val = args.n_val
-    if args.regime is not None:
-        cfg.regime.kind = args.regime
-    if args.noise_sigma is not None:
-        cfg.regime.noise_sigma = args.noise_sigma
-    if args.corrupt_fraction is not None:
-        cfg.regime.corrupt_fraction = args.corrupt_fraction
-    for name in ("epochs", "batch_size", "lr", "optimizer", "patience"):
-        value = getattr(args, name)
-        if value is not None:
-            setattr(cfg.train, name, value)
-    if args.temperature is not None:
-        cfg.flags.temperature = args.temperature
-    if args.av_axis is not None:
-        cfg.flags.av_axis = args.av_axis
-    if args.stage1_input is not None:
-        cfg.flags.stage1_input = args.stage1_input
-    if args.rjca_iterations is not None:
-        cfg.flags.rjca_iterations = args.rjca_iterations
+            section, _, name = dotted.rpartition(".")
+            setattr(getattr(cfg, section) if section else cfg, name, value)
 
     cfg.validate()
     return cfg
@@ -118,13 +108,11 @@ def _out_root(cfg: ExperimentConfig) -> Path:
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    regime = Regime(kind=cfg.regime.kind, noise_sigma=cfg.regime.noise_sigma,
-                    corrupt_fraction=cfg.regime.corrupt_fraction)
-    seqs = generate(regime, cfg.d, cfg.n_clips, args.count, cfg.seed)
+    seqs = generate(cfg.regime, cfg.d, cfg.n_clips, args.count, cfg.seed)
     path = _out_root(cfg) / args.out
     save_dataset(seqs, path)
     print(f"wrote {len(seqs)} sequences ({cfg.d}x{cfg.n_clips}, "
-          f"{regime.kind}) to {path}")
+          f"{cfg.regime.kind}) to {path}")
     return 0
 
 
@@ -160,7 +148,7 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
     variants = args.variants.split(",") if args.variants else list(VARIANTS)
     for v in variants:
         if v not in VARIANTS:
-            raise SystemExit(f"unknown variant {v!r}; choose from {','.join(VARIANTS)}")
+            raise ValueError(f"unknown variant {v!r}; choose from {','.join(VARIANTS)}")
     rows = run_ablation(cfg, variants)
     path = _out_root(cfg) / args.out
     save_ablation(rows, path)
@@ -176,7 +164,7 @@ def _restore(path):
     ckpt = load_checkpoint(path)
     exp = ckpt.meta.get("experiment")
     if exp is None:
-        raise SystemExit(f"{path} carries no experiment config; cannot rebuild data")
+        raise ValueError(f"{path} carries no experiment config; cannot rebuild data")
     return ckpt.model, ExperimentConfig.from_dict(exp), ckpt.meta.get("output_dim")
 
 
@@ -184,7 +172,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     val_model, val_cfg, val_dim = _restore(args.checkpoint_valence)
     aro_model, aro_cfg, aro_dim = _restore(args.checkpoint_arousal)
     if val_dim != "valence" or aro_dim != "arousal":
-        raise SystemExit("checkpoints must be a (valence, arousal) pair; got "
+        raise ValueError("checkpoints must be a (valence, arousal) pair; got "
                          f"({val_dim}, {aro_dim})")
     fractions = ([float(f) for f in args.fractions.split(",")]
                  if args.fractions else list(DEFAULT_SWEEP_FRACTIONS))
@@ -208,7 +196,7 @@ def _cmd_dump_attn(args: argparse.Namespace) -> int:
     train, val = prepare_splits(cfg, args.dim)
     seqs = val if args.split == "val" else train
     if not 0 <= args.index < len(seqs):
-        raise SystemExit(f"sequence index {args.index} out of range "
+        raise ValueError(f"sequence index {args.index} out of range "
                          f"(split has {len(seqs)})")
     dump = dump_attention(model, seqs[args.index])
     if args.out_dir:

@@ -259,12 +259,10 @@ def _minmax(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def _source_weight(weights: np.ndarray) -> np.ndarray:
-    # per-clip pull of the map: total weight each source clip receives,
-    # summed over whichever axis the map normalizes
-    if np.allclose(weights.sum(axis=0), 1.0, atol=1e-6):
-        return weights.sum(axis=1)
-    return weights.sum(axis=0)
+def _source_weight(weights: np.ndarray, axis: str) -> np.ndarray:
+    # per-clip pull of the map: its row sums if the softmax normalized its
+    # columns, its column sums if it normalized its rows
+    return weights.sum(axis=1 if axis == "columns" else 0)
 
 
 def dump_attention(model: FusionModel, seq: SyntheticSequence) -> dict:
@@ -278,8 +276,10 @@ def dump_attention(model: FusionModel, seq: SyntheticSequence) -> dict:
         "variant": model.variant,
         "iaca": model.iaca,
         "n_clips": int(seq.xa.shape[1]),
-        "audio_attention": _minmax(_source_weight(diag.audio_weights)).tolist(),
-        "visual_attention": _minmax(_source_weight(diag.visual_weights)).tolist(),
+        "audio_attention": _minmax(_source_weight(diag.audio_weights,
+                                                  diag.audio_axis)).tolist(),
+        "visual_attention": _minmax(_source_weight(diag.visual_weights,
+                                                   diag.visual_axis)).tolist(),
         "prediction": pred.ravel().tolist(),
         "target": np.asarray(seq.target).ravel().tolist(),
     }

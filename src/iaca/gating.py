@@ -7,14 +7,16 @@ modalities are fused through a joint representation layer, and stage 2
 gates among the gated audio, gated visual, and joint candidates. A small
 MLP maps the fused d-vector per clip to a scalar in [-1, 1].
 
-The gate scores are computed from the attended features alone and carry
-no bias term. A small temperature sharpens the softmax so the gates act
-nearly as selectors while staying differentiable.
+The gate scores (L x K, one row per clip on the simplex) are computed
+from the attended features alone and carry no bias term. A small
+temperature sharpens the softmax so the gates act nearly as selectors
+while staying differentiable. param_schema lists a model's parameters:
+creation draws from it and checkpoint loading checks against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -44,15 +46,8 @@ from .autodiff import (
     transpose,
 )
 
-_STAGE1_INPUTS = ("raw", "self_attended")
-_AV_AXES = ("columns", "rows")
-
-
-@dataclass
-class GateScores:
-    """Per-clip selection weights, one row per clip on the simplex."""
-
-    scores: Tensor  # L x K, K in {2, 3}
+STAGE1_INPUTS = ("raw", "self_attended")
+AV_AXES = ("columns", "rows")
 
 
 @dataclass
@@ -69,13 +64,13 @@ class HeadParams:
     b2: Tensor  # 1 x 1
 
 
-def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, GateScores]:
+def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, Tensor]:
     """Blend a modality's attended feature with its unattended one.
 
     Logits come from the attended feature: W_go = x_att^T . w_gl (L x 2),
     normalized per clip at the given temperature. Column 0 weights the
     base feature, column 1 the attended one; the convex blend passes
-    through ReLU.
+    through ReLU. Returns the blend and the L x 2 scores.
     """
     if x_base.shape != x_att.shape:
         raise ShapeError(f"candidate shapes differ: {x_base.shape} vs {x_att.shape}")
@@ -84,7 +79,7 @@ def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, GateSc
         raise ShapeError(f"gate weights must be {d}x2, got {w_gl.shape}")
     logits = matmul(transpose(x_att), w_gl)
     g = softmax(logits, axis="rows", temperature=temperature)
-    return relu(gate_mix(g, (x_base, x_att))), GateScores(g)
+    return relu(gate_mix(g, (x_base, x_att))), g
 
 
 def joint_representation(x_ga, x_gv, p: JointParams) -> Tensor:
@@ -94,12 +89,13 @@ def joint_representation(x_ga, x_gv, p: JointParams) -> Tensor:
     return add_col(matmul(p.w, concat_rows(x_ga, x_gv)), p.b)
 
 
-def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, GateScores]:
+def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, Tensor]:
     """Select among gated-audio, gated-visual, and joint candidates.
 
     The gate sees all three stacked per clip (3d x L) so its scores can
     depend on every candidate; columns 0..2 of the softmaxed L x 3 logits
-    weight x_ga, x_gv, x_gav in that order.
+    weight x_ga, x_gv, x_gav in that order. Returns the mix and the L x 3
+    scores.
     """
     if not (x_ga.shape == x_gv.shape == x_gav.shape):
         raise ShapeError("stage-2 candidates must share one shape, got "
@@ -109,7 +105,7 @@ def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, G
         raise ShapeError(f"a-v gate weights must be {3 * d}x3, got {w_avl.shape}")
     stacked = concat_rows(x_ga, x_gv, x_gav)
     g = softmax(matmul(transpose(stacked), w_avl), axis="rows", temperature=temperature)
-    return relu(gate_mix(g, (x_ga, x_gv, x_gav))), GateScores(g)
+    return relu(gate_mix(g, (x_ga, x_gv, x_gav))), g
 
 
 def predict(x_fused, head: HeadParams) -> Tensor:
@@ -130,11 +126,11 @@ class ModelFlags:
     head_hidden: int = 16
 
     def validate(self) -> None:
-        if self.av_axis not in _AV_AXES:
-            raise ValueError(f"av_axis must be one of {_AV_AXES}, got {self.av_axis!r}")
-        if self.stage1_input not in _STAGE1_INPUTS:
+        if self.av_axis not in AV_AXES:
+            raise ValueError(f"av_axis must be one of {AV_AXES}, got {self.av_axis!r}")
+        if self.stage1_input not in STAGE1_INPUTS:
             raise ValueError(
-                f"stage1_input must be one of {_STAGE1_INPUTS}, got {self.stage1_input!r}")
+                f"stage1_input must be one of {STAGE1_INPUTS}, got {self.stage1_input!r}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.rjca_iterations < 1:
@@ -145,13 +141,76 @@ class ModelFlags:
 
 @dataclass
 class Diagnostics:
-    """Forward-pass internals captured as plain arrays for dumping."""
+    """Forward-pass internals captured as plain arrays for dumping; each
+    attention map comes with the softmax axis it is normalized along."""
 
     audio_weights: np.ndarray  # L x L
     visual_weights: np.ndarray  # L x L
+    audio_axis: str
+    visual_axis: str
     stage1_audio: Optional[np.ndarray] = None  # L x 2
     stage1_visual: Optional[np.ndarray] = None  # L x 2
     stage2: Optional[np.ndarray] = None  # L x 3
+
+
+def param_schema(d: int, variant: str, iaca: bool,
+                 flags: ModelFlags) -> dict[str, tuple[int, int, float]]:
+    """Every parameter of a model as name -> (rows, cols, init std), in
+    initialization order; std 0 marks a parameter initialized to zeros."""
+    if d < 1:
+        raise ValueError(f"feature dimension must be >= 1, got {d}")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    flags.validate()
+    schema: dict = {}
+    if variant == "CA":
+        schema["cross.w"] = (d, d, 1.0 / d)
+    elif variant == "TCA":
+        h = 2 * d
+        for side in ("tca_a", "tca_v"):
+            schema[f"{side}.wq"] = (d, d, 1.0 / np.sqrt(d))
+            schema[f"{side}.wk"] = (d, d, 1.0 / np.sqrt(d))
+            schema[f"{side}.wv"] = (d, d, 1.0 / np.sqrt(d))
+            schema[f"{side}.ff1_w"] = (h, d, 1.0 / np.sqrt(d))
+            schema[f"{side}.ff1_b"] = (h, 1, 0.0)
+            schema[f"{side}.ff2_w"] = (d, h, 1.0 / np.sqrt(h))
+            schema[f"{side}.ff2_b"] = (d, 1, 0.0)
+    else:
+        for b in _jca_prefixes(variant, flags):
+            schema[f"{b}.joint_w"] = (d, 2 * d, 1.0 / np.sqrt(2 * d))
+            schema[f"{b}.joint_b"] = (d, 1, 0.0)
+            schema[f"{b}.cross_a"] = (d, d, 1.0 / d)
+            schema[f"{b}.cross_v"] = (d, d, 1.0 / d)
+
+    if iaca:
+        if flags.stage1_input == "self_attended":
+            schema["self_a.w"] = (d, d, 1.0 / d)
+            schema["self_v.w"] = (d, d, 1.0 / d)
+        schema["gate_a.w"] = (d, 2, 1.0 / np.sqrt(d))
+        schema["gate_v.w"] = (d, 2, 1.0 / np.sqrt(d))
+        schema["gate_av.w"] = (3 * d, 3, 1.0 / np.sqrt(3 * d))
+
+    schema["joint.w"] = (d, 2 * d, 1.0 / np.sqrt(2 * d))
+    schema["joint.b"] = (d, 1, 0.0)
+    hh = flags.head_hidden
+    schema["head.w1"] = (hh, d, 1.0 / np.sqrt(d))
+    schema["head.b1"] = (hh, 1, 0.0)
+    schema["head.w2"] = (1, hh, 1.0 / np.sqrt(hh))
+    schema["head.b2"] = (1, 1, 0.0)
+    return schema
+
+
+def _jca_prefixes(variant: str, flags: ModelFlags) -> list[str]:
+    # JCA, and RJCA with shared weights, own one block; unshared RJCA one
+    # block per iteration.
+    if variant == "RJCA" and not flags.rjca_shared_weights:
+        return [f"rjca{i}" for i in range(flags.rjca_iterations)]
+    return ["jca"]
+
+
+def _block(kind, leaves: dict, prefix: str):
+    # a parameter dataclass filled from the leaves named "<prefix>.<field>"
+    return kind(**{f.name: leaves[f"{prefix}.{f.name}"] for f in fields(kind)})
 
 
 @dataclass
@@ -172,59 +231,13 @@ class FusionModel:
     @classmethod
     def create(cls, d: int, variant: str, iaca: bool,
                flags: Optional[ModelFlags] = None, seed: int = 0) -> "FusionModel":
-        if d < 1:
-            raise ValueError(f"feature dimension must be >= 1, got {d}")
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
         flags = flags if flags is not None else ModelFlags()
-        flags.validate()
         rng = np.random.default_rng(seed)
-        p: dict = {}
-
-        def norm(name, rows, cols, std):
-            p[name] = rng.normal(0.0, std, size=(rows, cols))
-
-        def zeros(name, rows, cols):
-            p[name] = np.zeros((rows, cols))
-
-        if variant == "CA":
-            norm("cross.w", d, d, 1.0 / d)
-        elif variant == "TCA":
-            h = 2 * d
-            for side in ("tca_a", "tca_v"):
-                norm(f"{side}.wq", d, d, 1.0 / np.sqrt(d))
-                norm(f"{side}.wk", d, d, 1.0 / np.sqrt(d))
-                norm(f"{side}.wv", d, d, 1.0 / np.sqrt(d))
-                norm(f"{side}.ff1_w", h, d, 1.0 / np.sqrt(d))
-                zeros(f"{side}.ff1_b", h, 1)
-                norm(f"{side}.ff2_w", d, h, 1.0 / np.sqrt(h))
-                zeros(f"{side}.ff2_b", d, 1)
-        else:
-            blocks = ["jca"]
-            if variant == "RJCA" and not flags.rjca_shared_weights:
-                blocks = [f"rjca{i}" for i in range(flags.rjca_iterations)]
-            for b in blocks:
-                norm(f"{b}.joint_w", d, 2 * d, 1.0 / np.sqrt(2 * d))
-                zeros(f"{b}.joint_b", d, 1)
-                norm(f"{b}.cross_a", d, d, 1.0 / d)
-                norm(f"{b}.cross_v", d, d, 1.0 / d)
-
-        if iaca:
-            if flags.stage1_input == "self_attended":
-                norm("self_a.w", d, d, 1.0 / d)
-                norm("self_v.w", d, d, 1.0 / d)
-            norm("gate_a.w", d, 2, 1.0 / np.sqrt(d))
-            norm("gate_v.w", d, 2, 1.0 / np.sqrt(d))
-            norm("gate_av.w", 3 * d, 3, 1.0 / np.sqrt(3 * d))
-
-        norm("joint.w", d, 2 * d, 1.0 / np.sqrt(2 * d))
-        zeros("joint.b", d, 1)
-        hh = flags.head_hidden
-        norm("head.w1", hh, d, 1.0 / np.sqrt(d))
-        zeros("head.b1", hh, 1)
-        norm("head.w2", 1, hh, 1.0 / np.sqrt(hh))
-        zeros("head.b2", 1, 1)
-        return cls(d=d, variant=variant, iaca=iaca, flags=flags, params=p)
+        # zeros draw nothing, so every normal draw keeps its place in the stream
+        params = {name: rng.normal(0.0, std, size=(rows, cols)) if std
+                  else np.zeros((rows, cols))
+                  for name, (rows, cols, std) in param_schema(d, variant, iaca, flags).items()}
+        return cls(d=d, variant=variant, iaca=iaca, flags=flags, params=params)
 
     def n_params(self) -> int:
         return int(sum(v.size for v in self.params.values()))
@@ -236,21 +249,15 @@ class FusionModel:
         if self.variant == "CA":
             return cross_attention(xa, xv, leaves["cross.w"], self.flags.av_axis)
         if self.variant == "TCA":
-            blocks = [TcaBlockParams(*(leaves[f"{side}.{f}"] for f in (
-                "wq", "wk", "wv", "ff1_w", "ff1_b", "ff2_w", "ff2_b")))
-                for side in ("tca_a", "tca_v")]
-            return tca_attention(xa, xv, blocks[0], blocks[1])
-
-        def jca_block(prefix):
-            return JcaParams(*(leaves[f"{prefix}.{f}"] for f in (
-                "joint_w", "joint_b", "cross_a", "cross_v")))
-
+            return tca_attention(xa, xv, _block(TcaBlockParams, leaves, "tca_a"),
+                                 _block(TcaBlockParams, leaves, "tca_v"))
+        blocks = [_block(JcaParams, leaves, prefix)
+                  for prefix in _jca_prefixes(self.variant, self.flags)]
         if self.variant == "JCA":
-            return joint_cross_attention(xa, xv, jca_block("jca"))
-        t = self.flags.rjca_iterations
+            return joint_cross_attention(xa, xv, blocks[0])
         if self.flags.rjca_shared_weights:
-            return recursive_jca(xa, xv, jca_block("jca"), t)
-        return recursive_jca(xa, xv, [jca_block(f"rjca{i}") for i in range(t)], t)
+            blocks = blocks * self.flags.rjca_iterations
+        return recursive_jca(xa, xv, blocks)
 
     def forward_graph(self, xa: Tensor, xv: Tensor,
                       leaves: dict) -> tuple[Tensor, Diagnostics]:
@@ -259,8 +266,8 @@ class FusionModel:
         joint = JointParams(leaves["joint.w"], leaves["joint.b"])
         head = HeadParams(leaves["head.w1"], leaves["head.b1"],
                           leaves["head.w2"], leaves["head.b2"])
-        diag = Diagnostics(audio_weights=pair.audio_weights.value,
-                           visual_weights=pair.visual_weights.value)
+        diag = Diagnostics(pair.audio_weights.value, pair.visual_weights.value,
+                           pair.audio_axis, pair.visual_axis)
         if not self.iaca:
             fused = joint_representation(pair.audio, pair.visual, joint)
             return predict(fused, head), diag
@@ -275,9 +282,9 @@ class FusionModel:
         x_gv, g_v = stage1_gate(base_v, pair.visual, leaves["gate_v.w"], temperature)
         x_gav = joint_representation(x_ga, x_gv, joint)
         fused, g_av = stage2_gate(x_ga, x_gv, x_gav, leaves["gate_av.w"], temperature)
-        diag.stage1_audio = g_a.scores.value
-        diag.stage1_visual = g_v.scores.value
-        diag.stage2 = g_av.scores.value
+        diag.stage1_audio = g_a.value
+        diag.stage1_visual = g_v.value
+        diag.stage2 = g_av.value
         return predict(fused, head), diag
 
     def forward(self, xa_value, xv_value) -> tuple[np.ndarray, Diagnostics]:

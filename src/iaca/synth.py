@@ -129,13 +129,9 @@ def generate(regime: Regime, d: int = 32, n_clips: int = 64,
     return out
 
 
-def corrupt_missing(x: np.ndarray, fraction: float, seed: int = 0,
-                    scattered: bool = False) -> np.ndarray:
-    """Zero out floor(fraction * L) clip columns of a copy of x.
-
-    Default drops one contiguous block (a dropped stream); scattered=True
-    zeroes the same number of randomly chosen columns instead.
-    """
+def corrupt_missing(x: np.ndarray, fraction: float, seed: int = 0) -> np.ndarray:
+    """Zero out one contiguous block of floor(fraction * L) clip columns of a
+    copy of x (a dropped stream), placed at random by the seed."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
     x = np.asarray(x, dtype=np.float64)
@@ -145,20 +141,9 @@ def corrupt_missing(x: np.ndarray, fraction: float, seed: int = 0,
     if n_zero == 0:
         return out
     rng = np.random.default_rng(seed)
-    if scattered:
-        cols = rng.choice(n_clips, size=n_zero, replace=False)
-        out[:, cols] = 0.0
-    else:
-        start = int(rng.integers(0, n_clips - n_zero + 1))
-        out[:, start:start + n_zero] = 0.0
+    start = int(rng.integers(0, n_clips - n_zero + 1))
+    out[:, start:start + n_zero] = 0.0
     return out
-
-
-def corrupt_noise(x: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:
-    """Entrywise additive white noise at the given scale, seeded."""
-    x = np.asarray(x, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    return x + sigma * rng.normal(size=x.shape)
 
 
 # ------------------------------------------------------------- persistence

@@ -116,7 +116,7 @@ def test_criterion_2_simplex_suite():
         _, s2 = stage2_gate(Tensor(x_base), Tensor(x_att),
                             Tensor(rng.normal(size=(d, n_clips))),
                             Tensor(w2), temperature=temperature)
-        for scores in (s1.scores.value, s2.scores.value):
+        for scores in (s1.value, s2.value):
             assert np.all(scores >= 0.0)
             assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
 

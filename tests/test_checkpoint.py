@@ -1,5 +1,7 @@
 import json
 import struct
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -188,3 +190,73 @@ def test_failed_save_leaves_previous_file_and_no_temp(tmp_path):
         save_checkpoint(broken, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def _schema_params(variant, iaca, d, flags=None):
+    model = FusionModel.create(d, variant, iaca=iaca, flags=flags, seed=0)
+    return {"variant": variant, "iaca": iaca, "d": d,
+            "flags": asdict(model.flags)}, model.params
+
+
+@pytest.mark.parametrize("rows, cols", [(0xFFFFFFFF, 0xFFFFFFFF), (200000, 2000)])
+def test_declared_payload_checked_against_file_size(tmp_path, rows, cols):
+    meta, params = _schema_params("CA", False, 2)
+    raw = bytearray(_handmade(meta, params))
+    idx = raw.index(b"cross.w", 4) + len(b"cross.w")
+    raw[idx:idx + 8] = struct.pack("<II", rows, cols)
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="payload bytes"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_undecodable_parameter_name_rejected(tmp_path):
+    meta, params = _schema_params("CA", False, 2)
+    raw = bytearray(_handmade(meta, params))
+    raw[raw.index(b"cross.w", 4)] = 0xFF
+    path = tmp_path / "badname.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="name"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", ["missing", "mis-shaped", "unexpected"])
+def test_parameters_checked_against_model_schema(tmp_path, edit):
+    meta, params = _schema_params("RJCA", True, 3,
+                                  ModelFlags(rjca_shared_weights=False, rjca_iterations=2))
+    if edit == "missing":
+        del params["head.w1"]
+    elif edit == "mis-shaped":
+        params["head.w1"] = params["head.w1"].T.copy()
+    else:
+        params["jca.cross_a"] = np.zeros((3, 3))
+    path = tmp_path / f"{edit}.ckpt"
+    path.write_bytes(_handmade(meta, params))
+    name = "jca.cross_a" if edit == "unexpected" else "head.w1"
+    with pytest.raises(CheckpointError, match=name):
+        load_checkpoint(path)
+
+
+def test_seeded_byte_mutations_raise_only_checkpoint_errors(tmp_path):
+    model = FusionModel.create(2, "CA", iaca=True, flags=ModelFlags(head_hidden=2), seed=6)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    rng = np.random.default_rng(77)
+    for case in range(400):
+        raw = bytearray(blob)
+        for pos in rng.integers(len(raw), size=int(rng.integers(1, 4))):
+            raw[pos] = int(rng.integers(256))
+        if rng.random() < 0.25:
+            raw = raw[:int(rng.integers(len(raw)))]
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass

@@ -1,11 +1,18 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from iaca.checkpoint import load_checkpoint
+from iaca.checkpoint import load_checkpoint, save_checkpoint
 from iaca.cli import main
-from iaca.experiments import load_ablation, load_attention_dump, load_sweep
+from iaca.experiments import (
+    ExperimentConfig,
+    load_ablation,
+    load_attention_dump,
+    load_sweep,
+)
+from iaca.gating import FusionModel
 from iaca.synth import load_dataset
 from iaca.training import load_history
 
@@ -57,12 +64,13 @@ def test_ablation_csv(tmp_path):
     assert [r.iaca for r in rows] == ["no", "yes", "delta_pct"]
 
 
-def test_sweep_needs_matched_pair(tmp_path):
+def test_sweep_needs_matched_pair(tmp_path, capsys):
     main(["train", *TINY, "--variant", "CA", "--iaca", "--out-dir", str(tmp_path)])
-    with pytest.raises(SystemExit):
-        main(["sweep",
-              "--checkpoint-valence", str(tmp_path / "ca_iaca_arousal.ckpt"),
-              "--checkpoint-arousal", str(tmp_path / "ca_iaca_valence.ckpt")])
+    rc = main(["sweep",
+               "--checkpoint-valence", str(tmp_path / "ca_iaca_arousal.ckpt"),
+               "--checkpoint-arousal", str(tmp_path / "ca_iaca_valence.ckpt")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_and_dump_from_checkpoints(tmp_path):
@@ -89,12 +97,27 @@ def test_sweep_and_dump_from_checkpoints(tmp_path):
     assert np.array(dump["stage2"]).shape == (8, 3)
 
 
-def test_dump_attn_index_out_of_range(tmp_path):
+def test_dump_attn_index_out_of_range(tmp_path, capsys):
     main(["train", *TINY, "--variant", "CA", "--iaca", "--dims", "valence",
           "--out-dir", str(tmp_path)])
-    with pytest.raises(SystemExit):
-        main(["dump-attn", "--checkpoint", str(tmp_path / "ca_iaca_valence.ckpt"),
-              "--index", "99", "--out-dir", str(tmp_path)])
+    rc = main(["dump-attn", "--checkpoint", str(tmp_path / "ca_iaca_valence.ckpt"),
+               "--index", "99", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["head.w1", "experiment"])
+def test_dump_attn_on_incomplete_checkpoint(tmp_path, capsys, missing):
+    model = FusionModel.create(6, "CA", iaca=True, seed=1)
+    meta = {"experiment": asdict(ExperimentConfig(d=6, n_clips=8, n_train=4, n_val=2)),
+            "output_dim": "valence"}
+    (model.params if missing == "head.w1" else meta).pop(missing)
+    path = tmp_path / "partial.ckpt"
+    save_checkpoint(model, path, extra_meta=meta)
+    rc = main(["dump-attn", "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and missing in err
 
 
 def test_env_var_sets_output_root(tmp_path, monkeypatch):
@@ -122,10 +145,11 @@ def test_invalid_values_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unknown_variant_list_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["ablation", *TINY, "--variants", "CA,NOPE",
-              "--out-dir", str(tmp_path)])
+def test_unknown_variant_list_rejected(tmp_path, capsys):
+    rc = main(["ablation", *TINY, "--variants", "CA,NOPE",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sweep", "dump-attn"])

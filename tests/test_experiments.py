@@ -20,7 +20,7 @@ from iaca.experiments import (
     train_one,
 )
 from iaca.gating import FusionModel, ModelFlags
-from iaca.synth import Regime
+from iaca.synth import Regime, generate
 from iaca.training import TrainConfig, evaluate
 
 
@@ -202,6 +202,27 @@ def test_dump_scores_normalized_and_simplex(tmp_path):
     path = tmp_path / "attn.json"
     save_attention_dump(dump, path)
     assert load_attention_dump(path) == dump
+
+
+@pytest.mark.parametrize("variant, sum_axes", [("TCA", (0, 0)), ("CA", (1, 0))],
+                         ids=["TCA", "CA-av_axis-rows"])
+def test_dump_uses_each_maps_normalization_axis(variant, sum_axes):
+    # Near-uniform maps: the column sums of a row-stochastic map (TCA's, and
+    # CA's visual map with av_axis="rows") lie within 1e-8 of one, so the
+    # axis cannot be told from the sums. The pull of each source clip is the
+    # sum across the normalized axis, never the sum that is one by design.
+    model = FusionModel.create(4, variant, iaca=False,
+                               flags=ModelFlags(av_axis="rows"), seed=3)
+    for name in model.params:
+        if name.endswith((".wq", "cross.w")):
+            model.params[name] *= 1e-7
+    seq = generate(Regime(), d=4, n_clips=8, n_sequences=1, seed=2)[0]
+    _, diag = model.forward(seq.xa, seq.xv)
+    for key, weights, axis in (("audio_attention", diag.audio_weights, sum_axes[0]),
+                               ("visual_attention", diag.visual_weights, sum_axes[1])):
+        pull = weights.sum(axis=axis)
+        expected = (pull - pull.min()) / (pull.max() - pull.min())
+        assert np.allclose(dump_attention(model, seq)[key], expected, atol=1e-6)
 
 
 def test_dump_without_gating_omits_gate_fields():

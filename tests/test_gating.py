@@ -39,7 +39,7 @@ def test_stage1_zero_weights_average_candidates():
     xb = rng.normal(size=(3, 4))
     xt = rng.normal(size=(3, 4))
     out, g = stage1_gate(Tensor(xb), Tensor(xt), Tensor(np.zeros((3, 2))), 0.1)
-    assert np.allclose(g.scores.value, 0.5, atol=1e-12)
+    assert np.allclose(g.value, 0.5, atol=1e-12)
     assert np.allclose(out.value, np.maximum((xb + xt) / 2.0, 0.0), atol=1e-12)
 
 
@@ -48,7 +48,7 @@ def test_stage1_low_temperature_selects_attended():
     x_att = Tensor([[1.0]])
     w = Tensor([[1.0, 2.0]])
     out, g = stage1_gate(Tensor([[5.0]]), x_att, w, temperature=0.01)
-    assert g.scores.value[0, 1] > 1.0 - 1e-8
+    assert g.value[0, 1] > 1.0 - 1e-8
     assert abs(out.value[0, 0] - 1.0) < 1e-8
 
 
@@ -60,7 +60,7 @@ def test_stage1_matches_oracle():
     out, g = stage1_gate(Tensor(xb), Tensor(xt), Tensor(w), 0.1)
     r_out, r_g = ref.ref_stage1(xb, xt, w, 0.1)
     assert relative_error(out.value, r_out) < 1e-12
-    assert relative_error(g.scores.value, r_g) < 1e-12
+    assert relative_error(g.value, r_g) < 1e-12
 
 
 def test_stage1_rejects_bad_inputs():
@@ -83,7 +83,7 @@ def test_stage1_scores_shift_invariant():
     _, g = stage1_gate(Tensor(xb), Tensor(xt), Tensor(w), 0.1)
     _, g_shifted = stage1_gate(Tensor(xb), Tensor(xt),
                                Tensor(w + u @ np.ones((1, 2))), 0.1)
-    assert np.allclose(g.scores.value, g_shifted.scores.value, atol=1e-9)
+    assert np.allclose(g.value, g_shifted.value, atol=1e-9)
 
 
 # ---------------------------------------------------------- joint + stage 2
@@ -122,7 +122,7 @@ def test_stage2_zero_weights_uniform_gate():
     xj = rng.normal(size=(3, 4))
     _, g = stage2_gate(Tensor(xa), Tensor(xv), Tensor(xj),
                        Tensor(np.zeros((9, 3))), 0.1)
-    assert np.allclose(g.scores.value, 1.0 / 3.0, atol=1e-12)
+    assert np.allclose(g.value, 1.0 / 3.0, atol=1e-12)
 
 
 def test_stage2_matches_oracle():
@@ -133,7 +133,7 @@ def test_stage2_matches_oracle():
     out, g = stage2_gate(Tensor(xa), Tensor(xv), Tensor(xj), Tensor(w), 0.1)
     r_out, r_g = ref.ref_stage2(xa, xv, xj, w, 0.1)
     assert relative_error(out.value, r_out) < 1e-12
-    assert relative_error(g.scores.value, r_g) < 1e-12
+    assert relative_error(g.value, r_g) < 1e-12
 
 
 def test_stage2_rejects_bad_shapes():
@@ -150,13 +150,13 @@ def test_gate_rows_live_on_simplex():
         xb, xt = _features(rng, 4, 7)
         _, g1 = stage1_gate(Tensor(xb), Tensor(xt),
                             Tensor(rng.normal(size=(4, 2))), 0.1)
-        s1 = g1.scores.value
+        s1 = g1.value
         assert np.allclose(s1.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(s1 >= 0.0) and np.all(s1 <= 1.0)
         xj = rng.normal(size=(4, 7))
         _, g2 = stage2_gate(Tensor(xb), Tensor(xt), Tensor(xj),
                             Tensor(rng.normal(size=(12, 3))), 0.1)
-        s2 = g2.scores.value
+        s2 = g2.value
         assert np.allclose(s2.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(s2 >= 0.0)
 
@@ -179,7 +179,7 @@ def test_temperature_sharpens_toward_argmax():
     prev_max = None
     for temperature in (2.0, 0.5, 0.1, 0.01):
         _, g = stage1_gate(Tensor(xb), Tensor(xt), Tensor(w), temperature)
-        cur_max = g.scores.value.max(axis=1)
+        cur_max = g.value.max(axis=1)
         if prev_max is not None:
             assert np.all(cur_max >= prev_max - 1e-12)
         prev_max = cur_max
@@ -187,7 +187,7 @@ def test_temperature_sharpens_toward_argmax():
     onehot = np.zeros_like(logits)
     onehot[np.arange(len(logits)), logits.argmax(axis=1)] = 1.0
     _, g = stage1_gate(Tensor(xb), Tensor(xt), Tensor(w), 1e-4)
-    assert np.allclose(g.scores.value, onehot, atol=1e-9)
+    assert np.allclose(g.value, onehot, atol=1e-9)
 
 
 def test_tied_logits_stay_uniform_at_any_temperature():
@@ -195,7 +195,7 @@ def test_tied_logits_stay_uniform_at_any_temperature():
     w = np.ones((3, 2))
     for temperature in (1.0, 0.01):
         _, g = stage1_gate(Tensor(x), Tensor(x), Tensor(w), temperature)
-        assert np.allclose(g.scores.value, 0.5, atol=1e-12)
+        assert np.allclose(g.value, 0.5, atol=1e-12)
 
 
 # ----------------------------------------------------------------- MLP head

@@ -6,7 +6,6 @@ from iaca.synth import (
     Regime,
     SyntheticSequence,
     corrupt_missing,
-    corrupt_noise,
     derive_seed,
     generate,
     load_dataset,
@@ -152,15 +151,6 @@ def test_missing_zeroes_contiguous_block():
     assert np.all(x == 1.0)  # original untouched
 
 
-def test_missing_scattered_flag():
-    x = np.ones((3, 40))
-    out = corrupt_missing(x, 0.5, seed=3, scattered=True)
-    zero_cols = np.flatnonzero((out == 0).all(axis=0))
-    assert len(zero_cols) == 20
-    gaps = np.diff(zero_cols)
-    assert np.any(gaps > 1)  # not one contiguous run
-
-
 def test_missing_is_seeded_and_validated():
     x = np.ones((2, 12))
     assert np.array_equal(corrupt_missing(x, 0.4, seed=5),
@@ -169,15 +159,6 @@ def test_missing_is_seeded_and_validated():
         corrupt_missing(x, -0.1)
     with pytest.raises(ValueError):
         corrupt_missing(x, 1.1)
-
-
-def test_noise_corruption_statistics():
-    rng = np.random.default_rng(61)
-    x = rng.normal(size=(64, 64))
-    assert np.array_equal(corrupt_noise(x, 0.0, seed=4), x)
-    out = corrupt_noise(x, 0.5, seed=4)
-    assert abs((out - x).std() - 0.5) < 0.025
-    assert np.array_equal(out, corrupt_noise(x, 0.5, seed=4))
 
 
 # -------------------------------------------------------------- persistence
