@@ -63,7 +63,6 @@ from .training import (
     TrainingDivergence,
     evaluate,
     fit,
-    load_history,
     save_history,
 )
 

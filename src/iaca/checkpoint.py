@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gating import FusionModel, ModelFlags, param_schema
+from .gating import FusionModel, ModelFlags, from_json_object, param_schema
 
 MAGIC = b"IACA"
 FORMAT_VERSION = 1
@@ -111,7 +111,7 @@ def load_checkpoint(path) -> Checkpoint:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint metadata: {exc}") from exc
         try:
-            flags = ModelFlags(**meta["flags"])
+            flags = from_json_object(ModelFlags, meta["flags"], "flags")
             d, variant, iaca = int(meta["d"]), meta["variant"], bool(meta["iaca"])
             schema = param_schema(d, variant, iaca, flags)
         except KeyError as exc:

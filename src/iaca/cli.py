@@ -154,9 +154,8 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
     save_ablation(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
     for r in rows:
-        digits = 1 if r.iaca == "delta_pct" else 3
-        print(f"  {r.variant:5s} {r.iaca:9s} valence {r.valence:.{digits}f} "
-              f"arousal {r.arousal:.{digits}f}")
+        valence, arousal = r.formatted()
+        print(f"  {r.variant:5s} {r.iaca:9s} valence {valence} arousal {arousal}")
     return 0
 
 

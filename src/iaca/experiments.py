@@ -13,13 +13,13 @@ import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from .attention import VARIANTS
-from .gating import FusionModel, ModelFlags
-from .metrics import ccc
+from .gating import FusionModel, ModelFlags, from_json_object
+from .metrics import ccc  # noqa: F401  (unused here; perfbench wraps experiments.ccc)
 from .synth import Regime, SyntheticSequence, corrupt_missing, derive_seed, generate
 from .training import TrainConfig, TrainingDivergence, evaluate, fit
 
@@ -38,10 +38,6 @@ def relative_improvement(base: float, new: float) -> float:
     if base == 0:
         raise ZeroDivisionError("relative improvement undefined for a zero base")
     return (new - base) / base * 100.0
-
-
-# nested config objects and the types that parse them
-_SECTIONS = {"regime": Regime, "train": TrainConfig, "flags": ModelFlags}
 
 
 @dataclass
@@ -74,32 +70,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        sections = {key: kind for key, kind in _SECTIONS.items() if key in data}
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        for key in sections:
-            if not isinstance(data[key], dict):
-                raise ValueError(f"config field {key!r} must be an object")
-            unknown |= {f"{key}.{name}" for name in
-                        set(data[key]) - set(sections[key].__dataclass_fields__)}
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for key, kind in sections.items():
-            data[key] = kind(**data[key])
-        return cls(**data)
+        return from_json_object(cls, data)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         return cls.from_dict(json.loads(text))
 
 
-def _augment_missing_audio(seqs: Sequence[SyntheticSequence],
-                           fraction: float) -> List[SyntheticSequence]:
-    out = []
-    for s in seqs:
-        xa = corrupt_missing(s.xa, fraction, seed=derive_seed(s.seed, _AUGMENT_STREAM))
-        out.append(replace(s, xa=xa))
-    return out
+def _missing_audio(seqs: Sequence[SyntheticSequence], fraction: float,
+                   stream: int) -> List[SyntheticSequence]:
+    """Copies with a fraction of each sequence's audio zeroed, placed by a
+    seed derived from the sequence's own seed and the stream label."""
+    return [replace(s, xa=corrupt_missing(s.xa, fraction,
+                                          seed=derive_seed(s.seed, stream)))
+            for s in seqs]
 
 
 def prepare_splits(cfg: ExperimentConfig, output_dim: str):
@@ -115,7 +99,7 @@ def prepare_splits(cfg: ExperimentConfig, output_dim: str):
     seqs = generate(cfg.regime, cfg.d, cfg.n_clips, cfg.n_train + cfg.n_val, ds_seed)
     train, val = seqs[:cfg.n_train], seqs[cfg.n_train:]
     if cfg.regime.corrupt_fraction > 0:
-        train = _augment_missing_audio(train, cfg.regime.corrupt_fraction)
+        train = _missing_audio(train, cfg.regime.corrupt_fraction, _AUGMENT_STREAM)
     return train, val
 
 
@@ -140,6 +124,12 @@ class AblationRow:
     valence: float
     arousal: float
 
+    def formatted(self) -> tuple[str, str]:
+        """(valence, arousal) as reported: 1 decimal for a delta in percent,
+        3 for a CCC."""
+        digits = 1 if self.iaca == "delta_pct" else 3
+        return f"{self.valence:.{digits}f}", f"{self.arousal:.{digits}f}"
+
 
 def run_ablation(cfg: ExperimentConfig,
                  variants: Sequence[str] = VARIANTS) -> List[AblationRow]:
@@ -157,8 +147,7 @@ def run_ablation(cfg: ExperimentConfig,
             values = {}
             for dim in OUTPUT_DIMS:
                 try:
-                    model, _, val = train_one(cell, dim)
-                    values[dim] = evaluate(model, val)
+                    values[dim] = train_one(cell, dim)[1].best_val_ccc
                 except TrainingDivergence as exc:
                     print(f"cell ({variant}, iaca={iaca}, {dim}) diverged: {exc}",
                           file=sys.stderr)
@@ -182,19 +171,7 @@ def save_ablation(rows: Sequence[AblationRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["variant", "iaca", "valence_ccc", "arousal_ccc"])
         for r in rows:
-            digits = 1 if r.iaca == "delta_pct" else 3
-            writer.writerow([r.variant, r.iaca,
-                             f"{r.valence:.{digits}f}", f"{r.arousal:.{digits}f}"])
-
-
-def load_ablation(path) -> List[AblationRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(AblationRow(rec["variant"], rec["iaca"],
-                                    float(rec["valence_ccc"]),
-                                    float(rec["arousal_ccc"])))
-    return rows
+            writer.writerow([r.variant, r.iaca, *r.formatted()])
 
 
 # -------------------------------------------------------------------- sweep
@@ -206,31 +183,18 @@ class SweepRow:
     arousal: float
 
 
-def evaluate_with_missing_audio(model: FusionModel,
-                                seqs: Sequence[SyntheticSequence],
-                                fraction: float) -> float:
-    """Split CCC with a fraction of each sequence's audio zeroed."""
-    preds, golds = [], []
-    for s in seqs:
-        xa = corrupt_missing(s.xa, fraction, seed=derive_seed(s.seed, _SWEEP_STREAM))
-        preds.append(model.predict_values(xa, s.xv))
-        golds.append(np.asarray(s.target).reshape(1, -1))
-    return ccc(np.hstack(preds), np.hstack(golds))
-
-
 def missing_modality_sweep(valence_model: FusionModel, arousal_model: FusionModel,
                            valence_val: Sequence[SyntheticSequence],
                            arousal_val: Sequence[SyntheticSequence],
                            fractions: Sequence[float] = DEFAULT_SWEEP_FRACTIONS,
                            ) -> List[SweepRow]:
     """Test-time robustness curve; no retraining, fractions ascending."""
-    rows = []
-    for fraction in sorted(fractions):
-        rows.append(SweepRow(
-            fraction,
-            evaluate_with_missing_audio(valence_model, valence_val, fraction),
-            evaluate_with_missing_audio(arousal_model, arousal_val, fraction)))
-    return rows
+    def score(model, seqs, fraction):
+        return evaluate(model, _missing_audio(seqs, fraction, _SWEEP_STREAM))
+
+    return [SweepRow(fraction, score(valence_model, valence_val, fraction),
+                     score(arousal_model, arousal_val, fraction))
+            for fraction in sorted(fractions)]
 
 
 def save_sweep(rows: Sequence[SweepRow], path) -> None:
@@ -239,15 +203,6 @@ def save_sweep(rows: Sequence[SweepRow], path) -> None:
         writer.writerow(["fraction", "valence_ccc", "arousal_ccc"])
         for r in rows:
             writer.writerow([f"{r.fraction:g}", f"{r.valence:.3f}", f"{r.arousal:.3f}"])
-
-
-def load_sweep(path) -> List[SweepRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(SweepRow(float(rec["fraction"]), float(rec["valence_ccc"]),
-                                 float(rec["arousal_ccc"])))
-    return rows
 
 
 # -------------------------------------------------------------- attn dumps
@@ -293,8 +248,3 @@ def dump_attention(model: FusionModel, seq: SyntheticSequence) -> dict:
 def save_attention_dump(dump: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(dump, fh, indent=2, sort_keys=True)
-
-
-def load_attention_dump(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

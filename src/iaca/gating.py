@@ -16,8 +16,8 @@ creation draws from it and checkpoint loading checks against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -112,6 +112,36 @@ def predict(x_fused, head: HeadParams) -> Tensor:
     """MLP head: ReLU hidden layer, linear output, tanh into [-1, 1]."""
     hidden = relu(add_col(matmul(head.w1, x_fused), head.b1))
     return tanh(add_col(matmul(head.w2, hidden), head.b2))
+
+
+# the JSON values each scalar field type takes; a bool is never a number
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
+
+
+def from_json_object(kind, data, where: str = ""):
+    """Build the dataclass `kind` from a parsed JSON object, checking that
+    every key names a field and every value has its field's type;
+    dataclass-typed fields recurse. Problems raise ValueError naming the
+    dotted field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config field {where!r} must be an object" if where
+                         else f"config must be an object, got {type(data).__name__}")
+    prefix = f"{where}." if where else ""
+    hints = get_type_hints(kind)
+    unknown = sorted(prefix + key for key in set(data) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown config fields: {unknown}")
+    values = {}
+    for key, value in data.items():
+        hint = hints[key]
+        if is_dataclass(hint):
+            value = from_json_object(hint, value, prefix + key)
+        elif (isinstance(value, bool) != (hint is bool)
+              or not isinstance(value, _JSON_TYPES[hint])):
+            raise ValueError(f"config field {prefix + key!r} must be "
+                             f"{hint.__name__}, got {value!r}")
+        values[key] = value
+    return kind(**values)
 
 
 @dataclass

@@ -18,8 +18,6 @@ from .autodiff import Tensor, concat_cols
 from .gating import FusionModel
 from .metrics import ccc, ccc_loss
 
-OPTIMIZERS = ("sgd", "adaptive-moment")
-
 
 class TrainingDivergence(RuntimeError):
     """Loss or a gradient became non-finite; training state is not trustworthy."""
@@ -43,7 +41,8 @@ class TrainConfig:
         if self.lr < 0:
             raise ValueError(f"lr must be non-negative, got {self.lr}")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+            raise ValueError(
+                f"optimizer must be one of {tuple(OPTIMIZERS)}, got {self.optimizer!r}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
 
@@ -82,12 +81,8 @@ class Adam:
             params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def make_optimizer(name: str, lr: float):
-    if name == "sgd":
-        return Sgd(lr)
-    if name == "adaptive-moment":
-        return Adam(lr)
-    raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {name!r}")
+# optimizer name -> class built from the learning rate
+OPTIMIZERS = {"sgd": Sgd, "adaptive-moment": Adam}
 
 
 @dataclass
@@ -130,7 +125,7 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
         raise ValueError("empty training set")
     if not val:
         raise ValueError("empty validation set")
-    optimizer = make_optimizer(cfg.optimizer, cfg.lr)
+    optimizer = OPTIMIZERS[cfg.optimizer](cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     result = FitResult()
     best_params = {k: v.copy() for k, v in model.params.items()}
@@ -187,14 +182,3 @@ def save_history(history: Iterable[EpochRecord], path) -> None:
         for r in history:
             writer.writerow([r.epoch, f"{r.train_ccc:.6f}", f"{r.val_ccc:.6f}",
                              f"{r.loss:.6f}"])
-
-
-def load_history(path) -> list:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(EpochRecord(epoch=int(row["epoch"]),
-                                       train_ccc=float(row["train_ccc"]),
-                                       val_ccc=float(row["val_ccc"]),
-                                       loss=float(row["loss"])))
-    return records

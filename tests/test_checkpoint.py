@@ -243,6 +243,17 @@ def test_parameters_checked_against_model_schema(tmp_path, edit):
         load_checkpoint(path)
 
 
+def test_flag_types_checked_at_load(tmp_path):
+    # shared weights: the parameters match the schema whatever the count is,
+    # so only the flag's type can reject this file
+    meta, params = _schema_params("RJCA", True, 3)
+    meta["flags"]["rjca_iterations"] = 2.0
+    path = tmp_path / "float_iterations.ckpt"
+    path.write_bytes(_handmade(meta, params))
+    with pytest.raises(CheckpointError, match="rjca_iterations"):
+        load_checkpoint(path)
+
+
 def test_seeded_byte_mutations_raise_only_checkpoint_errors(tmp_path):
     model = FusionModel.create(2, "CA", iaca=True, flags=ModelFlags(head_hidden=2), seed=6)
     path = tmp_path / "m.ckpt"

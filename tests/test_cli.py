@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import asdict
 
@@ -6,15 +7,14 @@ import pytest
 
 from iaca.checkpoint import load_checkpoint, save_checkpoint
 from iaca.cli import main
-from iaca.experiments import (
-    ExperimentConfig,
-    load_ablation,
-    load_attention_dump,
-    load_sweep,
-)
+from iaca.experiments import ExperimentConfig
 from iaca.gating import FusionModel
 from iaca.synth import load_dataset
-from iaca.training import load_history
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
 
 TINY = ["--d", "6", "--clips", "8", "--n-train", "4", "--n-val", "2",
         "--epochs", "2", "--batch-size", "4", "--seed", "21", "--patience", "0"]
@@ -42,7 +42,7 @@ def test_train_writes_checkpoint_and_history(tmp_path, capsys):
     assert ckpt.model.iaca
     assert ckpt.meta["output_dim"] == "valence"
     assert ckpt.meta["experiment"]["d"] == 6
-    history = load_history(tmp_path / "ca_iaca_valence_history.csv")
+    history = _csv_rows(tmp_path / "ca_iaca_valence_history.csv")
     assert len(history) == 2
 
 
@@ -60,8 +60,8 @@ def test_ablation_csv(tmp_path):
     rc = main(["ablation", *TINY, "--variants", "CA",
                "--out-dir", str(tmp_path), "--out", "ab.csv"])
     assert rc == 0
-    rows = load_ablation(tmp_path / "ab.csv")
-    assert [r.iaca for r in rows] == ["no", "yes", "delta_pct"]
+    rows = _csv_rows(tmp_path / "ab.csv")
+    assert [r["iaca"] for r in rows] == ["no", "yes", "delta_pct"]
 
 
 def test_sweep_needs_matched_pair(tmp_path, capsys):
@@ -83,15 +83,16 @@ def test_sweep_and_dump_from_checkpoints(tmp_path):
                "--fractions", "0,0.5", "--out-dir", str(tmp_path),
                "--out", "sweep.csv"])
     assert rc == 0
-    rows = load_sweep(tmp_path / "sweep.csv")
-    assert [r.fraction for r in rows] == [0.0, 0.5]
+    rows = _csv_rows(tmp_path / "sweep.csv")
+    assert [float(r["fraction"]) for r in rows] == [0.0, 0.5]
     ckpt = load_checkpoint(tmp_path / "ca_iaca_valence.ckpt")
-    assert rows[0].valence == pytest.approx(ckpt.meta["best_val_ccc"], abs=5e-4)
+    assert float(rows[0]["valence_ccc"]) == pytest.approx(ckpt.meta["best_val_ccc"], abs=5e-4)
 
     rc = main(["dump-attn", "--checkpoint", str(tmp_path / "ca_iaca_valence.ckpt"),
                "--index", "1", "--out-dir", str(tmp_path), "--out", "attn.json"])
     assert rc == 0
-    dump = load_attention_dump(tmp_path / "attn.json")
+    with open(tmp_path / "attn.json") as fh:
+        dump = json.load(fh)
     assert dump["variant"] == "CA"
     assert len(dump["audio_attention"]) == 8
     assert np.array(dump["stage2"]).shape == (8, 3)
@@ -172,3 +173,19 @@ def test_unknown_nested_config_key_exits_with_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "regime.bogus" in err
+
+
+@pytest.mark.parametrize("config", [
+    {"train": {"epochs": 2.5}},
+    {"d": "32"},
+    {"regime": {"noise_sigma": "x"}},
+    [1],
+    {"variant": "RJCA", "flags": {"rjca_iterations": 2.0}},
+    {"iaca": "no"},
+], ids=["float-epochs", "str-d", "str-noise", "list", "float-iterations", "str-iaca"])
+def test_wrongly_typed_config_exits_with_error(tmp_path, capsys, config):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    rc = main(["gen-data", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
