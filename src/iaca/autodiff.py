@@ -5,14 +5,17 @@ A :class:`Tensor` couples one payload with the tag of the op that produced
 it and references to its inputs. Graphs are acyclic by construction and
 single-use: build the forward pass with the op functions below, call
 ``backward()`` once on a 1x1 output, read gradients off the leaves, then
-rebuild for the next pass. Gradient buffers are allocated by backward, and
-only for the nodes it reaches; until then, and on any node it does not
-reach, ``grad`` is None.
+rebuild for the next pass. A leaf built with ``requires_grad=False`` is a
+constant (data, targets): an op records only the inputs that require a
+gradient and requires one itself only if some input does, so backward
+never reaches a constant. Backward allocates grads only for the nodes it
+reaches and frees each interior node's grad once it has passed it on, so
+only leaves keep theirs; everywhere else ``grad`` is None.
 
-Inside ``with no_grad():`` the same op functions build value-only nodes
-that record no parents and no vector-Jacobian products, so a forward pass
-run only for its values keeps no graph behind its output. The mode is per
-thread and restored when the block exits.
+Inside ``with no_grad():`` nothing requires a gradient: the same op
+functions build value-only nodes with no parents and no vector-Jacobian
+products, so a forward pass run only for its values keeps no graph behind
+its output. The mode is per thread and restored when the block exits.
 
 Values are treated as immutable once wrapped; sharing them across threads
 is safe. A graph itself belongs to one thread from construction through
@@ -96,23 +99,37 @@ class Tensor:
     """One node of the computation graph.
 
     ``value`` is the (rows, cols) payload, ``grad`` a same-shaped array
-    set by backward() (None before, or where backward does not reach),
-    ``op`` the producing operation's tag, and ``parents`` the ordered input
-    nodes (empty for leaves and for nodes built under :func:`no_grad`).
+    that backward() leaves on each leaf it reaches (None elsewhere), ``op``
+    the producing operation's tag, ``requires_grad`` whether backward may
+    reach the node, and ``parents`` the ordered input nodes that require a
+    gradient (empty for leaves, constants and nodes built under
+    :func:`no_grad`).
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "_vjps", "_used")
+    __slots__ = ("value", "grad", "op", "parents", "_vjps", "_used", "requires_grad")
 
-    def __init__(self, value, op: str = "leaf", parents: tuple = (), vjps: tuple = ()):
-        self.value = _as_value(value)
+    def __init__(self, value, op: str = "leaf", parents: tuple = (), vjps: tuple = (),
+                 requires_grad: bool = True):
+        self._set(_as_value(value), op, parents, vjps, requires_grad)
+
+    def _set(self, value, op, parents, vjps, requires_grad) -> None:
+        self.value = value
         self.grad = None
         self.op = op
-        if _MODE.enabled:
+        self._used = False
+        requires_grad = requires_grad and _MODE.enabled
+        for p in parents if requires_grad else ():
+            if not p.requires_grad:  # record only the parents that need a gradient
+                kept = [(q, f) for q, f in zip(parents, vjps) if q.requires_grad]
+                parents, vjps = [q for q, _ in kept], [f for _, f in kept]
+                requires_grad = bool(kept)
+                break
+        self.requires_grad = requires_grad
+        if requires_grad:
             self.parents = tuple(parents)
             self._vjps = tuple(vjps)
         else:
             self.parents = self._vjps = ()
-        self._used = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -124,12 +141,14 @@ class Tensor:
         return float(self.value[0, 0])
 
     def backward(self) -> None:
-        """Reverse-mode accumulation from this node into every reachable grad.
+        """Reverse-mode accumulation from this node into every reachable leaf.
 
         The seed must be 1x1; its grad is seeded with ones. A node's grad is
         its first contribution, and later contributions are added to it in
-        the order the reverse topological walk produces them. Each graph may
-        be differentiated once, a second call on any overlapping graph raises.
+        the order the reverse topological walk produces them. An interior
+        node's grad is set back to None once passed to its parents, so only
+        leaves keep theirs. Each graph may be differentiated once, a second
+        call on any overlapping graph raises.
         """
         if self.value.shape != (1, 1):
             raise ValueError(f"backward needs a 1x1 scalar seed, got shape {self.value.shape}")
@@ -153,6 +172,8 @@ class Tensor:
                     parent.grad = c
                 else:
                     parent.grad = parent.grad + c
+            if node.parents:
+                node.grad = None
             node._used = True
 
     # + and - only; every other op is called by name
@@ -164,6 +185,13 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, op={self.op!r})"
+
+
+def _result(value: np.ndarray, op: str, parents: tuple, vjps: tuple) -> Tensor:
+    # an op's output is float64, 2-D and C-contiguous by construction: no check
+    node = object.__new__(Tensor)
+    node._set(value, op, parents, vjps, True)
+    return node
 
 
 def _coerce(x) -> Tensor:
@@ -201,19 +229,19 @@ def matmul(a, b) -> Tensor:
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.value.shape} @ {b.value.shape}")
     av, bv = a.value, b.value
-    return Tensor(av @ bv, "matmul", (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
+    return _result(av @ bv, "matmul", (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _require_same_shape("add", a, b)
-    return Tensor(a.value + b.value, "add", (a, b), (lambda g: g, lambda g: g))
+    return _result(a.value + b.value, "add", (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _require_same_shape("sub", a, b)
-    return Tensor(a.value - b.value, "sub", (a, b), (lambda g: g, lambda g: -g))
+    return _result(a.value - b.value, "sub", (a, b), (lambda g: g, lambda g: -g))
 
 
 def hadamard(a, b) -> Tensor:
@@ -221,14 +249,14 @@ def hadamard(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _require_same_shape("hadamard", a, b)
     av, bv = a.value, b.value
-    return Tensor(av * bv, "hadamard", (a, b), (lambda g: g * bv, lambda g: g * av))
+    return _result(av * bv, "hadamard", (a, b), (lambda g: g * bv, lambda g: g * av))
 
 
 def scale(a, c: float) -> Tensor:
     """Multiply by a compile-time constant (not differentiated through c)."""
     a = _coerce(a)
     c = float(c)
-    return Tensor(a.value * c, "scale", (a,), (lambda g: g * c,))
+    return _result(a.value * c, "scale", (a,), (lambda g: g * c,))
 
 
 def div(a, b) -> Tensor:
@@ -236,25 +264,25 @@ def div(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _require_same_shape("div", a, b)
     av, bv = a.value, b.value
-    return Tensor(av / bv, "div", (a, b), (lambda g: g / bv, lambda g: -g * av / (bv * bv)))
+    return _result(av / bv, "div", (a, b), (lambda g: g / bv, lambda g: -g * av / (bv * bv)))
 
 
 def transpose(a) -> Tensor:
     a = _coerce(a)
-    return Tensor(a.value.T, "transpose", (a,), (lambda g: g.T,))
+    return _result(np.ascontiguousarray(a.value.T), "transpose", (a,), (lambda g: g.T,))
 
 
 def tanh(a) -> Tensor:
     a = _coerce(a)
     y = np.tanh(a.value)
-    return Tensor(y, "tanh", (a,), (lambda g: g * (1.0 - y * y),))
+    return _result(y, "tanh", (a,), (lambda g: g * (1.0 - y * y),))
 
 
 def relu(a) -> Tensor:
     """Entrywise max(x, 0); the subgradient at exactly 0 is taken as 0."""
     a = _coerce(a)
     mask = a.value > 0.0
-    return Tensor(a.value * mask, "relu", (a,), (lambda g: g * mask,))
+    return _result(a.value * mask, "relu", (a,), (lambda g: g * mask,))
 
 
 def softmax(a, axis: str = "columns", temperature: float = 1.0) -> Tensor:
@@ -265,21 +293,23 @@ def softmax(a, axis: str = "columns", temperature: float = 1.0) -> Tensor:
     smaller temperatures sharpen toward the per-slice argmax.
     """
     a = _coerce(a)
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
     if axis not in _AXES:
         raise ValueError(f"softmax axis must be 'columns' or 'rows', got {axis!r}")
     ax = _AXES[axis]
-    z = a.value / temperature
-    z = z - z.max(axis=ax, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=ax, keepdims=True)
+    z = a.value / temperature if temperature != 1.0 else a.value  # x / 1.0 == x exactly
+    y = z - z.max(axis=ax, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=ax, keepdims=True)
 
     def vjp(g):
-        inner = (g * y).sum(axis=ax, keepdims=True)
-        return y * (g - inner) / temperature
+        out = g * y
+        np.subtract(g, out.sum(axis=ax, keepdims=True), out=out)
+        out *= y
+        return out / temperature if temperature != 1.0 else out
 
-    return Tensor(y, "softmax", (a,), (vjp,))
+    return _result(y, "softmax", (a,), (vjp,))
 
 
 def _concat(op: str, parts, axis: int) -> Tensor:
@@ -296,7 +326,7 @@ def _concat(op: str, parts, axis: int) -> Tensor:
         n = t.value.shape[axis]
         vjps.append(lambda g, i=(slice(None),) * axis + (slice(offset, offset + n),): g[i])
         offset += n
-    return Tensor(value, op, tuple(ts), tuple(vjps))
+    return _result(value, op, tuple(ts), tuple(vjps))
 
 
 def concat_rows(*parts) -> Tensor:
@@ -314,7 +344,7 @@ def tile_cols(a, n: int) -> Tensor:
     a = _coerce(a)
     if a.value.shape[1] != 1:
         raise ShapeError(f"tile_cols needs a 1-column input, got shape {a.value.shape}")
-    return Tensor(np.tile(a.value, (1, n)), "tile_cols", (a,), (lambda g: g.sum(axis=1, keepdims=True),))
+    return _result(np.tile(a.value, (1, n)), "tile_cols", (a,), (lambda g: g.sum(axis=1, keepdims=True),))
 
 
 def add_col(a, col, sign: float = 1.0) -> Tensor:
@@ -326,8 +356,8 @@ def add_col(a, col, sign: float = 1.0) -> Tensor:
     if sign not in (1.0, -1.0):
         raise ValueError(f"add_col sign must be 1 or -1, got {sign}")
     value = a.value + col.value if sign > 0 else a.value - col.value
-    return Tensor(value, "add_col", (a, col),
-                  (lambda g: g, lambda g: sign * g.sum(axis=1, keepdims=True)))
+    return _result(value, "add_col", (a, col),
+                   (lambda g: g, lambda g: sign * g.sum(axis=1, keepdims=True)))
 
 
 def gate_mix(gate, candidates: Sequence) -> Tensor:
@@ -357,14 +387,14 @@ def gate_mix(gate, candidates: Sequence) -> Tensor:
         return out
 
     vjps = [lambda g, r=rows[j]: g * r for j in range(k)]
-    return Tensor(value, "gate_mix", (*xs, gate), (*vjps, gate_vjp))
+    return _result(value, "gate_mix", (*xs, gate), (*vjps, gate_vjp))
 
 
 def sum_all(a) -> Tensor:
     """Sum every entry into a 1x1 matrix."""
     a = _coerce(a)
     shape = a.value.shape
-    return Tensor([[a.value.sum()]], "sum_all", (a,), (lambda g: np.full(shape, g[0, 0]),))
+    return _result(np.array([[a.value.sum()]]), "sum_all", (a,), (lambda g: np.full(shape, g[0, 0]),))
 
 
 def mean_all(a) -> Tensor:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gating import FusionModel, ModelFlags, from_json_object, param_schema
+from .gating import FusionModel, from_json_object, param_schema
 
 MAGIC = b"IACA"
 FORMAT_VERSION = 1
@@ -111,9 +111,9 @@ def load_checkpoint(path) -> Checkpoint:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint metadata: {exc}") from exc
         try:
-            flags = from_json_object(ModelFlags, meta["flags"], "flags")
-            d, variant, iaca = int(meta["d"]), meta["variant"], bool(meta["iaca"])
-            schema = param_schema(d, variant, iaca, flags)
+            # typed like a config: a float d or a string iaca is rejected, not coerced
+            model = from_json_object(FusionModel, {k: meta[k] for k in ("variant", "iaca", "d", "flags")})
+            schema = param_schema(model.d, model.variant, model.iaca, model.flags)
         except KeyError as exc:
             raise CheckpointError(f"checkpoint metadata missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
@@ -135,12 +135,10 @@ def load_checkpoint(path) -> Checkpoint:
         expected = {name: (rows, cols) for name, (rows, cols, _) in schema.items()}
         if len(shapes) != n_params or shapes != expected:
             raise CheckpointError(
-                f"parameters do not match a {variant} model with iaca={iaca}: missing "
+                f"parameters do not match a {model.variant} model with iaca={model.iaca}: missing "
                 f"or mis-shaped {sorted(set(expected.items()) - set(shapes.items()))}, "
                 f"unexpected {sorted(set(shapes.items()) - set(expected.items()))}")
-        params = {name: np.frombuffer(read(8 * rows * cols, f"payload of {name}"),
-                                      dtype="<f8").reshape(rows, cols).copy()
-                  for name, (rows, cols) in shapes.items()}
-
-    model = FusionModel(d=d, variant=variant, iaca=iaca, flags=flags, params=params)
+        model.params = {name: np.frombuffer(read(8 * rows * cols, f"payload of {name}"),
+                                            dtype="<f8").reshape(rows, cols).copy()
+                        for name, (rows, cols) in shapes.items()}
     return Checkpoint(version=version, model=model, meta=meta)

@@ -57,9 +57,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.d < 2 or self.n_clips < 2:
+        if not (self.d >= 2 and self.n_clips >= 2):
             raise ValueError("d and n_clips must both be >= 2")
-        if self.n_train < 1 or self.n_val < 1:
+        if not (self.n_train >= 1 and self.n_val >= 1):
             raise ValueError("both splits need at least one sequence")
         self.regime.validate()
         self.train.validate()

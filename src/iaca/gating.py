@@ -120,9 +120,9 @@ _JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
 
 def from_json_object(kind, data, where: str = ""):
     """Build the dataclass `kind` from a parsed JSON object, checking that
-    every key names a field and every value has its field's type;
-    dataclass-typed fields recurse. Problems raise ValueError naming the
-    dotted field."""
+    every key names a field and every value has its field's type, and that
+    no float is NaN or infinite (Python's json reads both); dataclass-typed
+    fields recurse. Problems raise ValueError naming the dotted field."""
     if not isinstance(data, dict):
         raise ValueError(f"config field {where!r} must be an object" if where
                          else f"config must be an object, got {type(data).__name__}")
@@ -140,6 +140,8 @@ def from_json_object(kind, data, where: str = ""):
               or not isinstance(value, _JSON_TYPES[hint])):
             raise ValueError(f"config field {prefix + key!r} must be "
                              f"{hint.__name__}, got {value!r}")
+        elif isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"config field {prefix + key!r} must be finite, got {value!r}")
         values[key] = value
     return kind(**values)
 
@@ -161,11 +163,12 @@ class ModelFlags:
         if self.stage1_input not in STAGE1_INPUTS:
             raise ValueError(
                 f"stage1_input must be one of {STAGE1_INPUTS}, got {self.stage1_input!r}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.rjca_iterations < 1:
+        # written so that NaN fails every check
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        if not self.rjca_iterations >= 1:
             raise ValueError(f"rjca_iterations must be >= 1, got {self.rjca_iterations}")
-        if self.head_hidden < 1:
+        if not self.head_hidden >= 1:
             raise ValueError(f"head_hidden must be >= 1, got {self.head_hidden}")
 
 

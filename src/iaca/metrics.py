@@ -48,7 +48,7 @@ def ccc_loss(pred: Tensor, gold) -> Tensor:
     n = pred.shape[1]
     if n < 2:
         raise ValueError(f"pred needs at least 2 entries, got {n}")
-    gold_t = Tensor(np.asarray(gold, dtype=np.float64).reshape(1, n))
+    gold_t = Tensor(np.asarray(gold, dtype=np.float64).reshape(1, n), requires_grad=False)
 
     mean_p = mean_all(pred)
     mean_g = mean_all(gold_t)
@@ -63,4 +63,4 @@ def ccc_loss(pred: Tensor, gold) -> Tensor:
         warnings.warn("ccc_loss denominator is zero; treating agreement as 0",
                       RuntimeWarning, stacklevel=2)
         return Tensor([[1.0]])
-    return Tensor([[1.0]]) - div(scale(cov, 2.0), denom)
+    return Tensor([[1.0]], requires_grad=False) - div(scale(cov, 2.0), denom)

@@ -55,8 +55,9 @@ class Regime:
     def validate(self) -> None:
         if self.kind not in REGIME_KINDS:
             raise ValueError(f"kind must be one of {REGIME_KINDS}, got {self.kind!r}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # written so that NaN fails every check
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if not 0.0 <= self.corrupt_fraction <= 1.0:
             raise ValueError(
                 f"corrupt_fraction must lie in [0, 1], got {self.corrupt_fraction}")

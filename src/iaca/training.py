@@ -33,17 +33,18 @@ class TrainConfig:
     patience: int = 10  # epochs without val improvement; 0 disables
 
     def validate(self) -> None:
-        if self.epochs < 1:
+        # written so that NaN fails every check
+        if not self.epochs >= 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         # lr = 0 is allowed so a no-op fit stays expressible
-        if self.lr < 0:
-            raise ValueError(f"lr must be non-negative, got {self.lr}")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError(f"lr must be non-negative and finite, got {self.lr}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(
                 f"optimizer must be one of {tuple(OPTIMIZERS)}, got {self.optimizer!r}")
-        if self.patience < 0:
+        if not self.patience >= 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
 
 
@@ -110,7 +111,9 @@ def evaluate(model: FusionModel, seqs: Sequence) -> float:
 
 def _batch_loss(model: FusionModel, batch: Sequence) -> tuple[Tensor, dict]:
     leaves = model.bind()
-    preds = [model.forward_graph(Tensor(s.xa), Tensor(s.xv), leaves)[0] for s in batch]
+    preds = [model.forward_graph(Tensor(s.xa, requires_grad=False),
+                                 Tensor(s.xv, requires_grad=False), leaves)[0]
+             for s in batch]
     pred_cat = preds[0] if len(preds) == 1 else concat_cols(*preds)
     gold_cat = np.hstack([np.asarray(s.target).reshape(1, -1) for s in batch])
     return ccc_loss(pred_cat, gold_cat), leaves

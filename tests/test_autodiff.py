@@ -6,6 +6,7 @@ import pytest
 from iaca import autodiff as ad
 from iaca.autodiff import ShapeError, Tensor
 
+import reference as ref
 from helpers import relative_error
 
 
@@ -159,7 +160,8 @@ def test_grads_are_allocated_by_backward_for_reached_nodes_only():
     out = ad.sum_all(hidden)
     assert x.grad is None and hidden.grad is None
     out.backward()
-    assert x.grad.shape == (2, 3) and hidden.grad.shape == (2, 3)
+    # a leaf keeps its grad; an interior node's is freed once passed on
+    assert x.grad.shape == (2, 3) and hidden.grad is None
     assert unused.grad is None
 
 
@@ -178,14 +180,23 @@ def test_grads_own_c_contiguous_memory():
     # of it; still no two leaves share memory, and every grad is
     # C-contiguous, since BLAS rounds differently on transposed operands
     a, b, c = (Tensor(np.full((2, 2), v)) for v in (1.0, 2.0, 3.0))
-    hidden = ad.tanh(c)
+    # hidden is freed after backward, so its vjp records the grad it is handed
+    received = []
+    y = np.tanh(c.value)
+
+    def hidden_vjp(g):
+        received.append(g)
+        return g * (1.0 - y * y)
+
+    hidden = Tensor(y, "tanh", (c,), (hidden_vjp,))
     joined = ad.concat_cols(ad.add(a, b), ad.transpose(hidden))
     ad.sum_all(ad.tanh(joined)).backward()
     grads = [a.grad, b.grad, c.grad]
     for i, gi in enumerate(grads):
         for gj in grads[i + 1:]:
             assert not np.shares_memory(gi, gj)
-    for g in grads + [hidden.grad]:
+    assert len(received) == 1
+    for g in grads + received:
         assert g.flags.c_contiguous
 
 
@@ -363,3 +374,44 @@ def test_backward_matches_finite_diff_on_random_graphs(case_seed):
 
         fd = ad.finite_diff(f, leaf_values[k], eps=1e-5)
         assert relative_error(leaves[k].grad, fd) < 1e-4
+
+
+def test_constants_are_pruned_from_the_graph():
+    c1, c2 = (Tensor(np.ones((2, 2)), requires_grad=False) for _ in range(2))
+    x = Tensor(np.ones((2, 2)))
+    only_constants = ad.matmul(c1, c2)
+    assert only_constants.parents == () and not only_constants.requires_grad
+    mixed = ad.hadamard(only_constants, x)
+    assert mixed.parents == (x,) and mixed.requires_grad
+    ad.sum_all(mixed).backward()
+    assert c1.grad is None and only_constants.grad is None
+    np.testing.assert_array_equal(x.grad, only_constants.value)
+    with ad.no_grad():
+        inside = ad.add(x, x)
+    assert inside.parents == () and not inside.requires_grad
+
+
+# 0.5 divides exactly, 0.3 does not, so it also pins the order of operations
+@pytest.mark.parametrize("temperature", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("axis", ["columns", "rows"])
+def test_softmax_and_its_vjp_bitwise_equal_the_out_of_place_formulas(axis, temperature):
+    rng = np.random.default_rng(3)
+    z, upstream = rng.normal(size=(5, 7)), rng.normal(size=(5, 7))
+    x = Tensor(z)
+    y = ad.softmax(x, axis=axis, temperature=temperature)
+    expected = ref.ref_softmax(z, axis, temperature)
+    assert np.array_equal(y.value, expected)
+    # sum(y * upstream) hands softmax's vjp exactly `upstream`
+    ad.sum_all(ad.hadamard(y, upstream)).backward()
+    ax = 0 if axis == "columns" else 1
+    inner = (upstream * expected).sum(axis=ax, keepdims=True)
+    assert np.array_equal(x.grad, expected * (upstream - inner) / temperature)
+
+
+def test_tanh_vjp_bitwise_equals_the_out_of_place_formula():
+    rng = np.random.default_rng(4)
+    v, upstream = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+    x = Tensor(v)
+    ad.sum_all(ad.hadamard(ad.tanh(x), upstream)).backward()
+    y = np.tanh(v)
+    assert np.array_equal(x.grad, upstream * (1.0 - y * y))

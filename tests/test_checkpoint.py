@@ -254,6 +254,18 @@ def test_flag_types_checked_at_load(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("field, value", [("iaca", "no"), ("iaca", 0), ("d", 3.9), ("d", True)],
+                         ids=["str-iaca", "int-iaca", "float-d", "bool-d"])
+def test_model_metadata_types_checked_at_load(tmp_path, field, value):
+    # each value used to be coerced: "no" loaded as a gated model, 3.9 as d=3
+    meta, params = _schema_params("CA", True, 3)
+    meta[field] = value
+    path = tmp_path / "mistyped.ckpt"
+    path.write_bytes(_handmade(meta, params))
+    with pytest.raises(CheckpointError, match=f"'{field}'"):
+        load_checkpoint(path)
+
+
 def test_seeded_byte_mutations_raise_only_checkpoint_errors(tmp_path):
     model = FusionModel.create(2, "CA", iaca=True, flags=ModelFlags(head_hidden=2), seed=6)
     path = tmp_path / "m.ckpt"

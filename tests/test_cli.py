@@ -189,3 +189,22 @@ def test_wrongly_typed_config_exits_with_error(tmp_path, capsys, config):
     rc = main(["gen-data", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("flags", "temperature", float("nan")),
+    ("train", "lr", float("nan")),
+    ("train", "lr", float("inf")),
+    ("regime", "noise_sigma", float("nan")),
+], ids=["nan-temperature", "nan-lr", "inf-lr", "nan-noise"])
+def test_non_finite_config_exits_with_error(tmp_path, capsys, section, field, value):
+    # json writes and reads NaN and Infinity; every check by < or <= let NaN through
+    config = {"d": 2, "n_clips": 4, "n_train": 1, "n_val": 1, "train": {"epochs": 1}}
+    config.setdefault(section, {})[field] = value
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    rc = main(["train", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{section}.{field}" in err
+    assert not list(tmp_path.rglob("*.ckpt"))

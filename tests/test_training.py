@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from iaca import training
+from iaca import metrics, training
+from iaca.attention import VARIANTS
 from iaca.autodiff import Tensor
 from iaca.gating import FusionModel, ModelFlags
 from iaca.metrics import ccc
@@ -40,6 +41,15 @@ def test_config_validation():
         with pytest.raises(ValueError):
             bad.validate()
     TrainConfig(lr=0.0).validate()  # a no-op fit is allowed
+
+
+@pytest.mark.parametrize("bad", [TrainConfig(lr=float("nan")), TrainConfig(lr=float("inf")),
+                                 ModelFlags(temperature=float("nan")),
+                                 Regime(noise_sigma=float("nan"))],
+                         ids=["nan-lr", "inf-lr", "nan-temperature", "nan-noise"])
+def test_validate_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        bad.validate()
 
 
 def test_sgd_step_moves_against_gradient():
@@ -200,3 +210,36 @@ def test_train_loss_moving_average_decreases_early():
     losses = [r.loss for r in result.history]
     ma = [np.mean(losses[i:i + 5]) for i in range(len(losses) - 4)]
     assert all(b <= a + 1e-12 for a, b in zip(ma, ma[1:]))
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_constant_data_leaves_parameter_grads_bitwise_unchanged(monkeypatch, variant, gated):
+    # _batch_loss and ccc_loss wrap data and gold as constants, which
+    # backward never reaches; with them as gradient-requiring leaves
+    # instead, every parameter grad must come out bit for bit the same
+    seqs = generate(Regime("weak_conflicting", noise_sigma=2.0), d=8, n_clips=12,
+                    n_sequences=3, seed=5)
+    model = FusionModel.create(8, variant, iaca=gated, seed=1,
+                               flags=ModelFlags(temperature=0.5, head_hidden=4))
+
+    def parameter_grads():
+        loss, leaves = training._batch_loss(model, seqs)
+        loss.backward()
+        return {name: leaf.grad for name, leaf in leaves.items()}
+
+    constant = parameter_grads()
+    made = []
+
+    def differentiable(value, requires_grad=True):
+        made.append(Tensor(value))
+        return made[-1]
+
+    monkeypatch.setattr(training, "Tensor", differentiable)
+    monkeypatch.setattr(metrics, "Tensor", differentiable)
+    full = parameter_grads()
+    assert len(made) == 2 * len(seqs) + 2  # xa, xv per sequence, the gold and the 1
+    assert all(t.grad is not None for t in made)
+    assert constant.keys() == full.keys()
+    for name, g in constant.items():
+        assert np.array_equal(g, full[name]), name
