@@ -55,8 +55,6 @@ from .synth import (
     corrupt_missing,
     derive_seed,
     generate,
-    load_dataset,
-    save_dataset,
 )
 from .training import (
     TrainConfig,

@@ -5,14 +5,14 @@ sequence. CA, JCA, RJCA and self-attention share one query-side step: the
 L x L correlation of a modality with a context (the other modality, a
 joint feature, or itself) is normalized into a stochastic weight map that
 re-weights the modality's own clips, squashed through tanh around a
-residual. TCA is a scaled query/key/value block. Every variant returns an
-AttendedPair, so the gating layer downstream treats them interchangeably.
+residual. RJCA iterates one JCA block. TCA is a scaled query/key/value
+block. Every variant returns an AttendedPair, so the gating layer
+downstream treats them interchangeably.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .autodiff import (
     ShapeError,
@@ -24,7 +24,6 @@ from .autodiff import (
     scale,
     softmax,
     tanh,
-    tile_cols,
     transpose,
 )
 
@@ -149,26 +148,18 @@ def joint_cross_attention(xa, xv, p: JcaParams) -> AttendedPair:
     modality.
     """
     _check_pair(xa, xv)
-    n_clips = xa.shape[1]
-    # Kept as a tiled add: with shared RJCA weights, joint_b collects one
-    # contribution per iteration, and add_col would reorder their summation.
-    joint = matmul(p.joint_w, concat_rows(xa, xv)) + tile_cols(p.joint_b, n_clips)
+    joint = add_col(matmul(p.joint_w, concat_rows(xa, xv)), p.joint_b)
     att_a, w_a = _attend(xa, cross_correlation(xa, joint, p.cross_a), "columns")
     att_v, w_v = _attend(xv, cross_correlation(xv, joint, p.cross_v), "columns")
     return AttendedPair(att_a, att_v, w_a, w_v)
 
 
-def recursive_jca(xa, xv, blocks: Sequence[JcaParams]) -> AttendedPair:
-    """Iterated joint cross-attention: attended outputs feed back in, one
-    pass per block.
-
-    Repeat one block for weights shared across iterations, or pass one
-    block per iteration. A single block is exactly one joint
-    cross-attention pass.
-    """
-    if not blocks:
-        raise ValueError("recursive joint cross-attention needs at least one block")
-    for block in blocks:
-        pair = joint_cross_attention(xa, xv, block)
+def recursive_jca(xa, xv, p: JcaParams, iterations: int) -> AttendedPair:
+    """Iterated joint cross-attention: `iterations` passes of one block, each
+    fed the attended outputs of the last; one iteration is one JCA pass."""
+    if iterations < 1:
+        raise ValueError(f"recursive JCA needs >= 1 iteration, got {iterations}")
+    for _ in range(iterations):
+        pair = joint_cross_attention(xa, xv, p)
         xa, xv = pair.audio, pair.visual
     return pair

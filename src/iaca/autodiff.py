@@ -45,7 +45,6 @@ __all__ = [
     "softmax",
     "concat_rows",
     "concat_cols",
-    "tile_cols",
     "add_col",
     "gate_mix",
     "sum_all",
@@ -337,14 +336,6 @@ def concat_rows(*parts) -> Tensor:
 def concat_cols(*parts) -> Tensor:
     """Stack matrices horizontally; every input must have the same row count."""
     return _concat("concat_cols", parts, 1)
-
-
-def tile_cols(a, n: int) -> Tensor:
-    """Replicate an rx1 column across to an rxn matrix."""
-    a = _coerce(a)
-    if a.value.shape[1] != 1:
-        raise ShapeError(f"tile_cols needs a 1-column input, got shape {a.value.shape}")
-    return _result(np.tile(a.value, (1, n)), "tile_cols", (a,), (lambda g: g.sum(axis=1, keepdims=True),))
 
 
 def add_col(a, col, sign: float = 1.0) -> Tensor:

@@ -1,10 +1,10 @@
 """Command-line experiment runner.
 
-Subcommands: gen-data, train, ablation, sweep, dump-attn. Each takes an
-optional JSON config file (the ExperimentConfig schema) plus flag
-overrides. Output files land under the output root, resolved as:
---out-dir flag, else the config file's out_dir, else $IACA_RESULTS_DIR,
-else the working directory.
+Subcommands: train, ablation, sweep, dump-attn. train and ablation take a
+JSON config file (the ExperimentConfig schema) plus flag overrides; sweep
+and dump-attn rebuild data from a checkpoint's config. Output lands under
+--out-dir, else the config's out_dir, else $IACA_RESULTS_DIR, else the
+working directory.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .experiments import (
     train_one,
 )
 from .gating import AV_AXES, STAGE1_INPUTS
-from .synth import REGIME_KINDS, generate, save_dataset
+from .synth import REGIME_KINDS
 from .training import OPTIMIZERS, save_history
 
 ENV_OUT_DIR = "IACA_RESULTS_DIR"
@@ -104,16 +104,6 @@ def _out_root(cfg: ExperimentConfig) -> Path:
     root = Path(cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
     return root
-
-
-def _cmd_gen_data(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    seqs = generate(cfg.regime, cfg.d, cfg.n_clips, args.count, cfg.seed)
-    path = _out_root(cfg) / args.out
-    save_dataset(seqs, path)
-    print(f"wrote {len(seqs)} sequences ({cfg.d}x{cfg.n_clips}, "
-          f"{cfg.regime.kind}) to {path}")
-    return 0
 
 
 def _ckpt_name(cfg: ExperimentConfig, dim: str) -> str:
@@ -212,12 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gated cross-attention fusion experiments on synthetic "
                     "bimodal sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
-    _add_config_flags(p)
-    p.add_argument("--count", type=int, default=16, help="number of sequences")
-    p.add_argument("--out", default="dataset.csv")
-    p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train one model per output dimension")
     _add_config_flags(p)

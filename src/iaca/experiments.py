@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Sequence
 
 import numpy as np
@@ -65,16 +65,9 @@ class ExperimentConfig:
         self.train.validate()
         self.flags.validate()
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         return from_json_object(cls, data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
 
 
 def _missing_audio(seqs: Sequence[SyntheticSequence], fraction: float,

@@ -16,6 +16,7 @@ creation draws from it and checkpoint loading checks against it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional, get_type_hints
 
@@ -121,8 +122,9 @@ _JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
 def from_json_object(kind, data, where: str = ""):
     """Build the dataclass `kind` from a parsed JSON object, checking that
     every key names a field and every value has its field's type, and that
-    no float is NaN or infinite (Python's json reads both); dataclass-typed
-    fields recurse. Problems raise ValueError naming the dotted field."""
+    no float field is NaN, infinite or an int past the float range (Python's
+    json reads all three); dataclass-typed fields recurse. Problems raise
+    ValueError naming the dotted field."""
     if not isinstance(data, dict):
         raise ValueError(f"config field {where!r} must be an object" if where
                          else f"config must be an object, got {type(data).__name__}")
@@ -140,7 +142,7 @@ def from_json_object(kind, data, where: str = ""):
               or not isinstance(value, _JSON_TYPES[hint])):
             raise ValueError(f"config field {prefix + key!r} must be "
                              f"{hint.__name__}, got {value!r}")
-        elif isinstance(value, float) and not np.isfinite(value):
+        elif hint is float and not abs(value) <= sys.float_info.max:  # exact for ints
             raise ValueError(f"config field {prefix + key!r} must be finite, got {value!r}")
         values[key] = value
     return kind(**values)
@@ -154,7 +156,6 @@ class ModelFlags:
     stage1_input: str = "raw"
     temperature: float = 0.1
     rjca_iterations: int = 2
-    rjca_shared_weights: bool = True
     head_hidden: int = 16
 
     def validate(self) -> None:
@@ -209,11 +210,10 @@ def param_schema(d: int, variant: str, iaca: bool,
             schema[f"{side}.ff2_w"] = (d, h, 1.0 / np.sqrt(h))
             schema[f"{side}.ff2_b"] = (d, 1, 0.0)
     else:
-        for b in _jca_prefixes(variant, flags):
-            schema[f"{b}.joint_w"] = (d, 2 * d, 1.0 / np.sqrt(2 * d))
-            schema[f"{b}.joint_b"] = (d, 1, 0.0)
-            schema[f"{b}.cross_a"] = (d, d, 1.0 / d)
-            schema[f"{b}.cross_v"] = (d, d, 1.0 / d)
+        schema["jca.joint_w"] = (d, 2 * d, 1.0 / np.sqrt(2 * d))
+        schema["jca.joint_b"] = (d, 1, 0.0)
+        schema["jca.cross_a"] = (d, d, 1.0 / d)
+        schema["jca.cross_v"] = (d, d, 1.0 / d)
 
     if iaca:
         if flags.stage1_input == "self_attended":
@@ -231,14 +231,6 @@ def param_schema(d: int, variant: str, iaca: bool,
     schema["head.w2"] = (1, hh, 1.0 / np.sqrt(hh))
     schema["head.b2"] = (1, 1, 0.0)
     return schema
-
-
-def _jca_prefixes(variant: str, flags: ModelFlags) -> list[str]:
-    # JCA, and RJCA with shared weights, own one block; unshared RJCA one
-    # block per iteration.
-    if variant == "RJCA" and not flags.rjca_shared_weights:
-        return [f"rjca{i}" for i in range(flags.rjca_iterations)]
-    return ["jca"]
 
 
 def _block(kind, leaves: dict, prefix: str):
@@ -284,13 +276,10 @@ class FusionModel:
         if self.variant == "TCA":
             return tca_attention(xa, xv, _block(TcaBlockParams, leaves, "tca_a"),
                                  _block(TcaBlockParams, leaves, "tca_v"))
-        blocks = [_block(JcaParams, leaves, prefix)
-                  for prefix in _jca_prefixes(self.variant, self.flags)]
+        jca = _block(JcaParams, leaves, "jca")
         if self.variant == "JCA":
-            return joint_cross_attention(xa, xv, blocks[0])
-        if self.flags.rjca_shared_weights:
-            blocks = blocks * self.flags.rjca_iterations
-        return recursive_jca(xa, xv, blocks)
+            return joint_cross_attention(xa, xv, jca)
+        return recursive_jca(xa, xv, jca, self.flags.rjca_iterations)
 
     def forward_graph(self, xa: Tensor, xv: Tensor,
                       leaves: dict) -> tuple[Tensor, Diagnostics]:

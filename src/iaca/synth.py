@@ -146,56 +146,3 @@ def corrupt_missing(x: np.ndarray, fraction: float, seed: int = 0) -> np.ndarray
     out[:, start:start + n_zero] = 0.0
     return out
 
-
-# ------------------------------------------------------------- persistence
-#
-# One CSV file per split. The first line is a comment with the shared
-# metadata; each following line is one sequence: its seed, then xa
-# row-major, xv row-major, and the target track.
-
-def save_dataset(seqs: List[SyntheticSequence], path) -> None:
-    if not seqs:
-        raise ValueError("refusing to save an empty dataset")
-    first = seqs[0]
-    d, n_clips = first.xa.shape
-    r = first.regime
-    with open(path, "w") as fh:
-        fh.write(f"# iaca-dataset v1 d={d} L={n_clips} count={len(seqs)} "
-                 f"kind={r.kind} noise_sigma={r.noise_sigma!r} "
-                 f"corrupt_fraction={r.corrupt_fraction!r}\n")
-        for s in seqs:
-            cells = [str(s.seed)]
-            for block in (s.xa, s.xv, s.target):
-                cells += [f"{v:.17g}" for v in np.asarray(block).ravel()]
-            fh.write(",".join(cells) + "\n")
-
-
-def load_dataset(path) -> List[SyntheticSequence]:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("# iaca-dataset v1 "):
-            raise ValueError(f"not a dataset file: {path}")
-        meta = dict(item.split("=", 1) for item in header.split()[3:])
-        d = int(meta["d"])
-        n_clips = int(meta["L"])
-        count = int(meta["count"])
-        regime = Regime(kind=meta["kind"], noise_sigma=float(meta["noise_sigma"]),
-                        corrupt_fraction=float(meta["corrupt_fraction"]))
-        regime.validate()
-        seqs = []
-        for line in fh:
-            if not line.strip():
-                continue
-            cells = line.split(",")
-            seq_seed = int(cells[0])
-            values = np.array([float(c) for c in cells[1:]])
-            if values.size != 2 * d * n_clips + n_clips:
-                raise ValueError(f"malformed sequence row in {path}")
-            xa = values[:d * n_clips].reshape(d, n_clips)
-            xv = values[d * n_clips:2 * d * n_clips].reshape(d, n_clips)
-            target = values[2 * d * n_clips:].reshape(1, n_clips)
-            seqs.append(SyntheticSequence(xa=xa, xv=xv, target=target,
-                                          regime=regime, seed=seq_seed))
-    if len(seqs) != count:
-        raise ValueError(f"expected {count} sequences, found {len(seqs)} in {path}")
-    return seqs

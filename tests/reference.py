@@ -87,8 +87,7 @@ def ref_predict(x, w1, b1, w2, b2):
     return np.tanh(w2 @ hidden + b2)
 
 
-def ref_variant_attention(xa, xv, p, variant, av_axis="columns",
-                          rjca_iterations=2, rjca_shared=True):
+def ref_variant_attention(xa, xv, p, variant, av_axis="columns", rjca_iterations=2):
     if variant == "CA":
         att_a, att_v, _, _ = ref_cross_attention(xa, xv, p["cross.w"], av_axis)
         return att_a, att_v
@@ -105,19 +104,16 @@ def ref_variant_attention(xa, xv, p, variant, av_axis="columns",
                                      p["jca.cross_a"], p["jca.cross_v"])
         return att_a, att_v
     cur_a, cur_v = xa, xv
-    for i in range(rjca_iterations):
-        prefix = "jca" if rjca_shared else f"rjca{i}"
-        cur_a, cur_v, _, _ = ref_jca(cur_a, cur_v, p[f"{prefix}.joint_w"],
-                                     p[f"{prefix}.joint_b"], p[f"{prefix}.cross_a"],
-                                     p[f"{prefix}.cross_v"])
+    for _ in range(rjca_iterations):
+        cur_a, cur_v, _, _ = ref_jca(cur_a, cur_v, p["jca.joint_w"], p["jca.joint_b"],
+                                     p["jca.cross_a"], p["jca.cross_v"])
     return cur_a, cur_v
 
 
 def ref_full_forward(xa, xv, p, variant, iaca, av_axis="columns",
                      stage1_input="raw", temperature=0.1,
-                     rjca_iterations=2, rjca_shared=True):
-    att_a, att_v = ref_variant_attention(xa, xv, p, variant, av_axis,
-                                         rjca_iterations, rjca_shared)
+                     rjca_iterations=2):
+    att_a, att_v = ref_variant_attention(xa, xv, p, variant, av_axis, rjca_iterations)
     if not iaca:
         fused = ref_joint(att_a, att_v, p["joint.w"], p["joint.b"])
         return ref_predict(fused, p["head.w1"], p["head.b1"],

@@ -144,8 +144,7 @@ def test_criterion_3_straight_line_equivalence():
             xa, xv, model.params, variant, iaca,
             av_axis=flags.av_axis, stage1_input=flags.stage1_input,
             temperature=flags.temperature,
-            rjca_iterations=flags.rjca_iterations,
-            rjca_shared=flags.rjca_shared_weights)
+            rjca_iterations=flags.rjca_iterations)
         assert np.max(np.abs(pred - expected)) < 1e-12, (variant, iaca, seed)
 
 

@@ -208,7 +208,7 @@ def test_rjca_single_step_is_jca():
     rng = np.random.default_rng(11)
     xa, xv = _pair(rng, 4, 6)
     arrs = _jca_params(rng, 4)
-    one = recursive_jca(Tensor(xa), Tensor(xv), [_as_jca(arrs)])
+    one = recursive_jca(Tensor(xa), Tensor(xv), _as_jca(arrs), 1)
     base = joint_cross_attention(Tensor(xa), Tensor(xv), _as_jca(arrs))
     assert np.array_equal(one.audio.value, base.audio.value)
     assert np.array_equal(one.visual.value, base.visual.value)
@@ -218,7 +218,7 @@ def test_rjca_three_steps_match_unrolled_oracle():
     rng = np.random.default_rng(12)
     xa, xv = _pair(rng, 4, 6)
     arrs = _jca_params(rng, 4)
-    out = recursive_jca(Tensor(xa), Tensor(xv), [_as_jca(arrs)] * 3)
+    out = recursive_jca(Tensor(xa), Tensor(xv), _as_jca(arrs), 3)
     ra, rv, _, _ = ref.ref_rjca(xa, xv, t=3, **arrs)
     assert relative_error(out.audio.value, ra) < 1e-12
     assert relative_error(out.visual.value, rv) < 1e-12
@@ -226,22 +226,11 @@ def test_rjca_three_steps_match_unrolled_oracle():
         assert np.all(np.abs(t.value) < 1.0)
 
 
-def test_rjca_per_iteration_params():
-    rng = np.random.default_rng(13)
-    xa, xv = _pair(rng, 3, 4)
-    blocks = [_jca_params(rng, 3) for _ in range(2)]
-    out = recursive_jca(Tensor(xa), Tensor(xv), [_as_jca(b) for b in blocks])
-    step1 = ref.ref_jca(xa, xv, **blocks[0])
-    ra, rv, _, _ = ref.ref_jca(step1[0], step1[1], **blocks[1])
-    assert relative_error(out.audio.value, ra) < 1e-12
-    assert relative_error(out.visual.value, rv) < 1e-12
-
-
 def test_rjca_rejects_bad_depth():
     rng = np.random.default_rng(14)
     xa, xv = _pair(rng, 3, 4)
     with pytest.raises(ValueError):
-        recursive_jca(Tensor(xa), Tensor(xv), [])
+        recursive_jca(Tensor(xa), Tensor(xv), _as_jca(_jca_params(rng, 3)), 0)
 
 
 # ------------------------------------------------------- shared invariants
@@ -253,7 +242,7 @@ def _variant_forward(name, xa, xv, arrs, av_axis="columns"):
         return tca_attention(xa, xv, _as_tca(arrs["a"]), _as_tca(arrs["v"]))
     if name == "JCA":
         return joint_cross_attention(xa, xv, _as_jca(arrs["j"]))
-    return recursive_jca(xa, xv, [_as_jca(arrs["j"])] * 2)
+    return recursive_jca(xa, xv, _as_jca(arrs["j"]), 2)
 
 
 def _variant_arrays(name, rng, d):

@@ -117,14 +117,6 @@ def test_concat_and_transpose_shapes():
     np.testing.assert_array_equal(ad.transpose(ad.transpose(m)).value, m)
 
 
-def test_tile_cols_grad_sums_each_row():
-    col = Tensor(np.array([[1.0], [2.0]]))
-    tiled = ad.tile_cols(col, 3)
-    np.testing.assert_array_equal(tiled.value, [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-    ad.sum_all(ad.hadamard(tiled, np.arange(6.0).reshape(2, 3))).backward()
-    np.testing.assert_array_equal(col.grad, [[3.0], [12.0]])
-
-
 def test_backward_sum_gives_ones():
     x = Tensor(np.random.default_rng(5).normal(size=(3, 4)))
     ad.sum_all(x).backward()

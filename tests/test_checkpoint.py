@@ -24,7 +24,6 @@ def _random_model(rng):
         stage1_input=("raw", "self_attended")[int(rng.integers(2))],
         temperature=float(rng.uniform(0.05, 1.0)),
         rjca_iterations=int(rng.integers(1, 4)),
-        rjca_shared_weights=bool(rng.integers(2)),
         head_hidden=int(rng.integers(2, 12)),
     )
     return FusionModel.create(int(rng.integers(2, 9)), variant,
@@ -100,12 +99,14 @@ def test_foreign_version_raises_version_error(tmp_path):
     model = FusionModel.create(3, "CA", iaca=False, seed=4)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
-    blob = bytearray(path.read_bytes())
-    blob[4:8] = struct.pack("<I", 99)
-    bad = tmp_path / "v99.ckpt"
-    bad.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointVersionError):
-        load_checkpoint(bad)
+    # 1 is what files written before the RJCA flag was dropped carry
+    for version in (1, 99):
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", version)
+        bad = tmp_path / f"v{version}.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointVersionError):
+            load_checkpoint(bad)
 
 
 def test_trailing_garbage_rejected(tmp_path):
@@ -228,17 +229,16 @@ def test_undecodable_parameter_name_rejected(tmp_path):
 
 @pytest.mark.parametrize("edit", ["missing", "mis-shaped", "unexpected"])
 def test_parameters_checked_against_model_schema(tmp_path, edit):
-    meta, params = _schema_params("RJCA", True, 3,
-                                  ModelFlags(rjca_shared_weights=False, rjca_iterations=2))
+    meta, params = _schema_params("RJCA", True, 3, ModelFlags(rjca_iterations=2))
     if edit == "missing":
         del params["head.w1"]
     elif edit == "mis-shaped":
         params["head.w1"] = params["head.w1"].T.copy()
     else:
-        params["jca.cross_a"] = np.zeros((3, 3))
+        params["rjca0.cross_a"] = np.zeros((3, 3))
     path = tmp_path / f"{edit}.ckpt"
     path.write_bytes(_handmade(meta, params))
-    name = "jca.cross_a" if edit == "unexpected" else "head.w1"
+    name = "rjca0.cross_a" if edit == "unexpected" else "head.w1"
     with pytest.raises(CheckpointError, match=name):
         load_checkpoint(path)
 

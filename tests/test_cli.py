@@ -1,15 +1,17 @@
 import csv
 import json
+import re
+import shlex
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from iaca.checkpoint import load_checkpoint, save_checkpoint
-from iaca.cli import main
+from iaca.cli import build_parser, main
 from iaca.experiments import ExperimentConfig
 from iaca.gating import FusionModel
-from iaca.synth import load_dataset
 
 def _csv_rows(path):
     with open(path, newline="") as fh:
@@ -18,18 +20,6 @@ def _csv_rows(path):
 
 TINY = ["--d", "6", "--clips", "8", "--n-train", "4", "--n-val", "2",
         "--epochs", "2", "--batch-size", "4", "--seed", "21", "--patience", "0"]
-
-
-def test_gen_data_writes_loadable_dataset(tmp_path):
-    out = tmp_path / "data.csv"
-    rc = main(["gen-data", "--d", "5", "--clips", "7", "--count", "3",
-               "--seed", "2", "--regime", "weak_conflicting", "--noise-sigma",
-               "0.5", "--out-dir", str(tmp_path), "--out", "data.csv"])
-    assert rc == 0
-    seqs = load_dataset(out)
-    assert len(seqs) == 3
-    assert seqs[0].xa.shape == (5, 7)
-    assert seqs[0].regime.kind == "weak_conflicting"
 
 
 def test_train_writes_checkpoint_and_history(tmp_path, capsys):
@@ -123,25 +113,26 @@ def test_dump_attn_on_incomplete_checkpoint(tmp_path, capsys, missing):
 
 def test_env_var_sets_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("IACA_RESULTS_DIR", str(tmp_path / "envroot"))
-    rc = main(["gen-data", "--d", "4", "--clips", "6", "--count", "2",
-               "--out", "env.csv"])
+    rc = main(["train", *TINY, "--dims", "valence", "--name", "env"])
     assert rc == 0
-    assert (tmp_path / "envroot" / "env.csv").exists()
+    assert (tmp_path / "envroot" / "env.ckpt").exists()
 
 
 def test_flag_overrides_beat_config_file(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"d": 6, "n_clips": 8, "seed": 3,
-                                    "out_dir": str(tmp_path)}))
-    rc = main(["gen-data", "--config", str(cfg_file), "--d", "9",
-               "--count", "2", "--out", "d9.csv"])
+    cfg_file.write_text(json.dumps({
+        "d": 6, "n_clips": 8, "n_train": 4, "n_val": 2, "seed": 3,
+        "train": {"epochs": 2, "batch_size": 4, "patience": 0},
+        "out_dir": str(tmp_path)}))
+    rc = main(["train", "--config", str(cfg_file), "--d", "9",
+               "--dims", "valence", "--name", "d9"])
     assert rc == 0
-    seqs = load_dataset(tmp_path / "d9.csv")
-    assert seqs[0].xa.shape == (9, 8)
+    experiment = load_checkpoint(tmp_path / "d9.ckpt").meta["experiment"]
+    assert (experiment["d"], experiment["n_clips"]) == (9, 8)
 
 
 def test_invalid_values_exit_nonzero(tmp_path, capsys):
-    rc = main(["gen-data", "--d", "1", "--out-dir", str(tmp_path)])
+    rc = main(["train", "--d", "1", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
@@ -169,7 +160,7 @@ def test_corrupt_checkpoint_exits_with_error(tmp_path, capsys, command):
 def test_unknown_nested_config_key_exits_with_error(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"regime": {"bogus": 1}}))
-    rc = main(["gen-data", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
+    rc = main(["train", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "regime.bogus" in err
@@ -186,7 +177,7 @@ def test_unknown_nested_config_key_exits_with_error(tmp_path, capsys):
 def test_wrongly_typed_config_exits_with_error(tmp_path, capsys, config):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(config))
-    rc = main(["gen-data", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
+    rc = main(["train", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -196,10 +187,16 @@ def test_wrongly_typed_config_exits_with_error(tmp_path, capsys, config):
     ("train", "lr", float("nan")),
     ("train", "lr", float("inf")),
     ("regime", "noise_sigma", float("nan")),
-], ids=["nan-temperature", "nan-lr", "inf-lr", "nan-noise"])
+    ("flags", "temperature", 10**400),
+    ("train", "lr", 10**400),
+    ("regime", "noise_sigma", 10**400),
+], ids=["nan-temperature", "nan-lr", "inf-lr", "nan-noise",
+        "huge-int-temperature", "huge-int-lr", "huge-int-noise"])
 def test_non_finite_config_exits_with_error(tmp_path, capsys, section, field, value):
-    # json writes and reads NaN and Infinity; every check by < or <= let NaN through
-    config = {"d": 2, "n_clips": 4, "n_train": 1, "n_val": 1, "train": {"epochs": 1}}
+    # json writes and reads NaN and Infinity; every check by < or <= let NaN
+    # through, and an int past the float range passes them but overflows later
+    config = {"d": 2, "n_clips": 4, "n_train": 1, "n_val": 1, "train": {"epochs": 1},
+              "regime": {"kind": "weak_conflicting"}}
     config.setdefault(section, {})[field] = value
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(config))
@@ -208,3 +205,19 @@ def test_non_finite_config_exits_with_error(tmp_path, capsys, section, field, va
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{section}.{field}" in err
     assert not list(tmp_path.rglob("*.ckpt"))
+
+
+def test_readme_commands_parse():
+    # every `iaca ...` line of the README's code blocks, continuations joined,
+    # must parse (not run) against the current CLI
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [line for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("iaca ")]
+    assert commands
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_relative_improvement_matches_published_arithmetic():
 def test_config_json_round_trip():
     cfg = _tiny_cfg(variant="RJCA", iaca=False,
                     regime=Regime("weak_conflicting", 0.5, 0.2))
-    again = ExperimentConfig.from_json(cfg.to_json())
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
     assert again == cfg
 
 

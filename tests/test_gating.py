@@ -250,11 +250,10 @@ def test_param_inventory_tracks_configuration():
     assert "self_a.w" not in gated.params
 
     shared = FusionModel.create(4, "RJCA", iaca=True)
-    unshared = FusionModel.create(
-        4, "RJCA", iaca=True,
-        flags=ModelFlags(rjca_shared_weights=False, rjca_iterations=3))
+    deeper = FusionModel.create(4, "RJCA", iaca=True,
+                                flags=ModelFlags(rjca_iterations=3))
     assert any(k.startswith("jca.") for k in shared.params)
-    assert any(k.startswith("rjca2.") for k in unshared.params)
+    assert set(deeper.params) == set(shared.params)
     assert not any(k.startswith("rjca") for k in shared.params)
 
 
@@ -309,17 +308,6 @@ def test_forward_flag_combinations_match_oracle(stage1_input, av_axis):
     pred, _ = model.forward(xa, xv)
     r = ref.ref_full_forward(xa, xv, model.params, "CA", True,
                              av_axis=av_axis, stage1_input=stage1_input)
-    assert relative_error(pred, r) < 1e-12
-
-
-def test_rjca_unshared_forward_matches_oracle():
-    rng = np.random.default_rng(37)
-    xa, xv = _features(rng, 4, 5)
-    flags = ModelFlags(rjca_shared_weights=False, rjca_iterations=3)
-    model = FusionModel.create(4, "RJCA", iaca=True, flags=flags, seed=5)
-    pred, _ = model.forward(xa, xv)
-    r = ref.ref_full_forward(xa, xv, model.params, "RJCA", True,
-                             rjca_iterations=3, rjca_shared=False)
     assert relative_error(pred, r) < 1e-12
 
 

@@ -8,8 +8,6 @@ from iaca.synth import (
     corrupt_missing,
     derive_seed,
     generate,
-    load_dataset,
-    save_dataset,
     smooth_track,
     splitmix64,
 )
@@ -160,37 +158,3 @@ def test_missing_is_seeded_and_validated():
     with pytest.raises(ValueError):
         corrupt_missing(x, 1.1)
 
-
-# -------------------------------------------------------------- persistence
-
-def test_dataset_round_trip_is_bitwise(tmp_path):
-    seqs = _gen("weak_conflicting", sigma=0.7, n=4, d=5, n_clips=8)
-    path = tmp_path / "split.csv"
-    save_dataset(seqs, path)
-    loaded = load_dataset(path)
-    assert len(loaded) == 4
-    for s, t in zip(seqs, loaded):
-        assert np.array_equal(s.xa, t.xa)
-        assert np.array_equal(s.xv, t.xv)
-        assert np.array_equal(s.target, t.target)
-        assert s.seed == t.seed
-        assert t.regime.kind == "weak_conflicting"
-        assert t.regime.noise_sigma == 0.7
-
-
-def test_dataset_load_rejects_malformed_files(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("epoch,loss\n0,1.0\n")
-    with pytest.raises(ValueError):
-        load_dataset(bad)
-
-    seqs = _gen("strong_complementary", n=2, d=4, n_clips=6)
-    path = tmp_path / "short.csv"
-    save_dataset(seqs, path)
-    lines = path.read_text().splitlines()
-    (tmp_path / "trunc.csv").write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValueError):
-        load_dataset(tmp_path / "trunc.csv")
-
-    with pytest.raises(ValueError):
-        save_dataset([], tmp_path / "empty.csv")
