@@ -112,6 +112,9 @@ def _ckpt_name(cfg: ExperimentConfig, dim: str) -> str:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    for i, dim in enumerate(args.dims):
+        if dim in args.dims[:i]:
+            raise ValueError(f"--dims repeats {dim!r}")
     cfg = _load_config(args)
     root = _out_root(cfg)
     for dim in args.dims:

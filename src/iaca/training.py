@@ -3,7 +3,9 @@
 Each step binds fresh parameter leaves, runs every sequence of the batch
 through one shared graph, and scores the concatenated clip predictions
 with a single batch-level CCC. Validation CCC is tracked per epoch and
-the best-scoring parameters are restored when fitting ends.
+the best-scoring parameters are restored when fitting ends. An epoch's
+train CCC is scored over the predictions each batch made before its
+optimizer step, not by a second pass of the end-of-epoch model.
 """
 
 from __future__ import annotations
@@ -89,9 +91,9 @@ OPTIMIZERS = {"sgd": Sgd, "adaptive-moment": Adam}
 @dataclass
 class EpochRecord:
     epoch: int
-    train_ccc: float
+    train_ccc: float  # CCC of the epoch's pre-step training predictions
     val_ccc: float
-    loss: float
+    loss: float  # mean over batches of 1 - batch CCC
 
 
 @dataclass
@@ -109,14 +111,17 @@ def evaluate(model: FusionModel, seqs: Sequence) -> float:
     return ccc(np.hstack(preds), np.hstack(golds))
 
 
-def _batch_loss(model: FusionModel, batch: Sequence) -> tuple[Tensor, dict]:
+def _batch_loss(model: FusionModel, batch: Sequence
+                ) -> tuple[Tensor, dict, np.ndarray, np.ndarray]:
+    """Loss graph of one batch, its parameter leaves, and the batch's
+    concatenated prediction values and gold track."""
     leaves = model.bind()
     preds = [model.forward_graph(Tensor(s.xa, requires_grad=False),
                                  Tensor(s.xv, requires_grad=False), leaves)[0]
              for s in batch]
     pred_cat = preds[0] if len(preds) == 1 else concat_cols(*preds)
     gold_cat = np.hstack([np.asarray(s.target).reshape(1, -1) for s in batch])
-    return ccc_loss(pred_cat, gold_cat), leaves
+    return ccc_loss(pred_cat, gold_cat), leaves, pred_cat.value, gold_cat
 
 
 def fit(model: FusionModel, train: Sequence, val: Sequence,
@@ -136,10 +141,10 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train))
-        losses = []
+        losses, preds, golds = [], [], []
         for start in range(0, len(train), cfg.batch_size):
             batch = [train[i] for i in order[start:start + cfg.batch_size]]
-            loss, leaves = _batch_loss(model, batch)
+            loss, leaves, pred, gold = _batch_loss(model, batch)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergence(
@@ -157,9 +162,11 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
                 grads[name] = g
             optimizer.step(model.params, grads)
             losses.append(value)
+            preds.append(pred)
+            golds.append(gold)
 
         record = EpochRecord(epoch=epoch,
-                             train_ccc=evaluate(model, train),
+                             train_ccc=ccc(np.hstack(preds), np.hstack(golds)),
                              val_ccc=evaluate(model, val),
                              loss=float(np.mean(losses)))
         result.history.append(record)

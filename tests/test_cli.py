@@ -137,6 +137,15 @@ def test_invalid_values_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_repeated_dim_rejected_before_training(tmp_path, capsys):
+    rc = main(["train", *TINY, "--dims", "valence", "arousal", "valence",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "valence" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_variant_list_rejected(tmp_path, capsys):
     rc = main(["ablation", *TINY, "--variants", "CA,NOPE",
                "--out-dir", str(tmp_path)])

@@ -95,6 +95,37 @@ def test_history_covers_every_epoch_without_early_stop():
                for r in result.history)
 
 
+def test_fit_runs_no_forward_over_the_training_split(monkeypatch):
+    # training forwards go through forward_graph; predict_values is only
+    # the per-epoch validation score
+    train, val = _small_data(n=6)
+    val = val[:3]
+    model = _small_model()
+    calls = []
+    real = FusionModel.predict_values
+
+    def counted(self, xa, xv):
+        calls.append(1)
+        return real(self, xa, xv)
+
+    monkeypatch.setattr(FusionModel, "predict_values", counted)
+    result = fit(model, train, val, TrainConfig(epochs=4, batch_size=4, patience=0))
+    assert len(result.history) == 4
+    assert len(calls) == 4 * len(val)
+
+
+def test_train_ccc_scores_the_pre_step_predictions():
+    # lr 0 freezes the parameters, so the pre-step predictions of every
+    # batch are the end-of-epoch model's, and only summation order differs
+    train, val = _small_data()
+    model = _small_model()
+    result = fit(model, train, val, TrainConfig(epochs=3, batch_size=3, lr=0.0,
+                                                patience=0))
+    expected = evaluate(model, train)
+    for r in result.history:
+        assert r.train_ccc == pytest.approx(expected, abs=1e-12)
+
+
 def test_early_stop_cuts_history_short():
     train, val = _small_data()
     model = _small_model()
@@ -224,7 +255,7 @@ def test_constant_data_leaves_parameter_grads_bitwise_unchanged(monkeypatch, var
                                flags=ModelFlags(temperature=0.5, head_hidden=4))
 
     def parameter_grads():
-        loss, leaves = training._batch_loss(model, seqs)
+        loss, leaves, *_ = training._batch_loss(model, seqs)
         loss.backward()
         return {name: leaf.grad for name, leaf in leaves.items()}
 
