@@ -20,7 +20,7 @@ from .attention import (
     tca_attention,
     tca_block,
 )
-from .autodiff import ShapeError, Tensor, finite_diff, no_grad
+from .autodiff import ShapeError, Tensor, finite_diff
 from .checkpoint import (
     Checkpoint,
     CheckpointError,

@@ -8,14 +8,10 @@ single-use: build the forward pass with the op functions below, call
 rebuild for the next pass. A leaf built with ``requires_grad=False`` is a
 constant (data, targets): an op records only the inputs that require a
 gradient and requires one itself only if some input does, so backward
-never reaches a constant. Backward allocates grads only for the nodes it
+never reaches a constant, and a pass built only from constants keeps no
+graph behind its output. Backward allocates grads only for the nodes it
 reaches and frees each interior node's grad once it has passed it on, so
 only leaves keep theirs; everywhere else ``grad`` is None.
-
-Inside ``with no_grad():`` nothing requires a gradient: the same op
-functions build value-only nodes with no parents and no vector-Jacobian
-products, so a forward pass run only for its values keeps no graph behind
-its output. The mode is per thread and restored when the block exits.
 
 Values are treated as immutable once wrapped; sharing them across threads
 is safe. A graph itself belongs to one thread from construction through
@@ -24,8 +20,6 @@ backward.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,7 +44,6 @@ __all__ = [
     "sum_all",
     "mean_all",
     "finite_diff",
-    "no_grad",
 ]
 
 _AXES = {"columns": 0, "rows": 1}
@@ -58,29 +51,6 @@ _AXES = {"columns": 0, "rows": 1}
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-class _GradMode(threading.local):
-    enabled = True
-
-
-_MODE = _GradMode()
-
-
-@contextmanager
-def no_grad():
-    """Build value-only nodes for the duration of the block.
-
-    Ops called inside compute the same values but keep no parents and no
-    vector-Jacobian products, so nothing built inside can be differentiated.
-    Blocks nest; each restores the mode it found, also on an exception.
-    """
-    previous = _MODE.enabled
-    _MODE.enabled = False
-    try:
-        yield
-    finally:
-        _MODE.enabled = previous
 
 
 def _as_value(data) -> np.ndarray:
@@ -101,8 +71,7 @@ class Tensor:
     that backward() leaves on each leaf it reaches (None elsewhere), ``op``
     the producing operation's tag, ``requires_grad`` whether backward may
     reach the node, and ``parents`` the ordered input nodes that require a
-    gradient (empty for leaves, constants and nodes built under
-    :func:`no_grad`).
+    gradient (empty for leaves and for nodes built only from constants).
     """
 
     __slots__ = ("value", "grad", "op", "parents", "_vjps", "_used", "requires_grad")
@@ -116,12 +85,15 @@ class Tensor:
         self.grad = None
         self.op = op
         self._used = False
-        requires_grad = requires_grad and _MODE.enabled
         for p in parents if requires_grad else ():
             if not p.requires_grad:  # record only the parents that need a gradient
-                kept = [(q, f) for q, f in zip(parents, vjps) if q.requires_grad]
-                parents, vjps = [q for q, _ in kept], [f for _, f in kept]
-                requires_grad = bool(kept)
+                for other in parents:  # no comprehension: inference is all-constant nodes
+                    if other.requires_grad:
+                        kept = [(q, f) for q, f in zip(parents, vjps) if q.requires_grad]
+                        parents, vjps = [q for q, _ in kept], [f for _, f in kept]
+                        break
+                else:
+                    requires_grad = False
                 break
         self.requires_grad = requires_grad
         if requires_grad:

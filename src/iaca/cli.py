@@ -33,7 +33,7 @@ from .experiments import (
 )
 from .gating import AV_AXES, STAGE1_INPUTS
 from .synth import REGIME_KINDS
-from .training import OPTIMIZERS, save_history
+from .training import OPTIMIZERS, TrainingDivergence, save_history
 
 ENV_OUT_DIR = "IACA_RESULTS_DIR"
 
@@ -111,10 +111,14 @@ def _ckpt_name(cfg: ExperimentConfig, dim: str) -> str:
     return f"{cfg.variant.lower()}_{mode}_{dim}"
 
 
+def _reject_repeats(flag: str, values) -> None:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{flag} repeats {value!r}")
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
-    for i, dim in enumerate(args.dims):
-        if dim in args.dims[:i]:
-            raise ValueError(f"--dims repeats {dim!r}")
+    _reject_repeats("--dims", args.dims)
     cfg = _load_config(args)
     root = _out_root(cfg)
     for dim in args.dims:
@@ -142,6 +146,7 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}; choose from {','.join(VARIANTS)}")
+    _reject_repeats("--variants", variants)
     rows = run_ablation(cfg, variants)
     path = _out_root(cfg) / args.out
     save_ablation(rows, path)
@@ -161,13 +166,14 @@ def _restore(path):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    fractions = ([float(f) for f in args.fractions.split(",")]
+                 if args.fractions else list(DEFAULT_SWEEP_FRACTIONS))
+    _reject_repeats("--fractions", fractions)
     val_model, val_cfg, val_dim = _restore(args.checkpoint_valence)
     aro_model, aro_cfg, aro_dim = _restore(args.checkpoint_arousal)
     if val_dim != "valence" or aro_dim != "arousal":
         raise ValueError("checkpoints must be a (valence, arousal) pair; got "
                          f"({val_dim}, {aro_dim})")
-    fractions = ([float(f) for f in args.fractions.split(",")]
-                 if args.fractions else list(DEFAULT_SWEEP_FRACTIONS))
     _, valence_val = prepare_splits(val_cfg, "valence")
     _, arousal_val = prepare_splits(aro_cfg, "arousal")
     rows = missing_modality_sweep(val_model, aro_model, valence_val, arousal_val,
@@ -246,7 +252,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CheckpointError) as exc:
+    except (ValueError, OSError, CheckpointError, TrainingDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

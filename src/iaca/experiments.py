@@ -34,10 +34,10 @@ _SWEEP_STREAM = 555
 
 
 def relative_improvement(base: float, new: float) -> float:
-    """(new - base) / base in percent, the ablation table's delta."""
+    """(new - base) / |base| in percent, the ablation table's delta."""
     if base == 0:
         raise ZeroDivisionError("relative improvement undefined for a zero base")
-    return (new - base) / base * 100.0
+    return (new - base) / abs(base) * 100.0
 
 
 @dataclass

@@ -40,7 +40,6 @@ from .autodiff import (
     concat_rows,
     gate_mix,
     matmul,
-    no_grad,
     relu,
     softmax,
     tanh,
@@ -243,8 +242,8 @@ class FusionModel:
     """Parameter bundle plus wiring for one output dimension.
 
     Parameters live as named float64 arrays; bind() wraps them in fresh
-    graph leaves, one set per forward/backward pass, so training never
-    reuses a spent graph.
+    graph leaves (or constants, for inference), one set per pass, so
+    training never reuses a spent graph.
     """
 
     d: int
@@ -264,11 +263,9 @@ class FusionModel:
                   for name, (rows, cols, std) in param_schema(d, variant, iaca, flags).items()}
         return cls(d=d, variant=variant, iaca=iaca, flags=flags, params=params)
 
-    def n_params(self) -> int:
-        return int(sum(v.size for v in self.params.values()))
-
-    def bind(self) -> dict:
-        return {name: Tensor(value) for name, value in self.params.items()}
+    def bind(self, requires_grad: bool = True) -> dict:
+        return {name: Tensor(value, requires_grad=requires_grad)
+                for name, value in self.params.items()}
 
     def _attend(self, xa: Tensor, xv: Tensor, leaves: dict) -> AttendedPair:
         if self.variant == "CA":
@@ -310,10 +307,9 @@ class FusionModel:
         return predict(fused, head), diag
 
     def forward(self, xa_value, xv_value) -> tuple[np.ndarray, Diagnostics]:
-        """Fresh-leaf forward on plain arrays, built under no_grad: the
-        values are those of forward_graph, with no graph kept behind them."""
-        with no_grad():
-            pred, diag = self.forward_graph(Tensor(xa_value), Tensor(xv_value), self.bind())
+        """forward_graph on plain arrays, all bound as constants: no graph kept."""
+        xa, xv = (Tensor(x, requires_grad=False) for x in (xa_value, xv_value))
+        pred, diag = self.forward_graph(xa, xv, self.bind(requires_grad=False))
         return pred.value.copy(), diag
 
     def predict_values(self, xa_value, xv_value) -> np.ndarray:

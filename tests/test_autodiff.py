@@ -192,32 +192,6 @@ def test_grads_own_c_contiguous_memory():
         assert g.flags.c_contiguous
 
 
-def test_no_grad_records_no_parents_or_vjps():
-    x = Tensor(np.ones((2, 2)))
-    with ad.no_grad():
-        out = ad.sum_all(ad.tanh(ad.matmul(x, x)))
-    assert out.parents == () and out._vjps == ()
-    np.testing.assert_allclose(out.value, [[4.0 * np.tanh(2.0)]], atol=1e-15)
-    out.backward()
-    assert x.grad is None
-    assert ad.add(x, x).parents == (x, x)
-
-
-def test_no_grad_restores_mode_after_exception_and_nesting():
-    def recording():
-        return bool(ad.tanh(np.ones((1, 1))).parents)
-
-    with ad.no_grad():
-        with ad.no_grad():
-            assert not recording()
-        assert not recording()
-    assert recording()
-    with pytest.raises(ShapeError):
-        with ad.no_grad():
-            ad.add(np.ones((1, 2)), np.ones((2, 1)))
-    assert recording()
-
-
 def _check_grads(build, values):
     leaves = [Tensor(v) for v in values]
     out = ad.sum_all(ad.tanh(build(*leaves)))
@@ -378,9 +352,6 @@ def test_constants_are_pruned_from_the_graph():
     ad.sum_all(mixed).backward()
     assert c1.grad is None and only_constants.grad is None
     np.testing.assert_array_equal(x.grad, only_constants.value)
-    with ad.no_grad():
-        inside = ad.add(x, x)
-    assert inside.parents == () and not inside.requires_grad
 
 
 # 0.5 divides exactly, 0.3 does not, so it also pins the order of operations

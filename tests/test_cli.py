@@ -1,5 +1,6 @@
 import csv
 import json
+import pkgutil
 import re
 import shlex
 from dataclasses import asdict
@@ -146,6 +147,32 @@ def test_repeated_dim_rejected_before_training(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_diverging_train_exits_with_error(tmp_path, capsys):
+    rc = main(["train", "--variant", "CA", "--iaca", "--temperature", "1e-320",
+               "--d", "4", "--clips", "8", "--n-train", "2", "--n-val", "2",
+               "--epochs", "2", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_repeated_variant_rejected_before_training(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("iaca.cli.run_ablation", lambda *a: pytest.fail("trained"))
+    rc = main(["ablation", *TINY, "--variants", "CA,CA", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --variants repeats 'CA'")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_repeated_fraction_rejected_before_loading(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("iaca.cli.load_checkpoint", lambda *a: pytest.fail("loaded"))
+    rc = main(["sweep", "--checkpoint-valence", "v.ckpt", "--checkpoint-arousal", "a.ckpt",
+               "--fractions", "0.2,0.2,0", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --fractions repeats 0.2")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_variant_list_rejected(tmp_path, capsys):
     rc = main(["ablation", *TINY, "--variants", "CA,NOPE",
                "--out-dir", str(tmp_path)])
@@ -216,10 +243,13 @@ def test_non_finite_config_exits_with_error(tmp_path, capsys, section, field, va
     assert not list(tmp_path.rglob("*.ckpt"))
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_commands_parse():
     # every `iaca ...` line of the README's code blocks, continuations joined,
     # must parse (not run) against the current CLI
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
     commands = [line for block in blocks
                 for line in block.replace("\\\n", " ").splitlines()
@@ -230,3 +260,18 @@ def test_readme_commands_parse():
             build_parser().parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_library_names_resolve():
+    # every `iaca.<name>` reference and every name a `from iaca import ...`
+    # line imports must exist in the package
+    readme = README.read_text()
+    names = re.findall(r"\biaca(?:\.[A-Za-z_]\w*)+", readme)
+    for line in re.findall(r"^from iaca import (.+)$", readme, flags=re.M):
+        names += [f"iaca.{name.strip()}" for name in line.split(",")]
+    assert names
+    for name in names:
+        try:
+            pkgutil.resolve_name(name)
+        except (ImportError, AttributeError):
+            pytest.fail(f"README names {name}, which does not resolve")

@@ -45,6 +45,11 @@ def test_relative_improvement_matches_published_arithmetic():
         relative_improvement(0.0, 0.5)
 
 
+def test_relative_improvement_sign_follows_the_change_for_a_negative_base():
+    assert relative_improvement(-0.2, 0.1) == pytest.approx(150.0)
+    assert relative_improvement(-0.2, -0.3) == pytest.approx(-50.0)
+
+
 # ------------------------------------------------------------------- config
 
 def test_config_json_round_trip():

@@ -242,7 +242,8 @@ def test_param_inventory_tracks_configuration():
     gated = FusionModel.create(4, "CA", iaca=True, seed=0)
     extra = {"gate_a.w", "gate_v.w", "gate_av.w"}
     assert set(gated.params) - set(base.params) == extra
-    assert gated.n_params() == base.n_params() + 4 * 2 + 4 * 2 + 12 * 3
+    sizes = [sum(v.size for v in m.params.values()) for m in (gated, base)]
+    assert sizes[0] == sizes[1] + 4 * 2 + 4 * 2 + 12 * 3
 
     sa = FusionModel.create(4, "CA", iaca=True,
                             flags=ModelFlags(stage1_input="self_attended"))
@@ -353,10 +354,28 @@ def test_predict_values_is_bitwise_the_graph_forward(variant, iaca):
     assert pred.parents
     values = model.predict_values(xa, xv)
     assert values.tobytes() == pred.value.tobytes()
-    _, no_grad_diag = model.forward(xa, xv)
+    _, value_diag = model.forward(xa, xv)
     for name in ("audio_weights", "visual_weights", "stage1_audio", "stage2"):
-        a, b = getattr(diag, name), getattr(no_grad_diag, name)
+        a, b = getattr(diag, name), getattr(value_diag, name)
         assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("iaca", [False, True])
+def test_forward_keeps_no_graph(monkeypatch, iaca):
+    built = []
+    forward_graph = FusionModel.forward_graph
+
+    def recording(model, xa, xv, leaves):
+        out = forward_graph(model, xa, xv, leaves)
+        built.append(out[0])
+        return out
+
+    monkeypatch.setattr(FusionModel, "forward_graph", recording)
+    rng = np.random.default_rng(43)
+    xa, xv = _features(rng, 4, 6)
+    FusionModel.create(4, "CA", iaca=iaca, seed=12).forward(xa, xv)
+    (pred,) = built
+    assert pred.parents == () and not pred.requires_grad
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
