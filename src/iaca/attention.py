@@ -7,7 +7,8 @@ joint feature, or itself) is normalized into a stochastic weight map that
 re-weights the modality's own clips, squashed through tanh around a
 residual. RJCA iterates one JCA block. TCA is a scaled query/key/value
 block. Every variant returns an AttendedPair, so the gating layer
-downstream treats them interchangeably.
+downstream treats them interchangeably. Both maps of a pair share one
+softmax axis: "columns" for CA, JCA and RJCA, "rows" for TCA.
 """
 
 from __future__ import annotations
@@ -33,15 +34,14 @@ VARIANTS = ("CA", "TCA", "JCA", "RJCA")
 @dataclass
 class AttendedPair:
     """Attended features for both modalities plus the weight maps that
-    produced them (kept for interpretability dumps), each with the softmax
-    axis it is normalized along ("columns" or "rows")."""
+    produced them (kept for interpretability dumps), with the softmax axis
+    both maps are normalized along ("columns" or "rows")."""
 
     audio: Tensor  # d x L
     visual: Tensor  # d x L
     audio_weights: Tensor  # L x L, applied to the audio features
     visual_weights: Tensor  # L x L, applied to the visual features
-    audio_axis: str = "columns"
-    visual_axis: str = "columns"
+    axis: str = "columns"
 
 
 @dataclass
@@ -89,18 +89,16 @@ def _attend(x, z, axis: str) -> tuple[Tensor, Tensor]:
     return tanh(x + matmul(x, weights)), weights
 
 
-def cross_attention(xa, xv, w, av_axis: str = "columns") -> AttendedPair:
+def cross_attention(xa, xv, w) -> AttendedPair:
     """Bidirectional cross-attention with residual tanh squashing.
 
     The audio weight map is the column-wise softmax of the correlation
-    matrix; the visual map normalizes its transpose along `av_axis`
-    (both normalization conventions are defensible, so the axis is a
-    switch rather than a constant).
+    matrix, the visual map the column-wise softmax of its transpose.
     """
     z = cross_correlation(xa, xv, w)
     att_a, audio_weights = _attend(xa, z, "columns")
-    att_v, visual_weights = _attend(xv, transpose(z), av_axis)
-    return AttendedPair(att_a, att_v, audio_weights, visual_weights, "columns", av_axis)
+    att_v, visual_weights = _attend(xv, transpose(z), "columns")
+    return AttendedPair(att_a, att_v, audio_weights, visual_weights)
 
 
 def self_attention(x, w) -> Tensor:
@@ -136,7 +134,7 @@ def tca_attention(xa, xv, p_audio: TcaBlockParams, p_visual: TcaBlockParams) -> 
     """Both transformer-style directions packaged like the other variants."""
     att_a, w_a = tca_block(xa, xv, p_audio)
     att_v, w_v = tca_block(xv, xa, p_visual)
-    return AttendedPair(att_a, att_v, w_a, w_v, "rows", "rows")
+    return AttendedPair(att_a, att_v, w_a, w_v, "rows")
 
 
 def joint_cross_attention(xa, xv, p: JcaParams) -> AttendedPair:

@@ -3,7 +3,7 @@
 Little-endian layout:
 
   bytes 0-3   magic b"IACA"
-  u32         format version (currently 2: version 1's layout, fewer flags)
+  u32         format version (currently 3: version 1's layout, fewer flags)
   u32         metadata length, then that many bytes of UTF-8 JSON
               (variant, iaca, d, flags, seed, optional extras)
   u32         parameter count
@@ -33,7 +33,7 @@ import numpy as np
 from .gating import FusionModel, from_json_object, param_schema
 
 MAGIC = b"IACA"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):

@@ -31,7 +31,7 @@ from .experiments import (
     save_sweep,
     train_one,
 )
-from .gating import AV_AXES, STAGE1_INPUTS
+from .gating import STAGE1_INPUTS
 from .synth import REGIME_KINDS
 from .training import OPTIMIZERS, TrainingDivergence, save_history
 
@@ -60,9 +60,7 @@ _CONFIG_FLAGS = (
     ("--optimizer", "train.optimizer", {"choices": OPTIMIZERS}),
     ("--patience", "train.patience", {"type": int}),
     ("--temperature", "flags.temperature", {"type": float}),
-    ("--av-axis", "flags.av_axis", {"choices": AV_AXES}),
     ("--stage1-input", "flags.stage1_input", {"choices": STAGE1_INPUTS}),
-    ("--rjca-iterations", "flags.rjca_iterations", {"type": int}),
 )
 
 
@@ -162,7 +160,9 @@ def _restore(path):
     exp = ckpt.meta.get("experiment")
     if exp is None:
         raise ValueError(f"{path} carries no experiment config; cannot rebuild data")
-    return ckpt.model, ExperimentConfig.from_dict(exp), ckpt.meta.get("output_dim")
+    cfg = ExperimentConfig.from_dict(exp)
+    cfg.validate()
+    return ckpt.model, cfg, ckpt.meta.get("output_dim")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -224,10 +224,8 @@ def dump_attention(model: FusionModel, seq: SyntheticSequence) -> dict:
         "variant": model.variant,
         "iaca": model.iaca,
         "n_clips": int(seq.xa.shape[1]),
-        "audio_attention": _minmax(_source_weight(diag.audio_weights,
-                                                  diag.audio_axis)).tolist(),
-        "visual_attention": _minmax(_source_weight(diag.visual_weights,
-                                                   diag.visual_axis)).tolist(),
+        "audio_attention": _minmax(_source_weight(diag.audio_weights, diag.axis)).tolist(),
+        "visual_attention": _minmax(_source_weight(diag.visual_weights, diag.axis)).tolist(),
         "prediction": pred.ravel().tolist(),
         "target": np.asarray(seq.target).ravel().tolist(),
     }

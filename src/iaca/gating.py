@@ -4,8 +4,8 @@ Stage 1 runs per modality: a gating layer scores each clip's attended
 feature against its unattended counterpart (raw by default, optionally a
 self-attention pass) and blends the two with softmax weights. The blended
 modalities are fused through a joint representation layer, and stage 2
-gates among the gated audio, gated visual, and joint candidates. A small
-MLP maps the fused d-vector per clip to a scalar in [-1, 1].
+gates among the gated audio, gated visual, and joint candidates. An MLP
+with a 16-wide hidden layer maps each clip's fused d-vector into [-1, 1].
 
 The gate scores (L x K, one row per clip on the simplex) are computed
 from the attended features alone and carry no bias term. A small
@@ -47,7 +47,7 @@ from .autodiff import (
 )
 
 STAGE1_INPUTS = ("raw", "self_attended")
-AV_AXES = ("columns", "rows")
+RJCA_ITERATIONS = 2
 
 
 @dataclass
@@ -149,38 +149,31 @@ def from_json_object(kind, data, where: str = ""):
 
 @dataclass
 class ModelFlags:
-    """Behavior switches that change wiring, not learned values."""
+    """The switches a config varies: stage 1's unattended input and the gate
+    temperature. RJCA depth and head width are constants, not flags."""
 
-    av_axis: str = "columns"
     stage1_input: str = "raw"
     temperature: float = 0.1
-    rjca_iterations: int = 2
-    head_hidden: int = 16
 
     def validate(self) -> None:
-        if self.av_axis not in AV_AXES:
-            raise ValueError(f"av_axis must be one of {AV_AXES}, got {self.av_axis!r}")
         if self.stage1_input not in STAGE1_INPUTS:
             raise ValueError(
                 f"stage1_input must be one of {STAGE1_INPUTS}, got {self.stage1_input!r}")
-        # written so that NaN fails every check
-        if not 0 < self.temperature < np.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
-        if not self.rjca_iterations >= 1:
-            raise ValueError(f"rjca_iterations must be >= 1, got {self.rjca_iterations}")
-        if not self.head_hidden >= 1:
-            raise ValueError(f"head_hidden must be >= 1, got {self.head_hidden}")
+        # written so that NaN and an int past the float range fail; the gates
+        # divide their logits by the temperature, and a subnormal one overflows
+        if not (0 < self.temperature <= sys.float_info.max and 1.0 / self.temperature < np.inf):
+            raise ValueError("temperature must be positive and finite, with a finite "
+                             f"reciprocal, got {self.temperature}")
 
 
 @dataclass
 class Diagnostics:
-    """Forward-pass internals captured as plain arrays for dumping; each
-    attention map comes with the softmax axis it is normalized along."""
+    """Forward-pass internals captured as plain arrays for dumping; the
+    attention maps come with the softmax axis both are normalized along."""
 
     audio_weights: np.ndarray  # L x L
     visual_weights: np.ndarray  # L x L
-    audio_axis: str
-    visual_axis: str
+    axis: str
     stage1_audio: Optional[np.ndarray] = None  # L x 2
     stage1_visual: Optional[np.ndarray] = None  # L x 2
     stage2: Optional[np.ndarray] = None  # L x 3
@@ -224,7 +217,7 @@ def param_schema(d: int, variant: str, iaca: bool,
 
     schema["joint.w"] = (d, 2 * d, 1.0 / np.sqrt(2 * d))
     schema["joint.b"] = (d, 1, 0.0)
-    hh = flags.head_hidden
+    hh = 16  # the head's hidden width
     schema["head.w1"] = (hh, d, 1.0 / np.sqrt(d))
     schema["head.b1"] = (hh, 1, 0.0)
     schema["head.w2"] = (1, hh, 1.0 / np.sqrt(hh))
@@ -269,14 +262,14 @@ class FusionModel:
 
     def _attend(self, xa: Tensor, xv: Tensor, leaves: dict) -> AttendedPair:
         if self.variant == "CA":
-            return cross_attention(xa, xv, leaves["cross.w"], self.flags.av_axis)
+            return cross_attention(xa, xv, leaves["cross.w"])
         if self.variant == "TCA":
             return tca_attention(xa, xv, _block(TcaBlockParams, leaves, "tca_a"),
                                  _block(TcaBlockParams, leaves, "tca_v"))
         jca = _block(JcaParams, leaves, "jca")
         if self.variant == "JCA":
             return joint_cross_attention(xa, xv, jca)
-        return recursive_jca(xa, xv, jca, self.flags.rjca_iterations)
+        return recursive_jca(xa, xv, jca, RJCA_ITERATIONS)
 
     def forward_graph(self, xa: Tensor, xv: Tensor,
                       leaves: dict) -> tuple[Tensor, Diagnostics]:
@@ -285,8 +278,7 @@ class FusionModel:
         joint = JointParams(leaves["joint.w"], leaves["joint.b"])
         head = HeadParams(leaves["head.w1"], leaves["head.b1"],
                           leaves["head.w2"], leaves["head.b2"])
-        diag = Diagnostics(pair.audio_weights.value, pair.visual_weights.value,
-                           pair.audio_axis, pair.visual_axis)
+        diag = Diagnostics(pair.audio_weights.value, pair.visual_weights.value, pair.axis)
         if not self.iaca:
             fused = joint_representation(pair.audio, pair.visual, joint)
             return predict(fused, head), diag

@@ -62,12 +62,10 @@ class Sgd:
 class Adam:
     """Adaptive moment estimation with bias correction."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict = {}
         self.v: dict = {}

@@ -17,10 +17,10 @@ def ref_softmax(z, axis, temperature=1.0):
     return e / e.sum(axis=ax, keepdims=True)
 
 
-def ref_cross_attention(xa, xv, w, av_axis="columns"):
+def ref_cross_attention(xa, xv, w):
     z = xa.T @ w @ xv
     a_a = ref_softmax(z, "columns")
-    a_v = ref_softmax(z.T, av_axis)
+    a_v = ref_softmax(z.T, "columns")
     att_a = np.tanh(xa + xa @ a_a)
     att_v = np.tanh(xv + xv @ a_v)
     return att_a, att_v, a_a, a_v
@@ -87,9 +87,9 @@ def ref_predict(x, w1, b1, w2, b2):
     return np.tanh(w2 @ hidden + b2)
 
 
-def ref_variant_attention(xa, xv, p, variant, av_axis="columns", rjca_iterations=2):
+def ref_variant_attention(xa, xv, p, variant):
     if variant == "CA":
-        att_a, att_v, _, _ = ref_cross_attention(xa, xv, p["cross.w"], av_axis)
+        att_a, att_v, _, _ = ref_cross_attention(xa, xv, p["cross.w"])
         return att_a, att_v
     if variant == "TCA":
         att_a, _ = ref_tca_block(xa, xv, p["tca_a.wq"], p["tca_a.wk"], p["tca_a.wv"],
@@ -104,16 +104,14 @@ def ref_variant_attention(xa, xv, p, variant, av_axis="columns", rjca_iterations
                                      p["jca.cross_a"], p["jca.cross_v"])
         return att_a, att_v
     cur_a, cur_v = xa, xv
-    for _ in range(rjca_iterations):
+    for _ in range(2):
         cur_a, cur_v, _, _ = ref_jca(cur_a, cur_v, p["jca.joint_w"], p["jca.joint_b"],
                                      p["jca.cross_a"], p["jca.cross_v"])
     return cur_a, cur_v
 
 
-def ref_full_forward(xa, xv, p, variant, iaca, av_axis="columns",
-                     stage1_input="raw", temperature=0.1,
-                     rjca_iterations=2):
-    att_a, att_v = ref_variant_attention(xa, xv, p, variant, av_axis, rjca_iterations)
+def ref_full_forward(xa, xv, p, variant, iaca, stage1_input="raw", temperature=0.1):
+    att_a, att_v = ref_variant_attention(xa, xv, p, variant)
     if not iaca:
         fused = ref_joint(att_a, att_v, p["joint.w"], p["joint.b"])
         return ref_predict(fused, p["head.w1"], p["head.b1"],

@@ -49,8 +49,7 @@ def test_criterion_1_gradient_oracle():
             xa = rng.normal(size=(d, n_clips))
             xv = rng.normal(size=(d, n_clips))
             gold = rng.uniform(-0.8, 0.8, size=(1, n_clips))
-            model = FusionModel.create(d, variant, iaca, seed=seed,
-                                       flags=ModelFlags(head_hidden=4))
+            model = FusionModel.create(d, variant, iaca, seed=seed)
             for v in model.params.values():
                 # zero-initialized biases park ReLU pre-activations exactly
                 # on the kink, where the subgradient and central differences
@@ -130,10 +129,8 @@ def test_criterion_3_straight_line_equivalence():
         variant = VARIANTS[seed % 4]
         iaca = bool((seed // 4) % 2)
         flags = ModelFlags(
-            av_axis="rows" if seed % 3 == 0 else "columns",
             stage1_input="self_attended" if seed % 5 == 0 else "raw",
             temperature=0.5 if seed % 2 else 0.1,
-            head_hidden=4,
         )
         rng = np.random.default_rng(3000 + seed)
         xa = rng.normal(size=(d, n_clips))
@@ -142,9 +139,7 @@ def test_criterion_3_straight_line_equivalence():
         pred, _ = model.forward(xa, xv)
         expected = ref.ref_full_forward(
             xa, xv, model.params, variant, iaca,
-            av_axis=flags.av_axis, stage1_input=flags.stage1_input,
-            temperature=flags.temperature,
-            rjca_iterations=flags.rjca_iterations)
+            stage1_input=flags.stage1_input, temperature=flags.temperature)
         assert np.max(np.abs(pred - expected)) < 1e-12, (variant, iaca, seed)
 
 
@@ -271,8 +266,6 @@ def test_criterion_8_checkpoint_persistence(tmp_path):
         flags = ModelFlags(
             temperature=float(rng.uniform(0.05, 1.0)),
             stage1_input="self_attended" if case % 7 == 0 else "raw",
-            rjca_iterations=int(rng.integers(1, 4)),
-            head_hidden=int(rng.integers(2, 12)),
         )
         model = FusionModel.create(int(rng.integers(2, 8)), variant, iaca,
                                    flags=flags, seed=case)

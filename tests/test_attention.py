@@ -105,13 +105,12 @@ def test_cross_attention_outputs_bounded():
         assert np.all(t.value > -1.0) and np.all(t.value < 1.0)
 
 
-@pytest.mark.parametrize("av_axis", ["columns", "rows"])
-def test_cross_attention_matches_oracle(av_axis):
+def test_cross_attention_matches_oracle():
     rng = np.random.default_rng(3)
     xa, xv = _pair(rng, 4, 6)
     w = rng.normal(size=(4, 4))
-    pair = cross_attention(Tensor(xa), Tensor(xv), Tensor(w), av_axis)
-    att_a, att_v, a_a, a_v = ref.ref_cross_attention(xa, xv, w, av_axis)
+    pair = cross_attention(Tensor(xa), Tensor(xv), Tensor(w))
+    att_a, att_v, a_a, a_v = ref.ref_cross_attention(xa, xv, w)
     assert relative_error(pair.audio.value, att_a) < 1e-12
     assert relative_error(pair.visual.value, att_v) < 1e-12
     assert relative_error(pair.audio_weights.value, a_a) < 1e-12
@@ -122,12 +121,9 @@ def test_cross_attention_weight_normalization():
     rng = np.random.default_rng(4)
     xa, xv = _pair(rng, 5, 7)
     w = rng.normal(size=(5, 5))
-    cols = cross_attention(Tensor(xa), Tensor(xv), Tensor(w), "columns")
+    cols = cross_attention(Tensor(xa), Tensor(xv), Tensor(w))
     assert np.allclose(cols.audio_weights.value.sum(axis=0), 1.0, atol=1e-9)
     assert np.allclose(cols.visual_weights.value.sum(axis=0), 1.0, atol=1e-9)
-    rows = cross_attention(Tensor(xa), Tensor(xv), Tensor(w), "rows")
-    assert np.allclose(rows.visual_weights.value.sum(axis=1), 1.0, atol=1e-9)
-    assert not np.allclose(rows.visual_weights.value, cols.visual_weights.value)
 
 
 # ------------------------------------------------------------- self-attention
@@ -235,9 +231,9 @@ def test_rjca_rejects_bad_depth():
 
 # ------------------------------------------------------- shared invariants
 
-def _variant_forward(name, xa, xv, arrs, av_axis="columns"):
+def _variant_forward(name, xa, xv, arrs):
     if name == "CA":
-        return cross_attention(xa, xv, Tensor(arrs["w"]), av_axis)
+        return cross_attention(xa, xv, Tensor(arrs["w"]))
     if name == "TCA":
         return tca_attention(xa, xv, _as_tca(arrs["a"]), _as_tca(arrs["v"]))
     if name == "JCA":

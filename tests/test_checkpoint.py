@@ -20,11 +20,8 @@ from iaca.gating import FusionModel, ModelFlags
 def _random_model(rng):
     variant = ("CA", "TCA", "JCA", "RJCA")[int(rng.integers(4))]
     flags = ModelFlags(
-        av_axis=("columns", "rows")[int(rng.integers(2))],
         stage1_input=("raw", "self_attended")[int(rng.integers(2))],
         temperature=float(rng.uniform(0.05, 1.0)),
-        rjca_iterations=int(rng.integers(1, 4)),
-        head_hidden=int(rng.integers(2, 12)),
     )
     return FusionModel.create(int(rng.integers(2, 9)), variant,
                               iaca=bool(rng.integers(2)), flags=flags,
@@ -99,8 +96,8 @@ def test_foreign_version_raises_version_error(tmp_path):
     model = FusionModel.create(3, "CA", iaca=False, seed=4)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
-    # 1 is what files written before the RJCA flag was dropped carry
-    for version in (1, 99):
+    # 1 and 2 are what files written before model flags were dropped carry
+    for version in (1, 2, 99):
         blob = bytearray(path.read_bytes())
         blob[4:8] = struct.pack("<I", version)
         bad = tmp_path / f"v{version}.ckpt"
@@ -147,7 +144,7 @@ def test_missing_meta_fields_rejected(tmp_path):
 
 def test_corrupt_flags_rejected(tmp_path):
     meta = {"variant": "CA", "iaca": True, "d": 2,
-            "flags": {"av_axis": "diagonal"}}
+            "flags": {"stage1_input": "diagonal"}}
     path = tmp_path / "badflags.ckpt"
     path.write_bytes(_handmade(meta, {"w": np.zeros((2, 2))}))
     with pytest.raises(CheckpointError):
@@ -229,7 +226,7 @@ def test_undecodable_parameter_name_rejected(tmp_path):
 
 @pytest.mark.parametrize("edit", ["missing", "mis-shaped", "unexpected"])
 def test_parameters_checked_against_model_schema(tmp_path, edit):
-    meta, params = _schema_params("RJCA", True, 3, ModelFlags(rjca_iterations=2))
+    meta, params = _schema_params("RJCA", True, 3)
     if edit == "missing":
         del params["head.w1"]
     elif edit == "mis-shaped":
@@ -244,13 +241,13 @@ def test_parameters_checked_against_model_schema(tmp_path, edit):
 
 
 def test_flag_types_checked_at_load(tmp_path):
-    # shared weights: the parameters match the schema whatever the count is,
-    # so only the flag's type can reject this file
+    # the parameters match the schema whatever the temperature is, so only
+    # the flag's type can reject this file
     meta, params = _schema_params("RJCA", True, 3)
-    meta["flags"]["rjca_iterations"] = 2.0
-    path = tmp_path / "float_iterations.ckpt"
+    meta["flags"]["temperature"] = "0.1"
+    path = tmp_path / "str_temperature.ckpt"
     path.write_bytes(_handmade(meta, params))
-    with pytest.raises(CheckpointError, match="rjca_iterations"):
+    with pytest.raises(CheckpointError, match="temperature"):
         load_checkpoint(path)
 
 
@@ -267,7 +264,7 @@ def test_model_metadata_types_checked_at_load(tmp_path, field, value):
 
 
 def test_seeded_byte_mutations_raise_only_checkpoint_errors(tmp_path):
-    model = FusionModel.create(2, "CA", iaca=True, flags=ModelFlags(head_hidden=2), seed=6)
+    model = FusionModel.create(2, "CA", iaca=True, seed=6)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     blob = path.read_bytes()

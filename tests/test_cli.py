@@ -112,6 +112,26 @@ def test_dump_attn_on_incomplete_checkpoint(tmp_path, capsys, missing):
     assert err.startswith("error:") and missing in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "dump-attn"])
+def test_invalid_stored_experiment_exits_with_error(tmp_path, capsys, command):
+    # unvalidated, n_train=-3 would carve the validation split as seqs[-3:]
+    model = FusionModel.create(6, "CA", iaca=True, seed=1)
+    experiment = asdict(ExperimentConfig(d=6, n_clips=8, n_train=-3, n_val=5))
+    paths = {}
+    for dim in ("valence", "arousal"):
+        paths[dim] = tmp_path / f"{dim}.ckpt"
+        save_checkpoint(model, paths[dim],
+                        extra_meta={"experiment": experiment, "output_dim": dim})
+    if command == "sweep":
+        argv = ["sweep", "--checkpoint-valence", str(paths["valence"]),
+                "--checkpoint-arousal", str(paths["arousal"])]
+    else:
+        argv = ["dump-attn", "--checkpoint", str(paths["valence"])]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: both splits")
+    assert not (tmp_path / "out").exists()
+
+
 def test_env_var_sets_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("IACA_RESULTS_DIR", str(tmp_path / "envroot"))
     rc = main(["train", *TINY, "--dims", "valence", "--name", "env"])
@@ -148,12 +168,22 @@ def test_repeated_dim_rejected_before_training(tmp_path, capsys):
 
 
 def test_diverging_train_exits_with_error(tmp_path, capsys):
-    rc = main(["train", "--variant", "CA", "--iaca", "--temperature", "1e-320",
+    rc = main(["train", "--variant", "CA", "--iaca", "--lr", "1e300", "--optimizer", "sgd",
                "--d", "4", "--clips", "8", "--n-train", "2", "--n-val", "2",
                "--epochs", "2", "--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err
+
+
+def test_subnormal_temperature_rejected_before_data(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("iaca.experiments.generate", lambda *a: pytest.fail("generated"))
+    rc = main(["train", *TINY, "--variant", "CA", "--iaca", "--temperature", "1e-320",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: temperature")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_repeated_variant_rejected_before_training(tmp_path, capsys, monkeypatch):
@@ -207,9 +237,9 @@ def test_unknown_nested_config_key_exits_with_error(tmp_path, capsys):
     {"d": "32"},
     {"regime": {"noise_sigma": "x"}},
     [1],
-    {"variant": "RJCA", "flags": {"rjca_iterations": 2.0}},
+    {"n_clips": 64.0},
     {"iaca": "no"},
-], ids=["float-epochs", "str-d", "str-noise", "list", "float-iterations", "str-iaca"])
+], ids=["float-epochs", "str-d", "str-noise", "list", "float-clips", "str-iaca"])
 def test_wrongly_typed_config_exits_with_error(tmp_path, capsys, config):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(config))

@@ -29,7 +29,6 @@ def _tiny_cfg(**overrides):
         variant="CA", iaca=True, regime=Regime("strong_complementary"),
         d=6, n_clips=10, n_train=6, n_val=3, seed=13,
         train=TrainConfig(epochs=2, batch_size=4, patience=0),
-        flags=ModelFlags(head_hidden=6),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -212,15 +211,14 @@ def test_dump_scores_normalized_and_simplex(tmp_path):
         assert json.load(fh) == dump
 
 
-@pytest.mark.parametrize("variant, sum_axes", [("TCA", (0, 0)), ("CA", (1, 0))],
-                         ids=["TCA", "CA-av_axis-rows"])
+@pytest.mark.parametrize("variant, sum_axes", [("TCA", (0, 0)), ("CA", (1, 1))],
+                         ids=["TCA", "CA"])
 def test_dump_uses_each_maps_normalization_axis(variant, sum_axes):
-    # Near-uniform maps: the column sums of a row-stochastic map (TCA's, and
-    # CA's visual map with av_axis="rows") lie within 1e-8 of one, so the
+    # Near-uniform maps: the column sums of TCA's row-stochastic maps and the
+    # row sums of CA's column-stochastic ones lie within 1e-8 of one, so the
     # axis cannot be told from the sums. The pull of each source clip is the
     # sum across the normalized axis, never the sum that is one by design.
-    model = FusionModel.create(4, variant, iaca=False,
-                               flags=ModelFlags(av_axis="rows"), seed=3)
+    model = FusionModel.create(4, variant, iaca=False, seed=3)
     for name in model.params:
         if name.endswith((".wq", "cross.w")):
             model.params[name] *= 1e-7

@@ -230,11 +230,14 @@ def test_create_validates_arguments():
     with pytest.raises(ValueError):
         FusionModel.create(4, "CA", True, ModelFlags(temperature=-1.0))
     with pytest.raises(ValueError):
-        FusionModel.create(4, "CA", True, ModelFlags(av_axis="diagonal"))
-    with pytest.raises(ValueError):
         FusionModel.create(4, "CA", True, ModelFlags(stage1_input="attended"))
-    with pytest.raises(ValueError):
-        FusionModel.create(4, "RJCA", True, ModelFlags(rjca_iterations=0))
+    # the gates divide their logits by the temperature: at 1e-320 they
+    # overflow to inf and every prediction is NaN; 1e-300 still predicts
+    with pytest.raises(ValueError, match="temperature"):
+        FusionModel.create(4, "CA", True, ModelFlags(temperature=1e-320))
+    FusionModel.create(4, "CA", True, ModelFlags(temperature=1e-300))
+    with pytest.raises(ValueError, match="temperature"):
+        FusionModel.create(4, "CA", True, ModelFlags(temperature=10**400))
 
 
 def test_param_inventory_tracks_configuration():
@@ -251,10 +254,7 @@ def test_param_inventory_tracks_configuration():
     assert "self_a.w" not in gated.params
 
     shared = FusionModel.create(4, "RJCA", iaca=True)
-    deeper = FusionModel.create(4, "RJCA", iaca=True,
-                                flags=ModelFlags(rjca_iterations=3))
     assert any(k.startswith("jca.") for k in shared.params)
-    assert set(deeper.params) == set(shared.params)
     assert not any(k.startswith("rjca") for k in shared.params)
 
 
@@ -300,15 +300,13 @@ def test_forward_matches_straight_line_oracle(variant, iaca):
 
 
 @pytest.mark.parametrize("stage1_input", ["raw", "self_attended"])
-@pytest.mark.parametrize("av_axis", ["columns", "rows"])
-def test_forward_flag_combinations_match_oracle(stage1_input, av_axis):
+def test_forward_flag_combinations_match_oracle(stage1_input):
     rng = np.random.default_rng(36)
     xa, xv = _features(rng, 4, 5)
-    flags = ModelFlags(av_axis=av_axis, stage1_input=stage1_input)
+    flags = ModelFlags(stage1_input=stage1_input)
     model = FusionModel.create(4, "CA", iaca=True, flags=flags, seed=4)
     pred, _ = model.forward(xa, xv)
-    r = ref.ref_full_forward(xa, xv, model.params, "CA", True,
-                             av_axis=av_axis, stage1_input=stage1_input)
+    r = ref.ref_full_forward(xa, xv, model.params, "CA", True, stage1_input=stage1_input)
     assert relative_error(pred, r) < 1e-12
 
 
@@ -383,8 +381,7 @@ def test_every_parameter_group_gets_finite_difference_checked(variant):
     rng = np.random.default_rng(41)
     d, n_clips = 3, 4
     xa, xv = _features(rng, d, n_clips)
-    model = FusionModel.create(d, variant, iaca=True, seed=9,
-                               flags=ModelFlags(head_hidden=4))
+    model = FusionModel.create(d, variant, iaca=True, seed=9)
     for v in model.params.values():
         # zero-initialized biases park ReLU pre-activations exactly on the
         # kink, where central differences and the subgradient disagree;

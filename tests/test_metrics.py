@@ -115,15 +115,14 @@ def test_loss_gradient_matches_finite_differences():
 def test_loss_gradient_through_model_matches_finite_differences():
     # end-to-end: data -> fusion model -> ccc loss, differentiated by a
     # single parameter matrix and checked against central differences
-    from iaca.gating import FusionModel, ModelFlags
+    from iaca.gating import FusionModel
 
     rng = np.random.default_rng(55)
     d, n_clips = 4, 5
     xa = rng.normal(size=(d, n_clips))
     xv = rng.normal(size=(d, n_clips))
     gold = rng.uniform(-1, 1, size=(1, n_clips))
-    model = FusionModel.create(d, "CA", iaca=True, seed=10,
-                               flags=ModelFlags(head_hidden=4))
+    model = FusionModel.create(d, "CA", iaca=True, seed=10)
     for v in model.params.values():
         v += rng.normal(0.0, 0.05, size=v.shape)
 

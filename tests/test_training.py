@@ -30,8 +30,7 @@ def _small_data(seed=0, n=8, d=6, n_clips=10):
 
 
 def _small_model(seed=0, d=6):
-    return FusionModel.create(d, "CA", iaca=True, seed=seed,
-                              flags=ModelFlags(head_hidden=8))
+    return FusionModel.create(d, "CA", iaca=True, seed=seed)
 
 
 def test_config_validation():
@@ -252,7 +251,7 @@ def test_constant_data_leaves_parameter_grads_bitwise_unchanged(monkeypatch, var
     seqs = generate(Regime("weak_conflicting", noise_sigma=2.0), d=8, n_clips=12,
                     n_sequences=3, seed=5)
     model = FusionModel.create(8, variant, iaca=gated, seed=1,
-                               flags=ModelFlags(temperature=0.5, head_hidden=4))
+                               flags=ModelFlags(temperature=0.5))
 
     def parameter_grads():
         loss, leaves, *_ = training._batch_loss(model, seqs)
