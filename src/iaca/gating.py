@@ -10,8 +10,9 @@ with a 16-wide hidden layer maps each clip's fused d-vector into [-1, 1].
 The gate scores (L x K, one row per clip on the simplex) are computed
 from the attended features alone and carry no bias term. A small
 temperature sharpens the softmax so the gates act nearly as selectors
-while staying differentiable. param_schema lists a model's parameters:
-creation draws from it and checkpoint loading checks against it.
+while staying differentiable. Everything after attention acts clip by
+clip, so FusionModel.batch_graph runs it once over a batch's clips.
+param_schema lists a model's parameters for creation and checkpoint loads.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add_col,
+    concat_cols,
     concat_rows,
     gate_mix,
     matmul,
@@ -271,32 +273,39 @@ class FusionModel:
             return joint_cross_attention(xa, xv, jca)
         return recursive_jca(xa, xv, jca, RJCA_ITERATIONS)
 
-    def forward_graph(self, xa: Tensor, xv: Tensor,
-                      leaves: dict) -> tuple[Tensor, Diagnostics]:
-        """Build the prediction graph on already-bound parameter leaves."""
-        pair = self._attend(xa, xv, leaves)
+    def _graph(self, inputs, leaves: dict) -> tuple[Tensor, list, tuple]:
+        """Attention per (xa, xv) sequence, then the per-clip tail once over all
+        clips joined; returns the prediction, the pairs and any gate scores."""
+        pairs, columns = [], []
+        for xa, xv in inputs:
+            pairs.append(self._attend(xa, xv, leaves))
+            if self.iaca and self.flags.stage1_input == "self_attended":
+                xa, xv = (self_attention(xa, leaves["self_a.w"]),
+                          self_attention(xv, leaves["self_v.w"]))
+            columns.append((pairs[-1].audio, pairs[-1].visual) + ((xa, xv) if self.iaca else ()))
+        att_a, att_v, *bases = (columns[0] if len(columns) == 1
+                                else [concat_cols(*parts) for parts in zip(*columns)])
         joint = JointParams(leaves["joint.w"], leaves["joint.b"])
         head = HeadParams(leaves["head.w1"], leaves["head.b1"],
                           leaves["head.w2"], leaves["head.b2"])
-        diag = Diagnostics(pair.audio_weights.value, pair.visual_weights.value, pair.axis)
         if not self.iaca:
-            fused = joint_representation(pair.audio, pair.visual, joint)
-            return predict(fused, head), diag
-
+            return predict(joint_representation(att_a, att_v, joint), head), pairs, ()
         temperature = self.flags.temperature
-        if self.flags.stage1_input == "self_attended":
-            base_a = self_attention(xa, leaves["self_a.w"])
-            base_v = self_attention(xv, leaves["self_v.w"])
-        else:
-            base_a, base_v = xa, xv
-        x_ga, g_a = stage1_gate(base_a, pair.audio, leaves["gate_a.w"], temperature)
-        x_gv, g_v = stage1_gate(base_v, pair.visual, leaves["gate_v.w"], temperature)
+        x_ga, g_a = stage1_gate(bases[0], att_a, leaves["gate_a.w"], temperature)
+        x_gv, g_v = stage1_gate(bases[1], att_v, leaves["gate_v.w"], temperature)
         x_gav = joint_representation(x_ga, x_gv, joint)
         fused, g_av = stage2_gate(x_ga, x_gv, x_gav, leaves["gate_av.w"], temperature)
-        diag.stage1_audio = g_a.value
-        diag.stage1_visual = g_v.value
-        diag.stage2 = g_av.value
-        return predict(fused, head), diag
+        return predict(fused, head), pairs, (g_a, g_v, g_av)
+
+    def batch_graph(self, inputs, leaves: dict) -> Tensor:
+        """The 1 x sum(L) prediction graph of a batch of (xa, xv) sequences."""
+        return self._graph(inputs, leaves)[0]
+
+    def forward_graph(self, xa: Tensor, xv: Tensor, leaves: dict) -> tuple[Tensor, Diagnostics]:
+        """The prediction graph of one sequence, with its diagnostics."""
+        pred, (pair,), gates = self._graph([(xa, xv)], leaves)
+        return pred, Diagnostics(pair.audio_weights.value, pair.visual_weights.value,
+                                 pair.axis, *[g.value for g in gates])
 
     def forward(self, xa_value, xv_value) -> tuple[np.ndarray, Diagnostics]:
         """forward_graph on plain arrays, all bound as constants: no graph kept."""

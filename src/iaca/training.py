@@ -1,8 +1,8 @@
 """Mini-batch training of fusion models on the concordance loss.
 
-Each step binds fresh parameter leaves, runs every sequence of the batch
-through one shared graph, and scores the concatenated clip predictions
-with a single batch-level CCC. Validation CCC is tracked per epoch and
+Each step binds fresh parameter leaves, builds one graph for the batch
+(attention per sequence, the per-clip tail once over all its clips) and
+scores it with one batch-level CCC. Validation CCC is tracked per epoch and
 the best-scoring parameters are restored when fitting ends. An epoch's
 train CCC is scored over the predictions each batch made before its
 optimizer step, not by a second pass of the end-of-epoch model.
@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat_cols
+from .autodiff import Tensor
 from .gating import FusionModel
 from .metrics import ccc, ccc_loss
 
@@ -73,8 +73,9 @@ class Adam:
     def step(self, params: dict, grads: dict) -> None:
         self.t += 1
         for name, g in grads.items():
-            m = self.m.setdefault(name, np.zeros_like(g))
-            v = self.v.setdefault(name, np.zeros_like(g))
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(g), np.zeros_like(g)
+            m, v = self.m[name], self.v[name]
             m += (1.0 - self.beta1) * (g - m)
             v += (1.0 - self.beta2) * (g * g - v)
             m_hat = m / (1.0 - self.beta1 ** self.t)
@@ -114,12 +115,10 @@ def _batch_loss(model: FusionModel, batch: Sequence
     """Loss graph of one batch, its parameter leaves, and the batch's
     concatenated prediction values and gold track."""
     leaves = model.bind()
-    preds = [model.forward_graph(Tensor(s.xa, requires_grad=False),
-                                 Tensor(s.xv, requires_grad=False), leaves)[0]
-             for s in batch]
-    pred_cat = preds[0] if len(preds) == 1 else concat_cols(*preds)
-    gold_cat = np.hstack([np.asarray(s.target).reshape(1, -1) for s in batch])
-    return ccc_loss(pred_cat, gold_cat), leaves, pred_cat.value, gold_cat
+    pred = model.batch_graph([(Tensor(s.xa, requires_grad=False),
+                               Tensor(s.xv, requires_grad=False)) for s in batch], leaves)
+    gold = np.hstack([np.asarray(s.target).reshape(1, -1) for s in batch])
+    return ccc_loss(pred, gold), leaves, pred.value, gold
 
 
 def fit(model: FusionModel, train: Sequence, val: Sequence,
@@ -131,6 +130,13 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
         raise ValueError("empty training set")
     if not val:
         raise ValueError("empty validation set")
+    for split, seqs in (("training", train), ("validation", val)):
+        for i, s in enumerate(seqs):  # one NaN would turn every val_ccc NaN
+            if not all(np.isfinite(x).all() for x in (s.xa, s.xv, s.target)):
+                raise ValueError(f"{split} sequence {i} holds a non-finite feature or target")
+            if np.shape(s.xa)[-1:] != (np.size(s.target),):
+                raise ValueError(f"{split} sequence {i} has {np.size(s.target)} target entries "
+                                 f"for features of shape {np.shape(s.xa)}")
     optimizer = OPTIMIZERS[cfg.optimizer](cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     result = FitResult()

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from iaca.autodiff import ShapeError, Tensor, finite_diff, hadamard, mean_all
+from iaca.autodiff import (
+    ShapeError,
+    Tensor,
+    concat_cols,
+    finite_diff,
+    hadamard,
+    mean_all,
+)
 from iaca.gating import (
     Diagnostics,
     FusionModel,
@@ -13,6 +20,7 @@ from iaca.gating import (
     stage1_gate,
     stage2_gate,
 )
+from iaca.metrics import ccc_loss
 
 import reference as ref
 from helpers import relative_error
@@ -378,6 +386,8 @@ def test_forward_keeps_no_graph(monkeypatch, iaca):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_every_parameter_group_gets_finite_difference_checked(variant):
+    # one sequence through forward_graph, then a batch of two sequences of
+    # different lengths through batch_graph
     rng = np.random.default_rng(41)
     d, n_clips = 3, 4
     xa, xv = _features(rng, d, n_clips)
@@ -388,21 +398,58 @@ def test_every_parameter_group_gets_finite_difference_checked(variant):
         # a small shake moves every unit cleanly on or off
         v += rng.normal(0.0, 0.05, size=v.shape)
     target = rng.uniform(-0.5, 0.5, size=(1, n_clips))
+    batch = [_features(rng, d, 4), _features(rng, d, 5)]
+    batch_target = rng.uniform(-0.5, 0.5, size=(1, 9))
 
-    def loss_graph(leaves):
-        pred, _ = model.forward_graph(Tensor(xa), Tensor(xv), leaves)
-        err = pred - Tensor(target)
+    def single(leaves):
+        return model.forward_graph(Tensor(xa), Tensor(xv), leaves)[0], target
+
+    def batched(leaves):
+        inputs = [(Tensor(a), Tensor(v)) for a, v in batch]
+        return model.batch_graph(inputs, leaves), batch_target
+
+    def loss_graph(graph, leaves):
+        pred, gold = graph(leaves)
+        err = pred - Tensor(gold)
         return mean_all(hadamard(err, err))
 
-    leaves = model.bind()
-    loss = loss_graph(leaves)
-    loss.backward()
-    for name in model.params:
-        def f(v, name=name):
-            trial = model.bind()
-            trial[name] = Tensor(v)
-            return loss_graph(trial).item()
-        numeric = finite_diff(f, model.params[name])
-        if np.linalg.norm(numeric) == 0.0 and np.linalg.norm(leaves[name].grad) == 0.0:
-            continue
-        assert relative_error(leaves[name].grad, numeric) < 1e-4, name
+    for graph in (single, batched):
+        leaves = model.bind()
+        loss = loss_graph(graph, leaves)
+        loss.backward()
+        for name in model.params:
+            def f(v, name=name, graph=graph):
+                trial = model.bind()
+                trial[name] = Tensor(v)
+                return loss_graph(graph, trial).item()
+            numeric = finite_diff(f, model.params[name])
+            if np.linalg.norm(numeric) == 0.0 and np.linalg.norm(leaves[name].grad) == 0.0:
+                continue
+            assert relative_error(leaves[name].grad, numeric) < 1e-4, (graph.__name__, name)
+
+
+@pytest.mark.parametrize("iaca", [False, True])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_batch_graph_matches_per_sequence_graphs(variant, iaca):
+    # the batch graph runs the per-clip tail once over the joined clips;
+    # its prediction must be the per-sequence inference forwards side by
+    # side, and its grads those of per-sequence graphs joined before the loss
+    rng = np.random.default_rng(44)
+    seqs = [_features(rng, 4, n) for n in (3, 6, 5)]
+    gold = rng.uniform(-0.5, 0.5, size=(1, 14))
+    # a gated model also joins the self-attended stage-1 bases
+    for stage1_input in ("raw", "self_attended") if iaca else ("raw",):
+        model = FusionModel.create(4, variant, iaca=iaca, seed=13,
+                                   flags=ModelFlags(stage1_input, temperature=0.5))
+        leaves = model.bind()
+        pred = model.batch_graph([(Tensor(a), Tensor(v)) for a, v in seqs], leaves)
+        expected = np.hstack([model.predict_values(a, v) for a, v in seqs])
+        np.testing.assert_allclose(pred.value, expected, rtol=0.0, atol=1e-12)
+        ccc_loss(pred, gold).backward()
+
+        per_sequence = model.bind()
+        parts = [model.forward_graph(Tensor(a), Tensor(v), per_sequence)[0] for a, v in seqs]
+        ccc_loss(concat_cols(*parts), gold).backward()
+        for name in model.params:
+            assert relative_error(leaves[name].grad, per_sequence[name].grad) < 1e-12, \
+                (stage1_input, name)

@@ -95,8 +95,8 @@ def test_history_covers_every_epoch_without_early_stop():
 
 
 def test_fit_runs_no_forward_over_the_training_split(monkeypatch):
-    # training forwards go through forward_graph; predict_values is only
-    # the per-epoch validation score
+    # training forwards go through batch_graph, one per batch;
+    # predict_values is only the per-epoch validation score
     train, val = _small_data(n=6)
     val = val[:3]
     model = _small_model()
@@ -201,6 +201,27 @@ def test_fit_rejects_empty_splits():
         fit(_small_model(), [], val, TrainConfig(epochs=1))
     with pytest.raises(ValueError):
         fit(_small_model(), train, [], TrainConfig(epochs=1))
+
+
+def test_fit_rejects_a_non_finite_validation_sequence():
+    # one NaN would make every val_ccc NaN, so no epoch could beat -inf and
+    # fit would return the initial parameters with best_epoch -1
+    train, val = _small_data()
+    val[1].xv[2, 3] = np.nan
+    model = _small_model()
+    before = {k: v.copy() for k, v in model.params.items()}
+    with pytest.raises(ValueError, match="validation sequence 1 holds a non-finite"):
+        fit(model, train, val, TrainConfig(epochs=2))
+    for name, value in before.items():
+        assert np.array_equal(model.params[name], value)
+
+
+def test_fit_rejects_a_target_shorter_than_its_sequence():
+    train, val = _small_data()
+    train[2].target = train[2].target[:, :-1]
+    with pytest.raises(ValueError, match=r"training sequence 2 has 9 target entries "
+                                         r"for features of shape \(6, 10\)"):
+        fit(_small_model(), train, val, TrainConfig(epochs=1))
 
 
 def test_history_round_trips_through_csv(tmp_path):
