@@ -9,6 +9,12 @@ residual. RJCA iterates one JCA block. TCA is a scaled query/key/value
 block. Every variant returns an AttendedPair, so the gating layer
 downstream treats them interchangeably. Both maps of a pair share one
 softmax axis: "columns" for CA, JCA and RJCA, "rows" for TCA.
+
+Where a correlation feeds one map only (both JCA/RJCA maps and
+self-attention), map and correlation are one `softmax_product` node, so
+no graph holds the L x L logits. CA keeps its correlation as a node,
+since both of its maps read it; TCA's scores stay a node, since folding
+in the 1/sqrt(d) scale would change the rounding.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .autodiff import (
     relu,
     scale,
     softmax,
+    softmax_product,
     tanh,
     transpose,
 )
@@ -81,12 +88,16 @@ def cross_correlation(xa, xv, w) -> Tensor:
     return matmul(matmul(transpose(xa), w), xv)
 
 
-def _attend(x, z, axis: str) -> tuple[Tensor, Tensor]:
-    """Query side of the cross block: normalize the L x L correlation z
-    along `axis` and let x re-weight its own clips with it. Returns
-    (tanh(x + x . weights), weights)."""
-    weights = softmax(z, axis=axis)
-    return tanh(x + matmul(x, weights)), weights
+def _correlation_map(x, context, w) -> Tensor:
+    """Column-wise softmax of cross_correlation(x, context, w), built as
+    one node: the L x L correlation itself is never held."""
+    return softmax_product(matmul(transpose(x), w), context, "columns")
+
+
+def _attend(x, weights) -> Tensor:
+    """Query side of the cross block: x re-weights its own clips with the
+    L x L map, around a residual: tanh(x + x . weights)."""
+    return tanh(x + matmul(x, weights))
 
 
 def cross_attention(xa, xv, w) -> AttendedPair:
@@ -96,15 +107,16 @@ def cross_attention(xa, xv, w) -> AttendedPair:
     matrix, the visual map the column-wise softmax of its transpose.
     """
     z = cross_correlation(xa, xv, w)
-    att_a, audio_weights = _attend(xa, z, "columns")
-    att_v, visual_weights = _attend(xv, transpose(z), "columns")
-    return AttendedPair(att_a, att_v, audio_weights, visual_weights)
+    audio_weights = softmax(z, axis="columns")
+    visual_weights = softmax(transpose(z), axis="columns")
+    return AttendedPair(_attend(xa, audio_weights), _attend(xv, visual_weights),
+                        audio_weights, visual_weights)
 
 
 def self_attention(x, w) -> Tensor:
     """Intra-modal analogue of the cross block: the modality attends to its
     own clips, same residual and tanh."""
-    return _attend(x, cross_correlation(x, x, w), "columns")[0]
+    return _attend(x, _correlation_map(x, x, w))
 
 
 def tca_block(xq, xkv, p: TcaBlockParams) -> tuple[Tensor, Tensor]:
@@ -147,9 +159,9 @@ def joint_cross_attention(xa, xv, p: JcaParams) -> AttendedPair:
     """
     _check_pair(xa, xv)
     joint = add_col(matmul(p.joint_w, concat_rows(xa, xv)), p.joint_b)
-    att_a, w_a = _attend(xa, cross_correlation(xa, joint, p.cross_a), "columns")
-    att_v, w_v = _attend(xv, cross_correlation(xv, joint, p.cross_v), "columns")
-    return AttendedPair(att_a, att_v, w_a, w_v)
+    w_a = _correlation_map(xa, joint, p.cross_a)
+    w_v = _correlation_map(xv, joint, p.cross_v)
+    return AttendedPair(_attend(xa, w_a), _attend(xv, w_v), w_a, w_v)
 
 
 def recursive_jca(xa, xv, p: JcaParams, iterations: int) -> AttendedPair:

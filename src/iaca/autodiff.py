@@ -11,7 +11,10 @@ gradient and requires one itself only if some input does, so backward
 never reaches a constant, and a pass built only from constants keeps no
 graph behind its output. Backward allocates grads only for the nodes it
 reaches and frees each interior node's grad once it has passed it on, so
-only leaves keep theirs; everywhere else ``grad`` is None.
+only leaves keep theirs; everywhere else ``grad`` is None. A node keeps its
+value until the graph goes, read by a vjp or not, so ``softmax_product``
+builds softmax(a @ b) as one node: the product (an L x L attention logit
+map) is a temporary, not a value held until backward.
 
 Values are treated as immutable once wrapped; sharing them across threads
 is safe. A graph itself belongs to one thread from construction through
@@ -37,6 +40,7 @@ __all__ = [
     "tanh",
     "relu",
     "softmax",
+    "softmax_product",
     "concat_rows",
     "concat_cols",
     "add_col",
@@ -256,6 +260,26 @@ def relu(a) -> Tensor:
     return _result(a.value * mask, "relu", (a,), (lambda g: g * mask,))
 
 
+def _axis(op: str, axis: str) -> int:
+    if axis not in _AXES:
+        raise ValueError(f"{op} axis must be 'columns' or 'rows', got {axis!r}")
+    return _AXES[axis]
+
+
+def _normalize(y: np.ndarray, ax: int) -> np.ndarray:
+    # y holds max-shifted logits and is overwritten with their softmax
+    np.exp(y, out=y)
+    y /= y.sum(axis=ax, keepdims=True)
+    return y
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, ax: int) -> np.ndarray:
+    out = g * y
+    np.subtract(g, out.sum(axis=ax, keepdims=True), out=out)
+    out *= y
+    return out
+
+
 def softmax(a, axis: str = "columns", temperature: float = 1.0) -> Tensor:
     """Temperature softmax along one axis, max-subtracted for stability.
 
@@ -266,21 +290,48 @@ def softmax(a, axis: str = "columns", temperature: float = 1.0) -> Tensor:
     a = _coerce(a)
     if not temperature > 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    if axis not in _AXES:
-        raise ValueError(f"softmax axis must be 'columns' or 'rows', got {axis!r}")
-    ax = _AXES[axis]
+    ax = _axis("softmax", axis)
     z = a.value / temperature if temperature != 1.0 else a.value  # x / 1.0 == x exactly
-    y = z - z.max(axis=ax, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=ax, keepdims=True)
+    y = _normalize(z - z.max(axis=ax, keepdims=True), ax)
 
     def vjp(g):
-        out = g * y
-        np.subtract(g, out.sum(axis=ax, keepdims=True), out=out)
-        out *= y
+        out = _softmax_grad(g, y, ax)
         return out / temperature if temperature != 1.0 else out
 
     return _result(y, "softmax", (a,), (vjp,))
+
+
+def softmax_product(a, b, axis: str = "columns") -> Tensor:
+    """softmax(a @ b) along one axis as a single node.
+
+    Values and grads equal softmax(matmul(a, b), axis) bit for bit, but the
+    product is a temporary: no node keeps it, and backward computes its
+    grad once, hands it to both inputs and drops it. Use it where the
+    product has no other consumer, such as an L x L attention logit map.
+    """
+    a, b = _coerce(a), _coerce(b)
+    if a.value.shape[1] != b.value.shape[0]:
+        raise ShapeError(f"softmax_product: inner dimensions differ, "
+                         f"{a.value.shape} @ {b.value.shape}")
+    ax = _axis("softmax_product", axis)
+    av, bv = a.value, b.value
+    z = av @ bv
+    z -= z.max(axis=ax, keepdims=True)
+    y = _normalize(z, ax)
+    # the product's grad, from the first input's vjp to the second's
+    pending: list[np.ndarray] = []
+    both = a.requires_grad and b.requires_grad
+
+    def product_grad(g):
+        if pending:
+            return pending.pop()
+        gz = _softmax_grad(g, y, ax)
+        if both:
+            pending.append(gz)
+        return gz
+
+    return _result(y, "softmax_product", (a, b),
+                   (lambda g: product_grad(g) @ bv.T, lambda g: av.T @ product_grad(g)))
 
 
 def _concat(op: str, parts, axis: int) -> Tensor:

@@ -252,7 +252,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CheckpointError, TrainingDivergence) as exc:
+    except (ValueError, OSError, CheckpointError, TrainingDivergence, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -278,10 +278,15 @@ class FusionModel:
         clips joined; returns the prediction, the pairs and any gate scores."""
         pairs, columns = [], []
         for xa, xv in inputs:
-            pairs.append(self._attend(xa, xv, leaves))
-            if self.iaca and self.flags.stage1_input == "self_attended":
-                xa, xv = (self_attention(xa, leaves["self_a.w"]),
-                          self_attention(xv, leaves["self_v.w"]))
+            try:
+                pairs.append(self._attend(xa, xv, leaves))
+                if self.iaca and self.flags.stage1_input == "self_attended":
+                    xa, xv = (self_attention(xa, leaves["self_a.w"]),
+                              self_attention(xv, leaves["self_v.w"]))
+            except MemoryError as exc:
+                n = xa.shape[1]
+                raise MemoryError(f"sequence length {n} is too long: its {n} x {n} "
+                                  f"attention maps do not fit in memory ({exc})") from exc
             columns.append((pairs[-1].audio, pairs[-1].visual) + ((xa, xv) if self.iaca else ()))
         att_a, att_v, *bases = (columns[0] if len(columns) == 1
                                 else [concat_cols(*parts) for parts in zip(*columns)])

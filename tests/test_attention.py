@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iaca import autodiff as ad
 from iaca.autodiff import ShapeError, Tensor, finite_diff, mean_all, sum_all
 from iaca.attention import (
     AttendedPair,
@@ -14,6 +15,7 @@ from iaca.attention import (
     tca_attention,
     tca_block,
 )
+from iaca.gating import RJCA_ITERATIONS, FusionModel, ModelFlags
 
 import reference as ref
 from helpers import relative_error
@@ -289,3 +291,69 @@ def test_variant_gradients_match_finite_differences(name):
     loss.backward()
     numeric = finite_diff(lambda v: run(v)[1].item(), xa)
     assert relative_error(xa_t.grad, numeric) < 1e-4
+
+
+# ------------------------------------------- one node per JCA/RJCA weight map
+
+def _jca_from_public_ops(xa, xv, p):
+    """JCA from public ops only, each map as a correlation node, then
+    softmax, then the residual tanh: the reference for the fused maps."""
+    joint = ad.add_col(ad.matmul(p.joint_w, ad.concat_rows(xa, xv)), p.joint_b)
+    out = []
+    for x, w in ((xa, p.cross_a), (xv, p.cross_v)):
+        weights = ad.softmax(cross_correlation(x, joint, w), axis="columns")
+        out.append((ad.tanh(ad.add(x, ad.matmul(x, weights))), weights))
+    return out
+
+
+@pytest.mark.parametrize("iterations", [1, 2])
+def test_jca_and_rjca_bitwise_equal_the_public_op_composition(iterations):
+    rng = np.random.default_rng(18)
+    xa, xv = _pair(rng, 4, 6)
+    arrs = _jca_params(rng, 4)
+    up_a, up_v = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+
+    def run(fused):
+        leaves = {k: Tensor(v) for k, v in {"xa": xa, "xv": xv, **arrs}.items()}
+        p = JcaParams(*(leaves[k] for k in ("joint_w", "joint_b", "cross_a", "cross_v")))
+        if fused:
+            pair = recursive_jca(leaves["xa"], leaves["xv"], p, iterations)
+            out = [(pair.audio, pair.audio_weights), (pair.visual, pair.visual_weights)]
+        else:
+            a, v = leaves["xa"], leaves["xv"]
+            for _ in range(iterations):
+                out = _jca_from_public_ops(a, v, p)
+                a, v = out[0][0], out[1][0]
+        loss = sum_all(ad.hadamard(out[0][0], up_a)) + sum_all(ad.hadamard(out[1][0], up_v))
+        loss.backward()
+        return [t.value for pair in out for t in pair], leaves
+
+    (values, leaves), (ref_values, ref_leaves) = run(True), run(False)
+    for v, r in zip(values, ref_values):
+        assert np.array_equal(v, r)
+    for name, leaf in leaves.items():
+        assert np.array_equal(leaf.grad, ref_leaves[name].grad), name
+
+
+@pytest.mark.parametrize("variant,iaca,stage1_input", [
+    ("JCA", False, "raw"), ("JCA", True, "raw"), ("RJCA", False, "raw"),
+    ("RJCA", True, "raw"), ("RJCA", True, "self_attended"),
+])
+def test_batch_graph_holds_no_lxl_value_but_the_weight_maps(variant, iaca, stage1_input):
+    d, n_clips, n_seqs = 3, 5, 2
+    rng = np.random.default_rng(19)
+    model = FusionModel.create(d, variant, iaca, ModelFlags(stage1_input=stage1_input))
+    inputs = [tuple(Tensor(rng.normal(size=(d, n_clips)), requires_grad=False)
+                    for _ in range(2)) for _ in range(n_seqs)]
+    root = model.batch_graph(inputs, model.bind())
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack += node.parents
+    square = [n for n in nodes.values() if n.shape == (n_clips, n_clips)]
+    # two maps per JCA pass, plus one per modality's self-attention
+    maps = 2 * (RJCA_ITERATIONS if variant == "RJCA" else 1) + 2 * (stage1_input != "raw")
+    assert len(square) == n_seqs * maps
+    assert {n.op for n in square} == {"softmax_product"}

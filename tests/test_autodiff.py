@@ -378,3 +378,78 @@ def test_tanh_vjp_bitwise_equals_the_out_of_place_formula():
     ad.sum_all(ad.hadamard(ad.tanh(x), upstream)).backward()
     y = np.tanh(v)
     assert np.array_equal(x.grad, upstream * (1.0 - y * y))
+
+
+# softmax_product is softmax(matmul(a, b)) as one node: the same values and
+# grads bit for bit, without a node that keeps the product
+
+@pytest.mark.parametrize("grads", ["both", "a", "b", "neither"])
+@pytest.mark.parametrize("axis", ["columns", "rows"])
+def test_softmax_product_bitwise_equals_softmax_of_matmul(axis, grads):
+    rng = np.random.default_rng(11)
+    a_val, b_val, upstream = (rng.normal(size=s) for s in ((5, 3), (3, 6), (5, 6)))
+
+    def run(fused):
+        a = Tensor(a_val, requires_grad=grads in ("both", "a"))
+        b = Tensor(b_val, requires_grad=grads in ("both", "b"))
+        y = ad.softmax_product(a, b, axis) if fused else ad.softmax(ad.matmul(a, b), axis)
+        if grads != "neither":
+            ad.sum_all(ad.hadamard(y, upstream)).backward()
+        return y, a, b
+
+    (y, a, b), (y_ref, a_ref, b_ref) = run(True), run(False)
+    assert y.op == "softmax_product" and np.array_equal(y.value, y_ref.value)
+    assert y.requires_grad == (grads != "neither")
+    for t, t_ref in ((a, a_ref), (b, b_ref)):
+        assert (t.grad is None) == (t_ref.grad is None)
+        if t.grad is not None:
+            assert np.array_equal(t.grad, t_ref.grad)
+
+
+@pytest.mark.parametrize("axis", ["columns", "rows"])
+def test_softmax_product_matches_finite_diff(axis):
+    rng = np.random.default_rng(12)
+    _check_grads(lambda a, b: ad.softmax_product(a, b, axis),
+                 [rng.normal(size=(4, 3)), rng.normal(size=(3, 5))])
+
+
+def test_softmax_product_rejects_bad_shapes_and_axes():
+    with pytest.raises(ShapeError) as exc:
+        ad.softmax_product(np.zeros((4, 3)), np.zeros((2, 5)))
+    assert "(4, 3)" in str(exc.value) and "(2, 5)" in str(exc.value)
+    for bad in ("diagonal", "Columns", 0):
+        with pytest.raises(ValueError, match="axis"):
+            ad.softmax_product(np.zeros((2, 2)), np.zeros((2, 2)), bad)
+
+
+def _held_arrays(root):
+    """Every array a node reaches through its value, grad, parents and the
+    closures of its vjps."""
+    held, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            held.append(obj)
+        elif isinstance(obj, Tensor):
+            stack += [obj.value, obj.grad, *obj.parents, *obj._vjps]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack += [cell.cell_contents for cell in obj.__closure__]
+    return held
+
+
+@pytest.mark.parametrize("grads", ["both", "a", "b"])
+def test_softmax_product_retains_nothing_after_backward(grads):
+    rng = np.random.default_rng(13)
+    a = Tensor(rng.normal(size=(5, 3)), requires_grad=grads in ("both", "a"))
+    b = Tensor(rng.normal(size=(3, 6)), requires_grad=grads in ("both", "b"))
+    y = ad.softmax_product(a, b)
+    ad.sum_all(ad.hadamard(y, rng.normal(size=(5, 6)))).backward()
+    # of the 5 x 6 arrays, only the output value outlives backward: neither
+    # the product nor its grad is held
+    five_by_six = [v for v in _held_arrays(y) if v.shape == (5, 6)]
+    assert len(five_by_six) == 1 and five_by_six[0] is y.value

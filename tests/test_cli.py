@@ -305,3 +305,18 @@ def test_readme_library_names_resolve():
             pkgutil.resolve_name(name)
         except (ImportError, AttributeError):
             pytest.fail(f"README names {name}, which does not resolve")
+
+
+@pytest.mark.parametrize("variant,op", [("CA", "cross_correlation"), ("JCA", "softmax_product")])
+def test_out_of_memory_names_the_sequence_length(tmp_path, capsys, monkeypatch, variant, op):
+    # stands in for numpy failing to allocate an L x L map; nothing large is allocated
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array with shape (8, 8)")
+
+    monkeypatch.setattr(f"iaca.attention.{op}", too_big)
+    rc = main(["train", *TINY, "--variant", variant, "--dims", "valence",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sequence length 8 is too long") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
