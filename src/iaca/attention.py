@@ -7,14 +7,13 @@ joint feature, or itself) is normalized into a stochastic weight map that
 re-weights the modality's own clips, squashed through tanh around a
 residual. RJCA iterates one JCA block. TCA is a scaled query/key/value
 block. Every variant returns an AttendedPair, so the gating layer
-downstream treats them interchangeably. Both maps of a pair share one
-softmax axis: "columns" for CA, JCA and RJCA, "rows" for TCA.
+downstream treats them interchangeably. Every map is column-stochastic:
+column i is query clip i's distribution over source clips.
 
-Where a correlation feeds one map only (both JCA/RJCA maps and
-self-attention), map and correlation are one `softmax_product` node, so
-no graph holds the L x L logits. CA keeps its correlation as a node,
-since both of its maps read it; TCA's scores stay a node, since folding
-in the 1/sqrt(d) scale would change the rounding.
+Where a correlation feeds one map only (TCA's scores, both JCA/RJCA maps
+and self-attention), map and correlation are one `softmax_product` node,
+so no graph holds the L x L logits. CA keeps its correlation as a node,
+since both of its maps read it.
 """
 
 from __future__ import annotations
@@ -40,15 +39,13 @@ VARIANTS = ("CA", "TCA", "JCA", "RJCA")
 
 @dataclass
 class AttendedPair:
-    """Attended features for both modalities plus the weight maps that
-    produced them (kept for interpretability dumps), with the softmax axis
-    both maps are normalized along ("columns" or "rows")."""
+    """Attended features for both modalities plus the column-stochastic
+    weight maps that produced them (kept for interpretability dumps)."""
 
     audio: Tensor  # d x L
     visual: Tensor  # d x L
     audio_weights: Tensor  # L x L, applied to the audio features
     visual_weights: Tensor  # L x L, applied to the visual features
-    axis: str = "columns"
 
 
 @dataclass
@@ -122,20 +119,19 @@ def self_attention(x, w) -> Tensor:
 def tca_block(xq, xkv, p: TcaBlockParams) -> tuple[Tensor, Tensor]:
     """Single-head transformer-style block for one direction.
 
-    Queries come from xq, keys and values from xkv; dot products are scaled
-    by 1/sqrt(d) and normalized across each query's row. A per-clip
-    feed-forward follows, with residuals around both stages and a final
-    tanh so outputs stay in the same bounded range as the other blocks.
-    Returns (attended features, L x L row-stochastic weights).
+    Queries come from xq, keys and values from xkv; key-query dot products
+    are scaled by 1/sqrt(d) and normalized down each query's column. A
+    per-clip feed-forward follows, with residuals around both stages and a
+    final tanh so outputs stay in the same bounded range as the other
+    blocks. Returns (attended features, L x L column-stochastic weights).
     """
     _check_pair(xq, xkv)
     d = xq.shape[0]
     q = matmul(p.wq, xq)
     k = matmul(p.wk, xkv)
     v = matmul(p.wv, xkv)
-    scores = scale(matmul(transpose(q), k), 1.0 / d**0.5)
-    weights = softmax(scores, axis="rows")
-    attended = matmul(v, transpose(weights))
+    weights = softmax_product(scale(transpose(k), 1.0 / d**0.5), q, "columns")
+    attended = matmul(v, weights)
     h = xq + attended
     hidden = relu(add_col(matmul(p.ff1_w, h), p.ff1_b))
     ff = add_col(matmul(p.ff2_w, hidden), p.ff2_b)
@@ -146,7 +142,7 @@ def tca_attention(xa, xv, p_audio: TcaBlockParams, p_visual: TcaBlockParams) -> 
     """Both transformer-style directions packaged like the other variants."""
     att_a, w_a = tca_block(xa, xv, p_audio)
     att_v, w_v = tca_block(xv, xa, p_visual)
-    return AttendedPair(att_a, att_v, w_a, w_v, "rows")
+    return AttendedPair(att_a, att_v, w_a, w_v)
 
 
 def joint_cross_attention(xa, xv, p: JcaParams) -> AttendedPair:

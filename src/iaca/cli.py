@@ -140,7 +140,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    variants = args.variants.split(",") if args.variants else list(VARIANTS)
+    variants = args.variants.split(",") if args.variants is not None else list(VARIANTS)
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}; choose from {','.join(VARIANTS)}")
@@ -167,13 +167,18 @@ def _restore(path):
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     fractions = ([float(f) for f in args.fractions.split(",")]
-                 if args.fractions else list(DEFAULT_SWEEP_FRACTIONS))
+                 if args.fractions is not None else list(DEFAULT_SWEEP_FRACTIONS))
     _reject_repeats("--fractions", fractions)
     val_model, val_cfg, val_dim = _restore(args.checkpoint_valence)
     aro_model, aro_cfg, aro_dim = _restore(args.checkpoint_arousal)
     if val_dim != "valence" or aro_dim != "arousal":
         raise ValueError("checkpoints must be a (valence, arousal) pair; got "
                          f"({val_dim}, {aro_dim})")
+    for name in ("variant", "iaca", "d", "flags"):
+        val_value, aro_value = getattr(val_model, name), getattr(aro_model, name)
+        if val_value != aro_value:
+            raise ValueError(f"checkpoints must be one model pair; their {name} differs "
+                             f"({val_value!r} vs {aro_value!r})")
     _, valence_val = prepare_splits(val_cfg, "valence")
     _, arousal_val = prepare_splits(aro_cfg, "arousal")
     rows = missing_modality_sweep(val_model, aro_model, valence_val, arousal_val,

@@ -207,16 +207,11 @@ def _minmax(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def _source_weight(weights: np.ndarray, axis: str) -> np.ndarray:
-    # per-clip pull of the map: its row sums if the softmax normalized its
-    # columns, its column sums if it normalized its rows
-    return weights.sum(axis=1 if axis == "columns" else 0)
-
-
 def dump_attention(model: FusionModel, seq: SyntheticSequence) -> dict:
     """Per-clip attention magnitudes and gate scores, plot-ready.
 
-    Attention magnitudes are min-max normalized over the sequence; gate
+    A clip's attention magnitude is its pull as a source, the row sum of
+    the column-stochastic map, min-max normalized over the sequence; gate
     scores are dumped as-is (already rows on the simplex).
     """
     pred, diag = model.forward(seq.xa, seq.xv)
@@ -224,8 +219,8 @@ def dump_attention(model: FusionModel, seq: SyntheticSequence) -> dict:
         "variant": model.variant,
         "iaca": model.iaca,
         "n_clips": int(seq.xa.shape[1]),
-        "audio_attention": _minmax(_source_weight(diag.audio_weights, diag.axis)).tolist(),
-        "visual_attention": _minmax(_source_weight(diag.visual_weights, diag.axis)).tolist(),
+        "audio_attention": _minmax(diag.audio_weights.sum(axis=1)).tolist(),
+        "visual_attention": _minmax(diag.visual_weights.sum(axis=1)).tolist(),
         "prediction": pred.ravel().tolist(),
         "target": np.asarray(seq.target).ravel().tolist(),
     }

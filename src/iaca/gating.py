@@ -170,12 +170,10 @@ class ModelFlags:
 
 @dataclass
 class Diagnostics:
-    """Forward-pass internals captured as plain arrays for dumping; the
-    attention maps come with the softmax axis both are normalized along."""
+    """Forward-pass internals captured as plain arrays for dumping."""
 
-    audio_weights: np.ndarray  # L x L
-    visual_weights: np.ndarray  # L x L
-    axis: str
+    audio_weights: np.ndarray  # L x L, column-stochastic
+    visual_weights: np.ndarray  # L x L, column-stochastic
     stage1_audio: Optional[np.ndarray] = None  # L x 2
     stage1_visual: Optional[np.ndarray] = None  # L x 2
     stage2: Optional[np.ndarray] = None  # L x 3
@@ -310,7 +308,7 @@ class FusionModel:
         """The prediction graph of one sequence, with its diagnostics."""
         pred, (pair,), gates = self._graph([(xa, xv)], leaves)
         return pred, Diagnostics(pair.audio_weights.value, pair.visual_weights.value,
-                                 pair.axis, *[g.value for g in gates])
+                                 *[g.value for g in gates])
 
     def forward(self, xa_value, xv_value) -> tuple[np.ndarray, Diagnostics]:
         """forward_graph on plain arrays, all bound as constants: no graph kept."""

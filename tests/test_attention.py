@@ -146,13 +146,13 @@ def test_self_attention_matches_oracle():
 
 # ------------------------------------------------------------------------ TCA
 
-def test_tca_block_weights_row_stochastic():
+def test_tca_block_weights_column_stochastic():
     rng = np.random.default_rng(6)
     xa, xv = _pair(rng, 4, 6)
     out, weights = tca_block(Tensor(xa), Tensor(xv), _as_tca(_tca_params(rng, 4)))
     assert out.shape == (4, 6)
     assert weights.shape == (6, 6)
-    assert np.allclose(weights.value.sum(axis=1), 1.0, atol=1e-9)
+    assert np.allclose(weights.value.sum(axis=0), 1.0, atol=1e-9)
 
 
 def test_tca_matches_oracle():
@@ -165,8 +165,9 @@ def test_tca_matches_oracle():
     rv, wv = ref.ref_tca_block(xv, xa, **pv)
     assert relative_error(pair.audio.value, ra) < 1e-12
     assert relative_error(pair.visual.value, rv) < 1e-12
-    assert relative_error(pair.audio_weights.value, wa) < 1e-12
-    assert relative_error(pair.visual_weights.value, wv) < 1e-12
+    # the reference's maps are row-stochastic, one row per query clip
+    assert relative_error(pair.audio_weights.value, wa.T) < 1e-12
+    assert relative_error(pair.visual_weights.value, wv.T) < 1e-12
 
 
 def test_tca_shape_mismatch():
@@ -336,6 +337,7 @@ def test_jca_and_rjca_bitwise_equal_the_public_op_composition(iterations):
 
 
 @pytest.mark.parametrize("variant,iaca,stage1_input", [
+    ("TCA", False, "raw"), ("TCA", True, "raw"),
     ("JCA", False, "raw"), ("JCA", True, "raw"), ("RJCA", False, "raw"),
     ("RJCA", True, "raw"), ("RJCA", True, "self_attended"),
 ])
@@ -353,7 +355,7 @@ def test_batch_graph_holds_no_lxl_value_but_the_weight_maps(variant, iaca, stage
             nodes[id(node)] = node
             stack += node.parents
     square = [n for n in nodes.values() if n.shape == (n_clips, n_clips)]
-    # two maps per JCA pass, plus one per modality's self-attention
+    # two maps per TCA or JCA pass, plus one per modality's self-attention
     maps = 2 * (RJCA_ITERATIONS if variant == "RJCA" else 1) + 2 * (stage1_input != "raw")
     assert len(square) == n_seqs * maps
     assert {n.op for n in square} == {"softmax_product"}

@@ -12,7 +12,7 @@ import pytest
 from iaca.checkpoint import load_checkpoint, save_checkpoint
 from iaca.cli import build_parser, main
 from iaca.experiments import ExperimentConfig
-from iaca.gating import FusionModel
+from iaca.gating import FusionModel, ModelFlags
 
 def _csv_rows(path):
     with open(path, newline="") as fh:
@@ -62,6 +62,27 @@ def test_sweep_needs_matched_pair(tmp_path, capsys):
                "--checkpoint-arousal", str(tmp_path / "ca_iaca_valence.ckpt")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("variant", "TCA"), ("iaca", False), ("d", 4),
+                                         ("flags", ModelFlags(temperature=0.5))],
+                         ids=["variant", "iaca", "d", "flags"])
+def test_sweep_rejects_a_mixed_model_pair(tmp_path, capsys, field, value):
+    paths = {}
+    for dim, spec in (("valence", {}), ("arousal", {field: value})):
+        spec = {"d": 6, "variant": "CA", "iaca": True, **spec}
+        model = FusionModel.create(seed=1, **spec)
+        experiment = asdict(ExperimentConfig(n_clips=8, n_train=4, n_val=2, **spec))
+        paths[dim] = tmp_path / f"{dim}.ckpt"
+        save_checkpoint(model, paths[dim],
+                        extra_meta={"experiment": experiment, "output_dim": dim})
+    rc = main(["sweep", "--checkpoint-valence", str(paths["valence"]),
+               "--checkpoint-arousal", str(paths["arousal"]),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: checkpoints must be one model "
+                                              f"pair; their {field} differs")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_and_dump_from_checkpoints(tmp_path):
@@ -203,6 +224,24 @@ def test_repeated_fraction_rejected_before_loading(tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+def test_empty_variant_list_rejected_before_training(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("iaca.cli.run_ablation", lambda *a: pytest.fail("trained"))
+    rc = main(["ablation", *TINY, "--variants", "", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: unknown variant ''")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_fraction_list_rejected_before_loading(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("iaca.cli.load_checkpoint", lambda *a: pytest.fail("loaded"))
+    rc = main(["sweep", "--checkpoint-valence", "v.ckpt", "--checkpoint-arousal", "a.ckpt",
+               "--fractions", "", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "''" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_variant_list_rejected(tmp_path, capsys):
     rc = main(["ablation", *TINY, "--variants", "CA,NOPE",
                "--out-dir", str(tmp_path)])
@@ -307,7 +346,8 @@ def test_readme_library_names_resolve():
             pytest.fail(f"README names {name}, which does not resolve")
 
 
-@pytest.mark.parametrize("variant,op", [("CA", "cross_correlation"), ("JCA", "softmax_product")])
+@pytest.mark.parametrize("variant,op", [("CA", "cross_correlation"), ("TCA", "softmax_product"),
+                                        ("JCA", "softmax_product")])
 def test_out_of_memory_names_the_sequence_length(tmp_path, capsys, monkeypatch, variant, op):
     # stands in for numpy failing to allocate an L x L map; nothing large is allocated
     def too_big(*args, **kwargs):
