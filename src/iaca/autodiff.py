@@ -5,8 +5,10 @@ A :class:`Tensor` couples one payload with the tag of the op that produced
 it and references to its inputs. Graphs are acyclic by construction and
 single-use: build the forward pass with the op functions below, call
 ``backward()`` once on a 1x1 output, read gradients off the leaves, then
-rebuild for the next pass. A leaf built with ``requires_grad=False`` is a
-constant (data, targets): an op records only the inputs that require a
+rebuild for the next pass. A function with a closed-form gradient can be
+one node, built as ``Tensor(value, op=..., parents=..., vjps=...)``, as
+``metrics.ccc_loss`` is. A leaf built with ``requires_grad=False`` is a
+constant (input data): an op records only the inputs that require a
 gradient and requires one itself only if some input does, so backward
 never reaches a constant, and a pass built only from constants keeps no
 graph behind its output. Backward allocates grads only for the nodes it
@@ -35,7 +37,6 @@ __all__ = [
     "sub",
     "hadamard",
     "scale",
-    "div",
     "transpose",
     "tanh",
     "relu",
@@ -234,14 +235,6 @@ def scale(a, c: float) -> Tensor:
     return _result(a.value * c, "scale", (a,), (lambda g: g * c,))
 
 
-def div(a, b) -> Tensor:
-    """Entrywise quotient; caller guarantees a nonzero denominator."""
-    a, b = _coerce(a), _coerce(b)
-    _require_same_shape("div", a, b)
-    av, bv = a.value, b.value
-    return _result(av / bv, "div", (a, b), (lambda g: g / bv, lambda g: -g * av / (bv * bv)))
-
-
 def transpose(a) -> Tensor:
     a = _coerce(a)
     return _result(np.ascontiguousarray(a.value.T), "transpose", (a,), (lambda g: g.T,))
@@ -361,17 +354,13 @@ def concat_cols(*parts) -> Tensor:
     return _concat("concat_cols", parts, 1)
 
 
-def add_col(a, col, sign: float = 1.0) -> Tensor:
-    """a + col, or a - col for sign=-1, with the rx1 column applied to every
-    column of the rxn matrix a."""
+def add_col(a, col) -> Tensor:
+    """a + col, the rx1 column added to every column of the rxn matrix a."""
     a, col = _coerce(a), _coerce(col)
     if col.value.shape != (a.value.shape[0], 1):
         raise ShapeError(f"add_col needs a {a.value.shape[0]}x1 column, got shape {col.value.shape}")
-    if sign not in (1.0, -1.0):
-        raise ValueError(f"add_col sign must be 1 or -1, got {sign}")
-    value = a.value + col.value if sign > 0 else a.value - col.value
-    return _result(value, "add_col", (a, col),
-                   (lambda g: g, lambda g: sign * g.sum(axis=1, keepdims=True)))
+    return _result(a.value + col.value, "add_col", (a, col),
+                   (lambda g: g, lambda g: g.sum(axis=1, keepdims=True)))
 
 
 def gate_mix(gate, candidates: Sequence) -> Tensor:

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .attention import VARIANTS
@@ -165,6 +165,14 @@ def _restore(path):
     return ckpt.model, cfg, ckpt.meta.get("output_dim")
 
 
+def _require_same(what: str, valence, arousal, names) -> None:
+    for name in names:
+        val_value, aro_value = getattr(valence, name), getattr(arousal, name)
+        if val_value != aro_value:
+            raise ValueError(f"checkpoints must {what}; their {name} differs "
+                             f"({val_value!r} vs {aro_value!r})")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     fractions = ([float(f) for f in args.fractions.split(",")]
                  if args.fractions is not None else list(DEFAULT_SWEEP_FRACTIONS))
@@ -174,11 +182,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if val_dim != "valence" or aro_dim != "arousal":
         raise ValueError("checkpoints must be a (valence, arousal) pair; got "
                          f"({val_dim}, {aro_dim})")
-    for name in ("variant", "iaca", "d", "flags"):
-        val_value, aro_value = getattr(val_model, name), getattr(aro_model, name)
-        if val_value != aro_value:
-            raise ValueError(f"checkpoints must be one model pair; their {name} differs "
-                             f"({val_value!r} vs {aro_value!r})")
+    _require_same("be one model pair", val_model, aro_model, ("variant", "iaca", "d", "flags"))
+    _require_same("share one experiment config", val_cfg, aro_cfg,
+                  [f.name for f in fields(ExperimentConfig)])
     _, valence_val = prepare_splits(val_cfg, "valence")
     _, arousal_val = prepare_splits(aro_cfg, "arousal")
     rows = missing_modality_sweep(val_model, aro_model, valence_val, arousal_val,

@@ -3,7 +3,9 @@
 CCC measures agreement, not just linear association: it is 1 only when
 predictions match the gold track in location and scale, so a rescaled or
 shifted copy scores strictly below a faithful one. Moments are population
-(1/N) throughout.
+(1/N) throughout. The formula is written once: ``ccc_loss`` is one graph
+node whose value is ``1 - ccc`` bit for bit and whose vjp is CCC's closed-
+form gradient; the gold track never enters the graph.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .autodiff import Tensor, add_col, div, hadamard, mean_all, scale, sub
+from .autodiff import Tensor
 
 
 def _as_track(x, name: str) -> np.ndarray:
@@ -22,8 +24,8 @@ def _as_track(x, name: str) -> np.ndarray:
     return arr
 
 
-def ccc(pred, gold) -> float:
-    """2*cov / (var_p + var_g + mean-gap^2) over flattened inputs.
+def _ccc_terms(pred, gold):
+    """(rho, p, g, denom): CCC of two tracks, the flat tracks and its denominator.
 
     A zero denominator (both tracks constant and equal-mean) carries no
     agreement information; that degenerate case warns and scores 0.
@@ -36,31 +38,29 @@ def ccc(pred, gold) -> float:
     denom = p.var() + g.var() + (p.mean() - g.mean()) ** 2
     if denom == 0.0:
         warnings.warn("ccc undefined for two identical constant tracks; returning 0.0",
-                      RuntimeWarning, stacklevel=2)
-        return 0.0
-    return float(2.0 * cov / denom)
+                      RuntimeWarning, stacklevel=3)
+        return 0.0, p, g, denom
+    return float(2.0 * cov / denom), p, g, denom
+
+
+def ccc(pred, gold) -> float:
+    """2*cov / (var_p + var_g + mean-gap^2) over flattened inputs."""
+    return _ccc_terms(pred, gold)[0]
 
 
 def ccc_loss(pred: Tensor, gold) -> Tensor:
-    """1 - CCC as a differentiable scalar node; pred is 1 x N on a graph."""
+    """1 - ccc(pred.value, gold) as one node; pred is a 1 x N track on a graph.
+
+    Its vjp is d(1 - rho)/dp = -2 / (N D) * ((g - mean g) - rho * (p - mean g)),
+    D being ccc's denominator. Where ccc scores the degenerate 0 the loss is a
+    constant 1 that backward passes nothing through.
+    """
     if pred.shape[0] != 1:
         raise ValueError(f"pred must be a 1-row track, got {pred.shape}")
-    n = pred.shape[1]
-    if n < 2:
-        raise ValueError(f"pred needs at least 2 entries, got {n}")
-    gold_t = Tensor(np.asarray(gold, dtype=np.float64).reshape(1, n), requires_grad=False)
-
-    mean_p = mean_all(pred)
-    mean_g = mean_all(gold_t)
-    cp = add_col(pred, mean_p, sign=-1.0)
-    cg = add_col(gold_t, mean_g, sign=-1.0)
-    cov = mean_all(hadamard(cp, cg))
-    var_p = mean_all(hadamard(cp, cp))
-    var_g = mean_all(hadamard(cg, cg))
-    gap = sub(mean_p, mean_g)
-    denom = var_p + var_g + hadamard(gap, gap)
-    if denom.value[0, 0] == 0.0:
-        warnings.warn("ccc_loss denominator is zero; treating agreement as 0",
-                      RuntimeWarning, stacklevel=2)
-        return Tensor([[1.0]])
-    return Tensor([[1.0]], requires_grad=False) - div(scale(cov, 2.0), denom)
+    rho, p, g, denom = _ccc_terms(pred.value, gold)
+    if denom == 0.0:
+        return Tensor([[1.0]], requires_grad=False)
+    mean_g = g.mean()
+    dp = (-2.0 / (p.size * denom)) * ((g - mean_g) - rho * (p - mean_g))
+    return Tensor([[1.0 - rho]], op="ccc_loss", parents=(pred,),
+                  vjps=(lambda grad: grad * dp,))

@@ -13,6 +13,7 @@ from iaca.checkpoint import load_checkpoint, save_checkpoint
 from iaca.cli import build_parser, main
 from iaca.experiments import ExperimentConfig
 from iaca.gating import FusionModel, ModelFlags
+from iaca.synth import Regime
 
 def _csv_rows(path):
     with open(path, newline="") as fh:
@@ -82,6 +83,26 @@ def test_sweep_rejects_a_mixed_model_pair(tmp_path, capsys, field, value):
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: checkpoints must be one model "
                                               f"pair; their {field} differs")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_a_pair_from_two_experiment_configs(tmp_path, capsys):
+    model = FusionModel.create(6, "CA", iaca=True, seed=1)
+    paths = {}
+    for dim, kind in (("valence", "strong_complementary"), ("arousal", "weak_conflicting")):
+        experiment = asdict(ExperimentConfig(d=6, n_clips=8, n_train=4, n_val=2,
+                                             regime=Regime(kind)))
+        paths[dim] = tmp_path / f"{dim}.ckpt"
+        save_checkpoint(model, paths[dim],
+                        extra_meta={"experiment": experiment, "output_dim": dim})
+    rc = main(["sweep", "--checkpoint-valence", str(paths["valence"]),
+               "--checkpoint-arousal", str(paths["arousal"]),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoints must share one experiment config; "
+                          "their regime differs")
+    assert "strong_complementary" in err and "weak_conflicting" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -79,6 +79,39 @@ def test_loss_matches_plain_metric():
                                                               abs=1e-12)
 
 
+def test_loss_is_one_node_worth_one_minus_ccc_bitwise():
+    rng = np.random.default_rng(56)
+    for _ in range(200):
+        n = int(rng.integers(2, 600))
+        p = rng.normal(size=(1, n)) * rng.uniform(0.01, 5.0) + rng.normal()
+        g = rng.uniform(-1, 1, size=n)
+        t = Tensor(p)
+        loss = ccc_loss(t, g)
+        assert loss.item() == 1.0 - ccc(p, g)
+        assert loss.op == "ccc_loss" and loss.parents == (t,)  # gold is no node
+
+
+@pytest.mark.parametrize("constant", ["pred", "gold"])
+def test_loss_gradient_matches_finite_differences_at_a_constant_track(constant):
+    rng = np.random.default_rng(57)
+    pred = rng.normal(size=(1, 8))
+    gold = rng.uniform(-1, 1, size=(1, 8))
+    if constant == "pred":
+        pred[:] = 0.3  # var_p = 0
+    else:
+        gold[:] = -0.2  # var_g = 0, so cov and rho are 0 for every pred
+
+    t = Tensor(pred)
+    ccc_loss(t, gold).backward()
+    numeric = finite_diff(lambda v: ccc_loss(Tensor(v), gold).item(), pred)
+    assert relative_error(t.grad, numeric) < 1e-4
+
+
+def test_loss_rejects_gold_of_another_length():
+    with pytest.raises(ValueError, match="length mismatch: 4 vs 5"):
+        ccc_loss(Tensor(np.arange(4.0).reshape(1, 4)), np.arange(5.0))
+
+
 def test_loss_stays_in_range():
     rng = np.random.default_rng(53)
     for _ in range(100):

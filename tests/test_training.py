@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from iaca import metrics, training
+from iaca import training
 from iaca.attention import VARIANTS
 from iaca.autodiff import Tensor
 from iaca.gating import FusionModel, ModelFlags
@@ -266,9 +266,9 @@ def test_train_loss_moving_average_decreases_early():
 @pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_constant_data_leaves_parameter_grads_bitwise_unchanged(monkeypatch, variant, gated):
-    # _batch_loss and ccc_loss wrap data and gold as constants, which
-    # backward never reaches; with them as gradient-requiring leaves
-    # instead, every parameter grad must come out bit for bit the same
+    # _batch_loss wraps the data as constants, which backward never
+    # reaches; with them as gradient-requiring leaves instead, every
+    # parameter grad must come out bit for bit the same
     seqs = generate(Regime("weak_conflicting", noise_sigma=2.0), d=8, n_clips=12,
                     n_sequences=3, seed=5)
     model = FusionModel.create(8, variant, iaca=gated, seed=1,
@@ -287,9 +287,8 @@ def test_constant_data_leaves_parameter_grads_bitwise_unchanged(monkeypatch, var
         return made[-1]
 
     monkeypatch.setattr(training, "Tensor", differentiable)
-    monkeypatch.setattr(metrics, "Tensor", differentiable)
     full = parameter_grads()
-    assert len(made) == 2 * len(seqs) + 2  # xa, xv per sequence, the gold and the 1
+    assert len(made) == 2 * len(seqs)  # xa, xv per sequence
     assert all(t.grad is not None for t in made)
     assert constant.keys() == full.keys()
     for name, g in constant.items():
