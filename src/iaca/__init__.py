@@ -11,10 +11,12 @@ from .attention import (
     VARIANTS,
     AttendedPair,
     JcaParams,
+    JointParams,
     TcaBlockParams,
     cross_attention,
     cross_correlation,
     joint_cross_attention,
+    joint_representation,
     recursive_jca,
     self_attention,
     tca_attention,
@@ -40,9 +42,7 @@ from .gating import (
     Diagnostics,
     FusionModel,
     HeadParams,
-    JointParams,
     ModelFlags,
-    joint_representation,
     predict,
     stage1_gate,
     stage2_gate,

@@ -5,10 +5,12 @@ sequence. CA, JCA, RJCA and self-attention share one query-side step: the
 L x L correlation of a modality with a context (the other modality, a
 joint feature, or itself) is normalized into a stochastic weight map that
 re-weights the modality's own clips, squashed through tanh around a
-residual. RJCA iterates one JCA block. TCA is a scaled query/key/value
-block. Every variant returns an AttendedPair, so the gating layer
-downstream treats them interchangeably. Every map is column-stochastic:
-column i is query clip i's distribution over source clips.
+residual. JCA's joint feature comes from the joint layer, which the gating
+layer shares; RJCA runs one JCA block RJCA_ITERATIONS times. TCA is a
+scaled query/key/value block. Every variant returns an AttendedPair, so
+the gating layer downstream treats them interchangeably. Every map is
+column-stochastic: column i is query clip i's distribution over source
+clips.
 
 Where a correlation feeds one map only (TCA's scores, both JCA/RJCA maps
 and self-attention), map and correlation are one `softmax_product` node,
@@ -35,6 +37,7 @@ from .autodiff import (
 )
 
 VARIANTS = ("CA", "TCA", "JCA", "RJCA")
+RJCA_ITERATIONS = 2
 
 
 @dataclass
@@ -63,6 +66,12 @@ class TcaBlockParams:
 
 
 @dataclass
+class JointParams:
+    w: Tensor  # d x 2d
+    b: Tensor  # d x 1
+
+
+@dataclass
 class JcaParams:
     """Joint cross-attention weights: the concat+FC map producing the joint
     feature plus one cross-correlation matrix per modality."""
@@ -85,10 +94,16 @@ def cross_correlation(xa, xv, w) -> Tensor:
     return matmul(matmul(transpose(xa), w), xv)
 
 
+def joint_representation(xa, xv, p: JointParams) -> Tensor:
+    """Concatenate the two modalities and project back to d rows."""
+    _check_pair(xa, xv)
+    return add_col(matmul(p.w, concat_rows(xa, xv)), p.b)
+
+
 def _correlation_map(x, context, w) -> Tensor:
     """Column-wise softmax of cross_correlation(x, context, w), built as
     one node: the L x L correlation itself is never held."""
-    return softmax_product(matmul(transpose(x), w), context, "columns")
+    return softmax_product(matmul(transpose(x), w), context)
 
 
 def _attend(x, weights) -> Tensor:
@@ -130,7 +145,7 @@ def tca_block(xq, xkv, p: TcaBlockParams) -> tuple[Tensor, Tensor]:
     q = matmul(p.wq, xq)
     k = matmul(p.wk, xkv)
     v = matmul(p.wv, xkv)
-    weights = softmax_product(scale(transpose(k), 1.0 / d**0.5), q, "columns")
+    weights = softmax_product(scale(transpose(k), 1.0 / d**0.5), q)
     attended = matmul(v, weights)
     h = xq + attended
     hidden = relu(add_col(matmul(p.ff1_w, h), p.ff1_b))
@@ -148,24 +163,20 @@ def tca_attention(xa, xv, p_audio: TcaBlockParams, p_visual: TcaBlockParams) -> 
 def joint_cross_attention(xa, xv, p: JcaParams) -> AttendedPair:
     """Each modality cross-attends against a shared joint feature.
 
-    The joint feature is a learned linear map of the row-concatenated
-    modalities back down to d; each modality then runs the query side of
-    the cross block with the joint feature standing in for the other
-    modality.
+    The joint feature is the joint layer over both modalities; each
+    modality then runs the query side of the cross block with the joint
+    feature standing in for the other modality.
     """
-    _check_pair(xa, xv)
-    joint = add_col(matmul(p.joint_w, concat_rows(xa, xv)), p.joint_b)
+    joint = joint_representation(xa, xv, JointParams(p.joint_w, p.joint_b))
     w_a = _correlation_map(xa, joint, p.cross_a)
     w_v = _correlation_map(xv, joint, p.cross_v)
     return AttendedPair(_attend(xa, w_a), _attend(xv, w_v), w_a, w_v)
 
 
-def recursive_jca(xa, xv, p: JcaParams, iterations: int) -> AttendedPair:
-    """Iterated joint cross-attention: `iterations` passes of one block, each
-    fed the attended outputs of the last; one iteration is one JCA pass."""
-    if iterations < 1:
-        raise ValueError(f"recursive JCA needs >= 1 iteration, got {iterations}")
-    for _ in range(iterations):
+def recursive_jca(xa, xv, p: JcaParams) -> AttendedPair:
+    """Iterated joint cross-attention: RJCA_ITERATIONS passes of one block,
+    each fed the attended outputs of the last."""
+    for _ in range(RJCA_ITERATIONS):
         pair = joint_cross_attention(xa, xv, p)
         xa, xv = pair.audio, pair.visual
     return pair

@@ -253,12 +253,6 @@ def relu(a) -> Tensor:
     return _result(a.value * mask, "relu", (a,), (lambda g: g * mask,))
 
 
-def _axis(op: str, axis: str) -> int:
-    if axis not in _AXES:
-        raise ValueError(f"{op} axis must be 'columns' or 'rows', got {axis!r}")
-    return _AXES[axis]
-
-
 def _normalize(y: np.ndarray, ax: int) -> np.ndarray:
     # y holds max-shifted logits and is overwritten with their softmax
     np.exp(y, out=y)
@@ -283,7 +277,9 @@ def softmax(a, axis: str = "columns", temperature: float = 1.0) -> Tensor:
     a = _coerce(a)
     if not temperature > 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    ax = _axis("softmax", axis)
+    if axis not in _AXES:
+        raise ValueError(f"softmax axis must be 'columns' or 'rows', got {axis!r}")
+    ax = _AXES[axis]
     z = a.value / temperature if temperature != 1.0 else a.value  # x / 1.0 == x exactly
     y = _normalize(z - z.max(axis=ax, keepdims=True), ax)
 
@@ -294,11 +290,11 @@ def softmax(a, axis: str = "columns", temperature: float = 1.0) -> Tensor:
     return _result(y, "softmax", (a,), (vjp,))
 
 
-def softmax_product(a, b, axis: str = "columns") -> Tensor:
-    """softmax(a @ b) along one axis as a single node.
+def softmax_product(a, b) -> Tensor:
+    """Column-wise softmax(a @ b) as a single node.
 
-    Values and grads equal softmax(matmul(a, b), axis) bit for bit, but the
-    product is a temporary: no node keeps it, and backward computes its
+    Values and grads equal softmax(matmul(a, b), "columns") bit for bit, but
+    the product is a temporary: no node keeps it, and backward computes its
     grad once, hands it to both inputs and drops it. Use it where the
     product has no other consumer, such as an L x L attention logit map.
     """
@@ -306,11 +302,10 @@ def softmax_product(a, b, axis: str = "columns") -> Tensor:
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"softmax_product: inner dimensions differ, "
                          f"{a.value.shape} @ {b.value.shape}")
-    ax = _axis("softmax_product", axis)
     av, bv = a.value, b.value
     z = av @ bv
-    z -= z.max(axis=ax, keepdims=True)
-    y = _normalize(z, ax)
+    z -= z.max(axis=0, keepdims=True)
+    y = _normalize(z, 0)
     # the product's grad, from the first input's vjp to the second's
     pending: list[np.ndarray] = []
     both = a.requires_grad and b.requires_grad
@@ -318,7 +313,7 @@ def softmax_product(a, b, axis: str = "columns") -> Tensor:
     def product_grad(g):
         if pending:
             return pending.pop()
-        gz = _softmax_grad(g, y, ax)
+        gz = _softmax_grad(g, y, 0)
         if both:
             pending.append(gz)
         return gz

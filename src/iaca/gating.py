@@ -1,18 +1,19 @@
 """Two-stage gated fusion over attended bimodal features.
 
-Stage 1 runs per modality: a gating layer scores each clip's attended
-feature against its unattended counterpart (raw by default, optionally a
-self-attention pass) and blends the two with softmax weights. The blended
-modalities are fused through a joint representation layer, and stage 2
-gates among the gated audio, gated visual, and joint candidates. An MLP
-with a 16-wide hidden layer maps each clip's fused d-vector into [-1, 1].
+Both stages use one gating layer: per clip, a softmax of a scorer's logits
+blends K candidates, then ReLU. Stage 1 scores each modality's attended
+feature and blends it with its unattended one (raw by default, optionally
+a self-attention pass). The joint layer that JCA also uses fuses the two
+blends, and stage 2 scores all three stacked to gate among gated audio,
+gated visual and joint. An MLP with a 16-wide hidden layer maps each
+clip's fused d-vector into [-1, 1].
 
-The gate scores (L x K, one row per clip on the simplex) are computed
-from the attended features alone and carry no bias term. A small
-temperature sharpens the softmax so the gates act nearly as selectors
-while staying differentiable. Everything after attention acts clip by
-clip, so FusionModel.batch_graph runs it once over a batch's clips.
-param_schema lists a model's parameters for creation and checkpoint loads.
+The gate scores (L x K, one row per clip on the simplex) carry no bias
+term, and the ops check every shape. A small temperature sharpens the
+softmax so the gates act nearly as selectors while staying
+differentiable. Everything after attention acts clip by clip, so
+FusionModel.batch_graph runs it once over a batch's clips. param_schema
+lists a model's parameters for creation and checkpoint loads.
 """
 
 from __future__ import annotations
@@ -27,15 +28,16 @@ from .attention import (
     VARIANTS,
     AttendedPair,
     JcaParams,
+    JointParams,
     TcaBlockParams,
     cross_attention,
     joint_cross_attention,
+    joint_representation,
     recursive_jca,
     self_attention,
     tca_attention,
 )
 from .autodiff import (
-    ShapeError,
     Tensor,
     add_col,
     concat_cols,
@@ -49,13 +51,6 @@ from .autodiff import (
 )
 
 STAGE1_INPUTS = ("raw", "self_attended")
-RJCA_ITERATIONS = 2
-
-
-@dataclass
-class JointParams:
-    w: Tensor  # d x 2d
-    b: Tensor  # d x 1
 
 
 @dataclass
@@ -66,6 +61,13 @@ class HeadParams:
     b2: Tensor  # 1 x 1
 
 
+def _gate(scorer, w, candidates, temperature: float) -> tuple[Tensor, Tensor]:
+    # the gating layer: per-clip scores softmax(scorer^T . w / T) (L x K)
+    # weight the K candidates; returns the ReLU'd blend and the scores
+    g = softmax(matmul(transpose(scorer), w), axis="rows", temperature=temperature)
+    return relu(gate_mix(g, candidates)), g
+
+
 def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, Tensor]:
     """Blend a modality's attended feature with its unattended one.
 
@@ -74,21 +76,7 @@ def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, Tensor
     base feature, column 1 the attended one; the convex blend passes
     through ReLU. Returns the blend and the L x 2 scores.
     """
-    if x_base.shape != x_att.shape:
-        raise ShapeError(f"candidate shapes differ: {x_base.shape} vs {x_att.shape}")
-    d = x_att.shape[0]
-    if w_gl.shape != (d, 2):
-        raise ShapeError(f"gate weights must be {d}x2, got {w_gl.shape}")
-    logits = matmul(transpose(x_att), w_gl)
-    g = softmax(logits, axis="rows", temperature=temperature)
-    return relu(gate_mix(g, (x_base, x_att))), g
-
-
-def joint_representation(x_ga, x_gv, p: JointParams) -> Tensor:
-    """Concatenate the gated modalities and project back to d rows."""
-    if x_ga.shape != x_gv.shape:
-        raise ShapeError(f"gated shapes differ: {x_ga.shape} vs {x_gv.shape}")
-    return add_col(matmul(p.w, concat_rows(x_ga, x_gv)), p.b)
+    return _gate(x_att, w_gl, (x_base, x_att), temperature)
 
 
 def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, Tensor]:
@@ -99,15 +87,7 @@ def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, T
     weight x_ga, x_gv, x_gav in that order. Returns the mix and the L x 3
     scores.
     """
-    if not (x_ga.shape == x_gv.shape == x_gav.shape):
-        raise ShapeError("stage-2 candidates must share one shape, got "
-                         f"{x_ga.shape}, {x_gv.shape}, {x_gav.shape}")
-    d = x_ga.shape[0]
-    if w_avl.shape != (3 * d, 3):
-        raise ShapeError(f"a-v gate weights must be {3 * d}x3, got {w_avl.shape}")
-    stacked = concat_rows(x_ga, x_gv, x_gav)
-    g = softmax(matmul(transpose(stacked), w_avl), axis="rows", temperature=temperature)
-    return relu(gate_mix(g, (x_ga, x_gv, x_gav))), g
+    return _gate(concat_rows(x_ga, x_gv, x_gav), w_avl, (x_ga, x_gv, x_gav), temperature)
 
 
 def predict(x_fused, head: HeadParams) -> Tensor:
@@ -269,7 +249,7 @@ class FusionModel:
         jca = _block(JcaParams, leaves, "jca")
         if self.variant == "JCA":
             return joint_cross_attention(xa, xv, jca)
-        return recursive_jca(xa, xv, jca, RJCA_ITERATIONS)
+        return recursive_jca(xa, xv, jca)
 
     def _graph(self, inputs, leaves: dict) -> tuple[Tensor, list, tuple]:
         """Attention per (xa, xv) sequence, then the per-clip tail once over all
@@ -288,9 +268,8 @@ class FusionModel:
             columns.append((pairs[-1].audio, pairs[-1].visual) + ((xa, xv) if self.iaca else ()))
         att_a, att_v, *bases = (columns[0] if len(columns) == 1
                                 else [concat_cols(*parts) for parts in zip(*columns)])
-        joint = JointParams(leaves["joint.w"], leaves["joint.b"])
-        head = HeadParams(leaves["head.w1"], leaves["head.b1"],
-                          leaves["head.w2"], leaves["head.b2"])
+        joint = _block(JointParams, leaves, "joint")
+        head = _block(HeadParams, leaves, "head")
         if not self.iaca:
             return predict(joint_representation(att_a, att_v, joint), head), pairs, ()
         temperature = self.flags.temperature

@@ -134,9 +134,14 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
         for i, s in enumerate(seqs):  # one NaN would turn every val_ccc NaN
             if not all(np.isfinite(x).all() for x in (s.xa, s.xv, s.target)):
                 raise ValueError(f"{split} sequence {i} holds a non-finite feature or target")
-            if np.shape(s.xa)[-1:] != (np.size(s.target),):
-                raise ValueError(f"{split} sequence {i} has {np.size(s.target)} target entries "
+            n = np.size(s.target)
+            if np.shape(s.xa)[-1:] != (n,):
+                raise ValueError(f"{split} sequence {i} has {n} target entries "
                                  f"for features of shape {np.shape(s.xa)}")
+            if not np.shape(s.xa) == np.shape(s.xv) == (model.d, n):
+                raise ValueError(f"{split} sequence {i} has features of shapes {np.shape(s.xa)} "
+                                 f"(audio) and {np.shape(s.xv)} (visual); the model takes "
+                                 f"{model.d} x {n}")
     optimizer = OPTIMIZERS[cfg.optimizer](cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     result = FitResult()

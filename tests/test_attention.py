@@ -4,6 +4,7 @@ import pytest
 from iaca import autodiff as ad
 from iaca.autodiff import ShapeError, Tensor, finite_diff, mean_all, sum_all
 from iaca.attention import (
+    RJCA_ITERATIONS,
     AttendedPair,
     JcaParams,
     TcaBlockParams,
@@ -15,7 +16,7 @@ from iaca.attention import (
     tca_attention,
     tca_block,
 )
-from iaca.gating import RJCA_ITERATIONS, FusionModel, ModelFlags
+from iaca.gating import FusionModel, ModelFlags
 
 import reference as ref
 from helpers import relative_error
@@ -204,32 +205,27 @@ def test_jca_matches_oracle():
 # ----------------------------------------------------------------------- RJCA
 
 def test_rjca_single_step_is_jca():
+    # each RJCA step is one JCA pass over the last step's output
     rng = np.random.default_rng(11)
     xa, xv = _pair(rng, 4, 6)
-    arrs = _jca_params(rng, 4)
-    one = recursive_jca(Tensor(xa), Tensor(xv), _as_jca(arrs), 1)
-    base = joint_cross_attention(Tensor(xa), Tensor(xv), _as_jca(arrs))
-    assert np.array_equal(one.audio.value, base.audio.value)
-    assert np.array_equal(one.visual.value, base.visual.value)
+    p = _as_jca(_jca_params(rng, 4))
+    out = recursive_jca(Tensor(xa), Tensor(xv), p)
+    first = joint_cross_attention(Tensor(xa), Tensor(xv), p)
+    base = joint_cross_attention(first.audio, first.visual, p)
+    for name in ("audio", "visual", "audio_weights", "visual_weights"):
+        assert np.array_equal(getattr(out, name).value, getattr(base, name).value), name
 
 
 def test_rjca_three_steps_match_unrolled_oracle():
     rng = np.random.default_rng(12)
     xa, xv = _pair(rng, 4, 6)
     arrs = _jca_params(rng, 4)
-    out = recursive_jca(Tensor(xa), Tensor(xv), _as_jca(arrs), 3)
-    ra, rv, _, _ = ref.ref_rjca(xa, xv, t=3, **arrs)
+    out = recursive_jca(Tensor(xa), Tensor(xv), _as_jca(arrs))
+    ra, rv, _, _ = ref.ref_rjca(xa, xv, t=RJCA_ITERATIONS, **arrs)
     assert relative_error(out.audio.value, ra) < 1e-12
     assert relative_error(out.visual.value, rv) < 1e-12
     for t in (out.audio, out.visual):
         assert np.all(np.abs(t.value) < 1.0)
-
-
-def test_rjca_rejects_bad_depth():
-    rng = np.random.default_rng(14)
-    xa, xv = _pair(rng, 3, 4)
-    with pytest.raises(ValueError):
-        recursive_jca(Tensor(xa), Tensor(xv), _as_jca(_jca_params(rng, 3)), 0)
 
 
 # ------------------------------------------------------- shared invariants
@@ -241,7 +237,7 @@ def _variant_forward(name, xa, xv, arrs):
         return tca_attention(xa, xv, _as_tca(arrs["a"]), _as_tca(arrs["v"]))
     if name == "JCA":
         return joint_cross_attention(xa, xv, _as_jca(arrs["j"]))
-    return recursive_jca(xa, xv, _as_jca(arrs["j"]), 2)
+    return recursive_jca(xa, xv, _as_jca(arrs["j"]))
 
 
 def _variant_arrays(name, rng, d):
@@ -307,8 +303,8 @@ def _jca_from_public_ops(xa, xv, p):
     return out
 
 
-@pytest.mark.parametrize("iterations", [1, 2])
-def test_jca_and_rjca_bitwise_equal_the_public_op_composition(iterations):
+@pytest.mark.parametrize("variant", ["JCA", "RJCA"])
+def test_jca_and_rjca_bitwise_equal_the_public_op_composition(variant):
     rng = np.random.default_rng(18)
     xa, xv = _pair(rng, 4, 6)
     arrs = _jca_params(rng, 4)
@@ -318,11 +314,12 @@ def test_jca_and_rjca_bitwise_equal_the_public_op_composition(iterations):
         leaves = {k: Tensor(v) for k, v in {"xa": xa, "xv": xv, **arrs}.items()}
         p = JcaParams(*(leaves[k] for k in ("joint_w", "joint_b", "cross_a", "cross_v")))
         if fused:
-            pair = recursive_jca(leaves["xa"], leaves["xv"], p, iterations)
+            attend = joint_cross_attention if variant == "JCA" else recursive_jca
+            pair = attend(leaves["xa"], leaves["xv"], p)
             out = [(pair.audio, pair.audio_weights), (pair.visual, pair.visual_weights)]
         else:
             a, v = leaves["xa"], leaves["xv"]
-            for _ in range(iterations):
+            for _ in range(1 if variant == "JCA" else RJCA_ITERATIONS):
                 out = _jca_from_public_ops(a, v, p)
                 a, v = out[0][0], out[1][0]
         loss = sum_all(ad.hadamard(out[0][0], up_a)) + sum_all(ad.hadamard(out[1][0], up_v))

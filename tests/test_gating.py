@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iaca import autodiff as ad
 from iaca.autodiff import (
     ShapeError,
     Tensor,
@@ -8,6 +9,7 @@ from iaca.autodiff import (
     finite_diff,
     hadamard,
     mean_all,
+    sum_all,
 )
 from iaca.gating import (
     Diagnostics,
@@ -150,6 +152,38 @@ def test_stage2_rejects_bad_shapes():
         stage2_gate(x, x, Tensor(np.zeros((3, 5))), Tensor(np.zeros((9, 3))), 0.1)
     with pytest.raises(ShapeError):
         stage2_gate(x, x, x, Tensor(np.zeros((8, 3))), 0.1)
+    # a joint candidate a row short, with weights sized to the stacked rows:
+    # only gate_mix sees that the candidates differ
+    with pytest.raises(ShapeError):
+        stage2_gate(x, x, Tensor(np.zeros((2, 4))), Tensor(np.zeros((8, 3))), 0.1)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_gates_bitwise_equal_the_public_op_composition(stage):
+    # stage 1 scores the attended candidate, stage 2 all three stacked
+    rng = np.random.default_rng(46)
+    d, n_clips, k = 4, 6, stage + 1
+    values = [rng.normal(size=(d, n_clips)) for _ in range(k)]
+    w = rng.normal(size=(d if stage == 1 else 3 * d, k))
+    up_out, up_g = rng.normal(size=(d, n_clips)), rng.normal(size=(n_clips, k))
+
+    def run(public):
+        leaves = [Tensor(v) for v in (*values, w)]
+        *cands, w_t = leaves
+        if public:
+            scorer = cands[1] if stage == 1 else ad.concat_rows(*cands)
+            g = ad.softmax(ad.matmul(ad.transpose(scorer), w_t), "rows", 0.5)
+            out = ad.relu(ad.gate_mix(g, cands))
+        else:
+            out, g = (stage1_gate if stage == 1 else stage2_gate)(*cands, w_t, 0.5)
+        (sum_all(hadamard(out, up_out)) + sum_all(hadamard(g, up_g))).backward()
+        return out, g, leaves
+
+    (out, g, leaves), (ref_out, ref_g, ref_leaves) = run(False), run(True)
+    assert np.array_equal(out.value, ref_out.value)
+    assert np.array_equal(g.value, ref_g.value)
+    for leaf, ref_leaf in zip(leaves, ref_leaves):
+        assert np.array_equal(leaf.grad, ref_leaf.grad)
 
 
 def test_gate_rows_live_on_simplex():

@@ -216,12 +216,34 @@ def test_fit_rejects_a_non_finite_validation_sequence():
         assert np.array_equal(model.params[name], value)
 
 
-def test_fit_rejects_a_target_shorter_than_its_sequence():
+def _short(seq, name):
+    # drop a target's last clip, or a feature matrix's last row
+    value = getattr(seq, name)
+    setattr(seq, name, value[:, :-1] if name == "target" else value[:-1])
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda train, val: _short(train[2], "target"),
+     r"training sequence 2 has 9 target entries for features of shape \(6, 10\)"),
+    (lambda train, val: _short(val[1], "xv"),
+     r"validation sequence 1 has features of shapes \(6, 10\) \(audio\) and "
+     r"\(5, 10\) \(visual\); the model takes 6 x 10"),
+    (lambda train, val: _short(train[-1], "xa"),
+     r"training sequence 7 has features of shapes \(5, 10\) \(audio\) and "
+     r"\(6, 10\) \(visual\); the model takes 6 x 10"),
+    (lambda train, val: [_short(val[0], name) for name in ("xa", "xv")],
+     r"validation sequence 0 has features of shapes \(5, 10\) \(audio\) and "
+     r"\(5, 10\) \(visual\); the model takes 6 x 10"),
+], ids=["short-target", "val-visual-short-d", "last-train-audio-short-d", "val-both-short-d"])
+def test_fit_rejects_a_target_shorter_than_its_sequence(corrupt, message):
+    # every mis-shaped sequence is named before any step moves a parameter
     train, val = _small_data()
-    train[2].target = train[2].target[:, :-1]
-    with pytest.raises(ValueError, match=r"training sequence 2 has 9 target entries "
-                                         r"for features of shape \(6, 10\)"):
-        fit(_small_model(), train, val, TrainConfig(epochs=1))
+    corrupt(train, val)
+    model = _small_model()
+    before = {k: v.copy() for k, v in model.params.items()}
+    with pytest.raises(ValueError, match=message):
+        fit(model, train, val, TrainConfig(epochs=1))
+    assert all(np.array_equal(model.params[k], v) for k, v in before.items())
 
 
 def test_history_round_trips_through_csv(tmp_path):
