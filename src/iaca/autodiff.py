@@ -359,29 +359,29 @@ def add_col(a, col) -> Tensor:
 
 
 def gate_mix(gate, candidates: Sequence) -> Tensor:
-    """Mix K candidates clip by clip: column l is sum_k gate[l, k] * candidates[k][:, l].
+    """Mix K candidates clip by clip: column l is sum_j gate[j, l] * candidates[j][:, l].
 
-    gate is L x K, one row per clip; the K candidates share one d x L shape.
-    Terms are added left to right, candidate 0 first.
+    gate is K x L, one column per clip, so row j scales candidate j; the K
+    candidates share one d x L shape. Terms are added left to right, j = 0 first.
     """
     gate = _coerce(gate)
     xs = [_coerce(x) for x in candidates]
-    n_clips, k = gate.value.shape
+    k, n_clips = gate.value.shape
     if len(xs) != k:
-        raise ShapeError(f"gate_mix: {k} gate columns for {len(xs)} candidates")
+        raise ShapeError(f"gate_mix: {k} gate rows for {len(xs)} candidates")
     shape = xs[0].value.shape
     if shape[1] != n_clips or any(x.value.shape != shape for x in xs):
         raise ShapeError(f"gate_mix: candidates must share one shape with {n_clips} "
                          f"columns, got {[x.value.shape for x in xs]}")
-    rows = gate.value.T  # row j scales the clips of candidate j
+    rows = gate.value
     value = xs[0].value * rows[0]
     for j in range(1, k):
         value = value + xs[j].value * rows[j]
 
     def gate_vjp(g):
-        out = np.empty((n_clips, k))
+        out = np.empty((k, n_clips))
         for j, x in enumerate(xs):
-            out[:, j] = (g * x.value).sum(axis=0)
+            out[j] = (g * x.value).sum(axis=0)
         return out
 
     vjps = [lambda g, r=rows[j]: g * r for j in range(k)]

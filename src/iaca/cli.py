@@ -2,9 +2,9 @@
 
 Subcommands: train, ablation, sweep, dump-attn. train and ablation take a
 JSON config file (the ExperimentConfig schema) plus flag overrides; sweep
-and dump-attn rebuild data from a checkpoint's config. Output lands under
---out-dir, else the config's out_dir, else $IACA_RESULTS_DIR, else the
-working directory.
+and dump-attn rebuild data from a checkpoint's config and output_dim.
+Output lands under --out-dir, else the config's out_dir, else
+$IACA_RESULTS_DIR, else the working directory.
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_attn(args: argparse.Namespace) -> int:
-    model, cfg, _ = _restore(args.checkpoint)
-    train, val = prepare_splits(cfg, args.dim)
+    model, cfg, dim = _restore(args.checkpoint)
+    train, val = prepare_splits(cfg, dim)  # rejects a missing or unknown output_dim
     seqs = val if args.split == "val" else train
     if not 0 <= args.index < len(seqs):
         raise ValueError(f"sequence index {args.index} out of range "
@@ -248,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-attn", help="attention/gate dump for one sequence")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dim", choices=OUTPUT_DIMS, default="valence",
-                   help="which dimension's dataset to rebuild")
     p.add_argument("--split", choices=("train", "val"), default="val")
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--out", default="attention.json")

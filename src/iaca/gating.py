@@ -8,11 +8,12 @@ blends, and stage 2 scores all three stacked to gate among gated audio,
 gated visual and joint. An MLP with a 16-wide hidden layer maps each
 clip's fused d-vector into [-1, 1].
 
-The gate scores (L x K, one row per clip on the simplex) carry no bias
-term, and the ops check every shape. A small temperature sharpens the
-softmax so the gates act nearly as selectors while staying
-differentiable. Everything after attention acts clip by clip, so
-FusionModel.batch_graph runs it once over a batch's clips. param_schema
+The gate scores carry no bias term, and the ops check every shape. Inside
+the layer the scores are K x L, one column per clip on the simplex like
+every per-clip tensor; the stages return them L x K, one row per clip. A
+small temperature sharpens the softmax so the gates act nearly as selectors
+while staying differentiable. Everything after attention acts clip by clip,
+so FusionModel.batch_graph runs it once over a batch's clips. param_schema
 lists a model's parameters for creation and checkpoint loads.
 """
 
@@ -62,19 +63,19 @@ class HeadParams:
 
 
 def _gate(scorer, w, candidates, temperature: float) -> tuple[Tensor, Tensor]:
-    # the gating layer: per-clip scores softmax(scorer^T . w / T) (L x K)
-    # weight the K candidates; returns the ReLU'd blend and the scores
-    g = softmax(matmul(transpose(scorer), w), axis="rows", temperature=temperature)
-    return relu(gate_mix(g, candidates)), g
+    # the gating layer: K x L scores softmax(w^T . scorer / T), one column per
+    # clip, weight the K candidates; returns the ReLU'd blend and the L x K scores
+    g = softmax(matmul(transpose(w), scorer), axis="columns", temperature=temperature)
+    return relu(gate_mix(g, candidates)), transpose(g)
 
 
 def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, Tensor]:
     """Blend a modality's attended feature with its unattended one.
 
-    Logits come from the attended feature: W_go = x_att^T . w_gl (L x 2),
-    normalized per clip at the given temperature. Column 0 weights the
-    base feature, column 1 the attended one; the convex blend passes
-    through ReLU. Returns the blend and the L x 2 scores.
+    Logits come from the attended feature: w_gl^T . x_att (2 x L),
+    normalized per clip at the given temperature. Row 0 weights the base
+    feature, row 1 the attended one; the convex blend passes through ReLU.
+    Returns the blend and the scores as L x 2 (column 0 for the base).
     """
     return _gate(x_att, w_gl, (x_base, x_att), temperature)
 
@@ -83,9 +84,9 @@ def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, T
     """Select among gated-audio, gated-visual, and joint candidates.
 
     The gate sees all three stacked per clip (3d x L) so its scores can
-    depend on every candidate; columns 0..2 of the softmaxed L x 3 logits
-    weight x_ga, x_gv, x_gav in that order. Returns the mix and the L x 3
-    scores.
+    depend on every candidate; rows 0..2 of the softmaxed 3 x L logits
+    weight x_ga, x_gv, x_gav in that order. Returns the mix and the scores
+    as L x 3.
     """
     return _gate(concat_rows(x_ga, x_gv, x_gav), w_avl, (x_ga, x_gv, x_gav), temperature)
 

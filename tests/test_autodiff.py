@@ -226,24 +226,27 @@ def test_add_col_rejects_bad_column():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gate_mix_matches_loop_and_finite_diff(k):
     rng = np.random.default_rng(9 + k)
-    gate = rng.uniform(size=(5, k))
+    gate = rng.uniform(size=(k, 5))  # K x L: row j scales candidate j
     xs = [rng.normal(size=(4, 5)) for _ in range(k)]
     out = ad.gate_mix(gate, xs)
     expected = np.zeros((4, 5))
     for l in range(5):
         for j in range(k):
-            expected[:, l] += gate[l, j] * xs[j][:, l]
+            expected[:, l] += gate[j, l] * xs[j][:, l]
     np.testing.assert_allclose(out.value, expected, atol=1e-14)
     _check_grads(lambda g, *cands: ad.gate_mix(g, cands), [gate, *xs])
 
 
 def test_gate_mix_rejects_mis_shaped_gates():
     xs = [np.ones((4, 5)), np.ones((4, 5))]
-    for gate in (np.ones((5, 3)), np.ones((4, 2)), np.ones((5, 1))):
+    with pytest.raises(ShapeError, match="3 gate rows for 2 candidates"):
+        ad.gate_mix(np.ones((3, 5)), xs)
+    # a wrong column count, and the L x K layout
+    for gate in (np.ones((2, 4)), np.ones((5, 2))):
         with pytest.raises(ShapeError):
             ad.gate_mix(gate, xs)
     with pytest.raises(ShapeError):
-        ad.gate_mix(np.ones((5, 2)), [np.ones((4, 5)), np.ones((3, 5))])
+        ad.gate_mix(np.ones((2, 5)), [np.ones((4, 5)), np.ones((3, 5))])
 
 
 def test_finite_diff_sum_and_squares():

@@ -11,7 +11,7 @@ import pytest
 
 from iaca.checkpoint import load_checkpoint, save_checkpoint
 from iaca.cli import build_parser, main
-from iaca.experiments import ExperimentConfig
+from iaca.experiments import ExperimentConfig, prepare_splits
 from iaca.gating import FusionModel, ModelFlags
 from iaca.synth import Regime
 
@@ -138,6 +138,40 @@ def test_dump_attn_index_out_of_range(tmp_path, capsys):
                "--index", "99", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_dump_attn_runs_on_the_checkpoint_dimension(tmp_path):
+    # an arousal checkpoint is dumped on the arousal split, with no flag
+    main(["train", *TINY, "--variant", "CA", "--iaca", "--dims", "arousal",
+          "--out-dir", str(tmp_path)])
+    ckpt = load_checkpoint(tmp_path / "ca_iaca_arousal.ckpt")
+    rc = main(["dump-attn", "--checkpoint", str(tmp_path / "ca_iaca_arousal.ckpt"),
+               "--index", "1", "--out-dir", str(tmp_path), "--out", "attn.json"])
+    assert rc == 0
+    with open(tmp_path / "attn.json") as fh:
+        dump = json.load(fh)
+    cfg = ExperimentConfig.from_dict(ckpt.meta["experiment"])
+    (_, arousal_val), (_, valence_val) = (prepare_splits(cfg, dim)
+                                          for dim in ("arousal", "valence"))
+    assert dump["target"] == arousal_val[1].target.ravel().tolist()
+    assert dump["target"] != valence_val[1].target.ravel().tolist()
+    assert dump["prediction"] == ckpt.model.predict_values(
+        arousal_val[1].xa, arousal_val[1].xv).ravel().tolist()
+
+
+@pytest.mark.parametrize("output_dim", [None, "dominance", 1])
+def test_dump_attn_needs_a_valid_output_dim(tmp_path, capsys, output_dim):
+    model = FusionModel.create(6, "CA", iaca=True, seed=1)
+    meta = {"experiment": asdict(ExperimentConfig(d=6, n_clips=8, n_train=4, n_val=2))}
+    if output_dim is not None:
+        meta["output_dim"] = output_dim
+    save_checkpoint(model, tmp_path / "m.ckpt", extra_meta=meta)
+    rc = main(["dump-attn", "--checkpoint", str(tmp_path / "m.ckpt"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "output_dim" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("missing", ["head.w1", "experiment"])

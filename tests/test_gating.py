@@ -17,6 +17,7 @@ from iaca.gating import (
     HeadParams,
     JointParams,
     ModelFlags,
+    STAGE1_INPUTS,
     joint_representation,
     predict,
     stage1_gate,
@@ -172,8 +173,8 @@ def test_gates_bitwise_equal_the_public_op_composition(stage):
         *cands, w_t = leaves
         if public:
             scorer = cands[1] if stage == 1 else ad.concat_rows(*cands)
-            g = ad.softmax(ad.matmul(ad.transpose(scorer), w_t), "rows", 0.5)
-            out = ad.relu(ad.gate_mix(g, cands))
+            scores = ad.softmax(ad.matmul(ad.transpose(w_t), scorer), "columns", 0.5)
+            out, g = ad.relu(ad.gate_mix(scores, cands)), ad.transpose(scores)
         else:
             out, g = (stage1_gate if stage == 1 else stage2_gate)(*cands, w_t, 0.5)
         (sum_all(hadamard(out, up_out)) + sum_all(hadamard(g, up_g))).backward()
@@ -487,3 +488,28 @@ def test_batch_graph_matches_per_sequence_graphs(variant, iaca):
         for name in model.params:
             assert relative_error(leaves[name].grad, per_sequence[name].grad) < 1e-12, \
                 (stage1_input, name)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_gated_batch_graph_transposes_only_the_gate_scores(variant):
+    # the gating layer scores clips as K x N, one column per clip like the
+    # features, so no d x N feature is copied transposed; the only transposes
+    # with N = sum(L) rows or columns are the returned N x K score copies
+    rng = np.random.default_rng(47)
+    seqs = [_features(rng, 4, n) for n in range(3, 11)]
+    n = sum(a.shape[1] for a, _ in seqs)
+    for stage1_input in STAGE1_INPUTS:
+        model = FusionModel.create(4, variant, iaca=True, seed=15,
+                                   flags=ModelFlags(stage1_input, temperature=0.5))
+        pred, _, gates = model._graph([(Tensor(a), Tensor(v)) for a, v in seqs], model.bind())
+        seen, stack, wide = set(), [pred, *gates], []
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node.parents)
+                if node.op == "transpose" and n in node.shape:
+                    wide.append(node)
+        assert sorted(map(id, wide)) == sorted(map(id, gates)), stage1_input
+        assert [g.shape for g in gates] == [(n, 2), (n, 2), (n, 3)]
+        assert all(g.parents[0].op == "softmax" for g in gates)
