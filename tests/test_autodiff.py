@@ -241,6 +241,8 @@ def test_gate_mix_rejects_mis_shaped_gates():
     xs = [np.ones((4, 5)), np.ones((4, 5))]
     with pytest.raises(ShapeError, match="3 gate rows for 2 candidates"):
         ad.gate_mix(np.ones((3, 5)), xs)
+    with pytest.raises(ShapeError, match="1 gate rows for 2 candidates"):
+        ad.gate_mix(np.ones((1, 5)), xs)
     # a wrong column count, and the L x K layout
     for gate in (np.ones((2, 4)), np.ones((5, 2))):
         with pytest.raises(ShapeError):
