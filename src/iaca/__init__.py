@@ -22,7 +22,7 @@ from .attention import (
     tca_attention,
     tca_block,
 )
-from .autodiff import ShapeError, Tensor, finite_diff
+from .autodiff import ShapeError, Tensor
 from .checkpoint import (
     Checkpoint,
     CheckpointError,

@@ -25,7 +25,7 @@ backward.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,8 +34,6 @@ __all__ = [
     "Tensor",
     "matmul",
     "add",
-    "sub",
-    "hadamard",
     "scale",
     "transpose",
     "tanh",
@@ -46,9 +44,6 @@ __all__ = [
     "concat_cols",
     "add_col",
     "gate_mix",
-    "sum_all",
-    "mean_all",
-    "finite_diff",
 ]
 
 _AXES = {"columns": 0, "rows": 1}
@@ -152,12 +147,9 @@ class Tensor:
                 node.grad = None
             node._used = True
 
-    # + and - only; every other op is called by name
+    # + only; every other op is called by name
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, op={self.op!r})"
@@ -194,11 +186,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"{op}: shapes differ, {a.value.shape} vs {b.value.shape}")
-
-
 def matmul(a, b) -> Tensor:
     """Standard matrix product (m,k) @ (k,n) -> (m,n)."""
     a, b = _coerce(a), _coerce(b)
@@ -210,22 +197,9 @@ def matmul(a, b) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _require_same_shape("add", a, b)
+    if a.value.shape != b.value.shape:
+        raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
     return _result(a.value + b.value, "add", (a, b), (lambda g: g, lambda g: g))
-
-
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _require_same_shape("sub", a, b)
-    return _result(a.value - b.value, "sub", (a, b), (lambda g: g, lambda g: -g))
-
-
-def hadamard(a, b) -> Tensor:
-    """Entrywise product of two same-shaped matrices (no broadcasting)."""
-    a, b = _coerce(a), _coerce(b)
-    _require_same_shape("hadamard", a, b)
-    av, bv = a.value, b.value
-    return _result(av * bv, "hadamard", (a, b), (lambda g: g * bv, lambda g: g * av))
 
 
 def scale(a, c: float) -> Tensor:
@@ -386,34 +360,3 @@ def gate_mix(gate, candidates: Sequence) -> Tensor:
 
     vjps = [lambda g, r=rows[j]: g * r for j in range(k)]
     return _result(value, "gate_mix", (*xs, gate), (*vjps, gate_vjp))
-
-
-def sum_all(a) -> Tensor:
-    """Sum every entry into a 1x1 matrix."""
-    a = _coerce(a)
-    shape = a.value.shape
-    return _result(np.array([[a.value.sum()]]), "sum_all", (a,), (lambda g: np.full(shape, g[0, 0]),))
-
-
-def mean_all(a) -> Tensor:
-    a = _coerce(a)
-    return scale(sum_all(a), 1.0 / a.value.size)
-
-
-def finite_diff(f: Callable[[np.ndarray], float], x, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function, per entry.
-
-    The oracle side of every gradient check: f is re-evaluated from scratch
-    at x +/- eps*e_ij, so it must be deterministic and finite near x.
-    """
-    if eps <= 0:
-        raise ValueError(f"finite_diff eps must be positive, got {eps}")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    for idx in np.ndindex(x.shape):
-        xp = x.copy()
-        xp[idx] += eps
-        xm = x.copy()
-        xm[idx] -= eps
-        grad[idx] = (f(xp) - f(xm)) / (2.0 * eps)
-    return grad

@@ -183,8 +183,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("checkpoints must be a (valence, arousal) pair; got "
                          f"({val_dim}, {aro_dim})")
     _require_same("be one model pair", val_model, aro_model, ("variant", "iaca", "d", "flags"))
+    # out_dir is where a checkpoint was written, not how its data was made
     _require_same("share one experiment config", val_cfg, aro_cfg,
-                  [f.name for f in fields(ExperimentConfig)])
+                  [f.name for f in fields(ExperimentConfig) if f.name != "out_dir"])
     _, valence_val = prepare_splits(val_cfg, "valence")
     _, arousal_val = prepare_splits(aro_cfg, "arousal")
     rows = missing_modality_sweep(val_model, aro_model, valence_val, arousal_val,

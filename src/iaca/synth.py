@@ -11,6 +11,8 @@ The regime decides what lands in each modality's signal slot:
   dominating_audio       visual's slot holds only noise_sigma white noise
   dominating_visual      audio's slot holds only noise_sigma white noise
 
+Only the last three kinds read noise_sigma; strong_complementary ignores it.
+
 Embeddings are drawn once per generate() call, so every sequence of a
 call (and any split carved out of it) shares the same observation model.
 Sequence-level randomness comes from a splitmix-style derivation of the

@@ -1,6 +1,19 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite.
+
+Besides the error metric, this holds the graph ops only tests need: the
+scalar probes (sum_all, mean_all), sub and hadamard for building test
+graphs, and the finite-difference oracle. The ops are built on the public
+``Tensor(value, op=..., parents=..., vjps=...)`` constructor, so they enter
+a graph the way any library op does; ``ops`` gathers them with the
+library's ops for tests that call every op as ``ad.<name>``.
+"""
+
+from types import SimpleNamespace
 
 import numpy as np
+
+from iaca import autodiff
+from iaca.autodiff import ShapeError, Tensor, scale
 
 
 def relative_error(a, b, floor=1e-8):
@@ -13,3 +26,65 @@ def relative_error(a, b, floor=1e-8):
     b = np.asarray(b, dtype=np.float64)
     denom = max(np.linalg.norm(a), np.linalg.norm(b), floor)
     return np.linalg.norm(a - b) / denom
+
+
+def _tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _same_shape(op: str, a, b) -> tuple[Tensor, Tensor]:
+    a, b = _tensor(a), _tensor(b)
+    if a.value.shape != b.value.shape:
+        raise ShapeError(f"{op}: shapes differ, {a.value.shape} vs {b.value.shape}")
+    return a, b
+
+
+def sub(a, b) -> Tensor:
+    a, b = _same_shape("sub", a, b)
+    return Tensor(a.value - b.value, op="sub", parents=(a, b),
+                  vjps=(lambda g: g, lambda g: -g))
+
+
+def hadamard(a, b) -> Tensor:
+    """Entrywise product of two same-shaped matrices (no broadcasting)."""
+    a, b = _same_shape("hadamard", a, b)
+    av, bv = a.value, b.value
+    return Tensor(av * bv, op="hadamard", parents=(a, b),
+                  vjps=(lambda g: g * bv, lambda g: g * av))
+
+
+def sum_all(a) -> Tensor:
+    """Sum every entry into a 1x1 matrix."""
+    a = _tensor(a)
+    shape = a.value.shape
+    return Tensor(np.array([[a.value.sum()]]), op="sum_all", parents=(a,),
+                  vjps=(lambda g: np.full(shape, g[0, 0]),))
+
+
+def mean_all(a) -> Tensor:
+    a = _tensor(a)
+    return scale(sum_all(a), 1.0 / a.value.size)
+
+
+def finite_diff(f, x, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient estimate of a scalar function, per entry.
+
+    The oracle side of every gradient check: f is re-evaluated from scratch
+    at x +/- eps*e_ij, so it must be deterministic and finite near x.
+    """
+    if eps <= 0:
+        raise ValueError(f"finite_diff eps must be positive, got {eps}")
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        xp = x.copy()
+        xp[idx] += eps
+        xm = x.copy()
+        xm[idx] -= eps
+        grad[idx] = (f(xp) - f(xm)) / (2.0 * eps)
+    return grad
+
+
+ops = SimpleNamespace(**{name: getattr(autodiff, name) for name in autodiff.__all__},
+                      sub=sub, hadamard=hadamard, sum_all=sum_all, mean_all=mean_all,
+                      finite_diff=finite_diff)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from iaca.attention import VARIANTS
-from iaca.autodiff import Tensor, finite_diff, softmax
+from iaca.autodiff import Tensor, softmax
 from iaca.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from iaca.experiments import (
     DEFAULT_SWEEP_FRACTIONS,
@@ -32,7 +32,7 @@ from iaca.synth import Regime
 from iaca.training import TrainConfig
 
 import reference as ref
-from helpers import relative_error
+from helpers import finite_diff, relative_error
 
 ALL_COMBOS = [(v, iaca) for v in VARIANTS for iaca in (False, True)]
 

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from iaca import autodiff as ad
-from iaca.autodiff import ShapeError, Tensor, finite_diff, mean_all, sum_all
+from iaca.autodiff import ShapeError, Tensor
 from iaca.attention import (
     RJCA_ITERATIONS,
-    AttendedPair,
     JcaParams,
     TcaBlockParams,
     cross_attention,
@@ -19,7 +17,7 @@ from iaca.attention import (
 from iaca.gating import FusionModel, ModelFlags
 
 import reference as ref
-from helpers import relative_error
+from helpers import finite_diff, mean_all, ops as ad, relative_error, sum_all
 
 
 def _pair(rng, d=4, n_clips=6):

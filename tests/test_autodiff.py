@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from iaca import autodiff as ad
 from iaca.autodiff import ShapeError, Tensor
 
 import reference as ref
-from helpers import relative_error
+from helpers import ops as ad, relative_error
 
 
 def test_matmul_identity():

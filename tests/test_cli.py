@@ -106,6 +106,18 @@ def test_sweep_rejects_a_pair_from_two_experiment_configs(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_takes_a_pair_trained_into_two_directories(tmp_path, capsys):
+    for dim, out_dir in (("valence", tmp_path / "a"), ("arousal", tmp_path / "b")):
+        assert main(["train", *TINY, "--variant", "CA", "--iaca", "--dims", dim,
+                     "--out-dir", str(out_dir)]) == 0
+    rc = main(["sweep", "--checkpoint-valence", str(tmp_path / "a" / "ca_iaca_valence.ckpt"),
+               "--checkpoint-arousal", str(tmp_path / "b" / "ca_iaca_arousal.ckpt"),
+               "--fractions", "0,0.5", "--out", "sweep.csv"])
+    assert rc == 0, capsys.readouterr().err
+    # with no --out-dir, output follows the valence checkpoint's config
+    assert len(_csv_rows(tmp_path / "a" / "sweep.csv")) == 2
+
+
 def test_sweep_and_dump_from_checkpoints(tmp_path):
     rc = main(["train", *TINY, "--variant", "CA", "--iaca",
                "--out-dir", str(tmp_path)])

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from iaca.experiments import (
-    AblationRow,
     ExperimentConfig,
-    SweepRow,
     dump_attention,
     missing_modality_sweep,
     prepare_splits,

@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 
 from iaca import autodiff as ad
-from iaca.autodiff import (
-    ShapeError,
-    Tensor,
-    concat_cols,
-    finite_diff,
-    hadamard,
-    mean_all,
-    sum_all,
-)
+from iaca.autodiff import ShapeError, Tensor, concat_cols
 from iaca.gating import (
-    Diagnostics,
     FusionModel,
     HeadParams,
     JointParams,
@@ -26,7 +17,7 @@ from iaca.gating import (
 from iaca.metrics import ccc_loss
 
 import reference as ref
-from helpers import relative_error
+from helpers import finite_diff, hadamard, mean_all, relative_error, sub, sum_all
 
 ALL_VARIANTS = ["CA", "TCA", "JCA", "RJCA"]
 
@@ -445,7 +436,7 @@ def test_every_parameter_group_gets_finite_difference_checked(variant):
 
     def loss_graph(graph, leaves):
         pred, gold = graph(leaves)
-        err = pred - Tensor(gold)
+        err = sub(pred, Tensor(gold))
         return mean_all(hadamard(err, err))
 
     for graph in (single, batched):
@@ -513,3 +504,27 @@ def test_gated_batch_graph_transposes_only_the_gate_scores(variant):
         assert sorted(map(id, wide)) == sorted(map(id, gates)), stage1_input
         assert [g.shape for g in gates] == [(n, 2), (n, 2), (n, 3)]
         assert all(g.parents[0].op == "softmax" for g in gates)
+
+
+def test_the_model_runs_every_exported_op_and_no_other():
+    # the engine exports the ops the model runs: the ops of every training
+    # graph, over all variants and settings, are autodiff.__all__'s ops
+    rng = np.random.default_rng(48)
+    seqs = [_features(rng, 4, n) for n in (5, 6)]
+    gold = rng.uniform(-1.0, 1.0, size=(1, 11))
+    tags = set()
+    for variant in ALL_VARIANTS:
+        for iaca in (False, True):
+            for stage1_input in STAGE1_INPUTS:
+                model = FusionModel.create(4, variant, iaca=iaca, seed=16,
+                                           flags=ModelFlags(stage1_input))
+                pred = model.batch_graph([(Tensor(a), Tensor(v)) for a, v in seqs],
+                                         model.bind())
+                seen, stack = set(), [ccc_loss(pred, gold)]
+                while stack:
+                    node = stack.pop()
+                    if id(node) not in seen:
+                        seen.add(id(node))
+                        tags.add(node.op)
+                        stack.extend(node.parents)
+    assert tags - {"leaf", "ccc_loss"} == set(ad.__all__) - {"ShapeError", "Tensor"}

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from iaca.autodiff import Tensor, finite_diff
+from iaca.autodiff import Tensor
 from iaca.metrics import ccc, ccc_loss
 
-from helpers import relative_error
+from helpers import finite_diff, relative_error
 
 
 def test_perfect_agreement_scores_one():

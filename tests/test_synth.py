@@ -4,7 +4,6 @@ import pytest
 from iaca.metrics import ccc
 from iaca.synth import (
     Regime,
-    SyntheticSequence,
     corrupt_missing,
     derive_seed,
     generate,

@@ -13,7 +13,6 @@ from iaca.training import (
     OPTIMIZERS,
     Adam,
     EpochRecord,
-    FitResult,
     Sgd,
     TrainConfig,
     TrainingDivergence,
