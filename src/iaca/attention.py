@@ -12,10 +12,11 @@ the gating layer downstream treats them interchangeably. Every map is
 column-stochastic: column i is query clip i's distribution over source
 clips.
 
-Where a correlation feeds one map only (TCA's scores, both JCA/RJCA maps
-and self-attention), map and correlation are one `softmax_product` node,
-so no graph holds the L x L logits. CA keeps its correlation as a node,
-since both of its maps read it.
+Every map is the softmax of an L x L correlation (TCA's: scaled key-query
+products). A graph node holds no value, and softmax's vjp reads only its
+output, so a training graph keeps each map (the attended product's vjp
+reads it) but not the correlation behind it, which is freed once the map
+is built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .autodiff import (
     relu,
     scale,
     softmax,
-    softmax_product,
     tanh,
     transpose,
 )
@@ -100,12 +100,6 @@ def joint_representation(xa, xv, p: JointParams) -> Tensor:
     return add_col(matmul(p.w, concat_rows(xa, xv)), p.b)
 
 
-def _correlation_map(x, context, w) -> Tensor:
-    """Column-wise softmax of cross_correlation(x, context, w), built as
-    one node: the L x L correlation itself is never held."""
-    return softmax_product(matmul(transpose(x), w), context)
-
-
 def _attend(x, weights) -> Tensor:
     """Query side of the cross block: x re-weights its own clips with the
     L x L map, around a residual: tanh(x + x . weights)."""
@@ -128,7 +122,7 @@ def cross_attention(xa, xv, w) -> AttendedPair:
 def self_attention(x, w) -> Tensor:
     """Intra-modal analogue of the cross block: the modality attends to its
     own clips, same residual and tanh."""
-    return _attend(x, _correlation_map(x, x, w))
+    return _attend(x, softmax(cross_correlation(x, x, w)))
 
 
 def tca_block(xq, xkv, p: TcaBlockParams) -> tuple[Tensor, Tensor]:
@@ -145,7 +139,7 @@ def tca_block(xq, xkv, p: TcaBlockParams) -> tuple[Tensor, Tensor]:
     q = matmul(p.wq, xq)
     k = matmul(p.wk, xkv)
     v = matmul(p.wv, xkv)
-    weights = softmax_product(scale(transpose(k), 1.0 / d**0.5), q)
+    weights = softmax(matmul(scale(transpose(k), 1.0 / d**0.5), q))
     attended = matmul(v, weights)
     h = xq + attended
     hidden = relu(add_col(matmul(p.ff1_w, h), p.ff1_b))
@@ -168,8 +162,8 @@ def joint_cross_attention(xa, xv, p: JcaParams) -> AttendedPair:
     feature standing in for the other modality.
     """
     joint = joint_representation(xa, xv, JointParams(p.joint_w, p.joint_b))
-    w_a = _correlation_map(xa, joint, p.cross_a)
-    w_v = _correlation_map(xv, joint, p.cross_v)
+    w_a = softmax(cross_correlation(xa, joint, p.cross_a))
+    w_v = softmax(cross_correlation(xv, joint, p.cross_v))
     return AttendedPair(_attend(xa, w_a), _attend(xv, w_v), w_a, w_v)
 
 

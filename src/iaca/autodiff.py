@@ -1,22 +1,27 @@
 """Dense 2-D float64 tensors with reverse-mode automatic differentiation.
 
 Payloads are plain numpy arrays of shape (rows, cols), row-major, float64.
-A :class:`Tensor` couples one payload with the tag of the op that produced
-it and references to its inputs. Graphs are acyclic by construction and
-single-use: build the forward pass with the op functions below, call
-``backward()`` once on a 1x1 output, read gradients off the leaves, then
-rebuild for the next pass. A function with a closed-form gradient can be
-one node, built as ``Tensor(value, op=..., parents=..., vjps=...)``, as
-``metrics.ccc_loss`` is. A leaf built with ``requires_grad=False`` is a
-constant (input data): an op records only the inputs that require a
-gradient and requires one itself only if some input does, so backward
-never reaches a constant, and a pass built only from constants keeps no
-graph behind its output. Backward allocates grads only for the nodes it
+One rule shapes the engine: a graph node holds no value. A
+:class:`Tensor` is what a caller holds, one payload plus the node behind
+it; the node keeps the op's tag, the output shape, its inputs' nodes and
+the vjps mapping its grad to theirs, and each vjp closes over only the
+arrays its formula reads. So a value no vjp reads, such as a product that
+only feeds a softmax, is freed during the forward as soon as the last
+Tensor naming it goes. ``Tensor.parents`` yields nodes, which carry
+``op``, ``shape``, ``parents`` and ``grad``.
+
+Graphs are acyclic by construction and single-use: build the forward pass
+with the op functions below, call ``backward()`` once on a 1x1 output, read
+gradients off the leaves, then rebuild for the next pass. A function with a
+closed-form gradient can be one node, built as ``Tensor(value, op=...,
+parents=..., vjps=...)``, as ``metrics.ccc_loss`` is. A Tensor built with
+``requires_grad=False`` is a constant (input data) and has no node: an op
+links only the inputs that have one and gets one itself only if some input
+does, so backward never reaches a constant, a pass built only from
+constants keeps no graph behind its output, and ``backward()`` on a
+constant does nothing. Backward allocates grads only for the nodes it
 reaches and frees each interior node's grad once it has passed it on, so
-only leaves keep theirs; everywhere else ``grad`` is None. A node keeps its
-value until the graph goes, read by a vjp or not, so ``softmax_product``
-builds softmax(a @ b) as one node: the product (an L x L attention logit
-map) is a temporary, not a value held until backward.
+only leaves keep theirs; everywhere else ``grad`` is None.
 
 Values are treated as immutable once wrapped; sharing them across threads
 is safe. A graph itself belongs to one thread from construction through
@@ -39,7 +44,6 @@ __all__ = [
     "tanh",
     "relu",
     "softmax",
-    "softmax_product",
     "concat_rows",
     "concat_cols",
     "add_col",
@@ -64,43 +68,68 @@ def _as_value(data) -> np.ndarray:
     return np.ascontiguousarray(v)
 
 
-class Tensor:
-    """One node of the computation graph.
+class _Node:
+    """What backward walks: an op's tag, output shape, input nodes (only
+    those that require a gradient) and their vjps, and the grad backward
+    leaves (on leaves only). No value."""
 
-    ``value`` is the (rows, cols) payload, ``grad`` a same-shaped array
-    that backward() leaves on each leaf it reaches (None elsewhere), ``op``
-    the producing operation's tag, ``requires_grad`` whether backward may
-    reach the node, and ``parents`` the ordered input nodes that require a
-    gradient (empty for leaves and for nodes built only from constants).
+    __slots__ = ("op", "shape", "parents", "_vjps", "grad", "_used")
+
+    def __init__(self, op: str, shape: tuple, parents: tuple, vjps: tuple):
+        self.op = op
+        self.shape = shape
+        self.parents = parents
+        self._vjps = vjps
+        self.grad = None
+        self._used = False
+
+
+def _link(op: str, shape: tuple, parents, vjps) -> _Node | None:
+    # the node over the input Tensors `parents`, linking only those that have
+    # a node; None when some are given but none has one (no parents: a leaf)
+    for p in parents:
+        if p._node is None:
+            for q in parents:  # no comprehension: inference is all constants
+                if q._node is not None:
+                    kept = [(r._node, f) for r, f in zip(parents, vjps) if r._node is not None]
+                    return _Node(op, shape, tuple([n for n, _ in kept]),
+                                 tuple([f for _, f in kept]))
+            return None
+    return _Node(op, shape, tuple([p._node for p in parents]), tuple(vjps))
+
+
+class Tensor:
+    """A (rows, cols) payload, ``value``, and the graph node behind it.
+
+    ``op`` is the producing operation's tag ("constant" for a Tensor with
+    no node), ``requires_grad`` whether it has a node, ``grad`` the array
+    backward() leaves on a leaf it reaches (None elsewhere), and
+    ``parents`` the ordered input nodes that require a gradient (empty for
+    leaves and constants).
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "_vjps", "_used", "requires_grad")
+    __slots__ = ("value", "_node")
 
     def __init__(self, value, op: str = "leaf", parents: tuple = (), vjps: tuple = (),
                  requires_grad: bool = True):
-        self._set(_as_value(value), op, parents, vjps, requires_grad)
+        self.value = _as_value(value)
+        self._node = _link(op, self.value.shape, parents, vjps) if requires_grad else None
 
-    def _set(self, value, op, parents, vjps, requires_grad) -> None:
-        self.value = value
-        self.grad = None
-        self.op = op
-        self._used = False
-        for p in parents if requires_grad else ():
-            if not p.requires_grad:  # record only the parents that need a gradient
-                for other in parents:  # no comprehension: inference is all-constant nodes
-                    if other.requires_grad:
-                        kept = [(q, f) for q, f in zip(parents, vjps) if q.requires_grad]
-                        parents, vjps = [q for q, _ in kept], [f for _, f in kept]
-                        break
-                else:
-                    requires_grad = False
-                break
-        self.requires_grad = requires_grad
-        if requires_grad:
-            self.parents = tuple(parents)
-            self._vjps = tuple(vjps)
-        else:
-            self.parents = self._vjps = ()
+    @property
+    def op(self) -> str:
+        return "constant" if self._node is None else self._node.op
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def parents(self) -> tuple:
+        return () if self._node is None else self._node.parents
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -114,19 +143,22 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode accumulation from this node into every reachable leaf.
 
-        The seed must be 1x1; its grad is seeded with ones. A node's grad is
-        its first contribution, and later contributions are added to it in
-        the order the reverse topological walk produces them. An interior
-        node's grad is set back to None once passed to its parents, so only
-        leaves keep theirs. Each graph may be differentiated once, a second
-        call on any overlapping graph raises.
+        The seed must be 1x1; its grad is seeded with ones, and a constant
+        seed reaches nothing. A node's grad is its first contribution, and
+        later contributions are added to it in the order the reverse
+        topological walk produces them. An interior node's grad is set
+        back to None once passed to its parents, so only leaves keep
+        theirs. Each graph may be differentiated once, a second call on
+        any overlapping graph raises.
         """
         if self.value.shape != (1, 1):
             raise ValueError(f"backward needs a 1x1 scalar seed, got shape {self.value.shape}")
-        order = _topo_order(self)
+        if self._node is None:
+            return
+        order = _topo_order(self._node)
         if any(node._used for node in order):
             raise RuntimeError("graph already differentiated; rebuild it before calling backward again")
-        self.grad = np.ones((1, 1))
+        self._node.grad = np.ones((1, 1))
         for node in reversed(order):
             g = node.grad
             for parent, vjp in zip(node.parents, node._vjps):
@@ -157,20 +189,21 @@ class Tensor:
 
 def _result(value: np.ndarray, op: str, parents: tuple, vjps: tuple) -> Tensor:
     # an op's output is float64, 2-D and C-contiguous by construction: no check
-    node = object.__new__(Tensor)
-    node._set(value, op, parents, vjps, True)
-    return node
+    t = object.__new__(Tensor)
+    t.value = value
+    t._node = _link(op, value.shape, parents, vjps)
+    return t
 
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
+def _topo_order(root: _Node) -> list[_Node]:
     """Iterative post-order: every node appears after all of its parents."""
-    order: list[Tensor] = []
+    order: list[_Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -227,20 +260,6 @@ def relu(a) -> Tensor:
     return _result(a.value * mask, "relu", (a,), (lambda g: g * mask,))
 
 
-def _normalize(y: np.ndarray, ax: int) -> np.ndarray:
-    # y holds max-shifted logits and is overwritten with their softmax
-    np.exp(y, out=y)
-    y /= y.sum(axis=ax, keepdims=True)
-    return y
-
-
-def _softmax_grad(g: np.ndarray, y: np.ndarray, ax: int) -> np.ndarray:
-    out = g * y
-    np.subtract(g, out.sum(axis=ax, keepdims=True), out=out)
-    out *= y
-    return out
-
-
 def softmax(a, axis: str = "columns", temperature: float = 1.0) -> Tensor:
     """Temperature softmax along one axis, max-subtracted for stability.
 
@@ -255,45 +274,17 @@ def softmax(a, axis: str = "columns", temperature: float = 1.0) -> Tensor:
         raise ValueError(f"softmax axis must be 'columns' or 'rows', got {axis!r}")
     ax = _AXES[axis]
     z = a.value / temperature if temperature != 1.0 else a.value  # x / 1.0 == x exactly
-    y = _normalize(z - z.max(axis=ax, keepdims=True), ax)
+    y = z - z.max(axis=ax, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=ax, keepdims=True)
 
     def vjp(g):
-        out = _softmax_grad(g, y, ax)
+        out = g * y
+        np.subtract(g, out.sum(axis=ax, keepdims=True), out=out)
+        out *= y
         return out / temperature if temperature != 1.0 else out
 
     return _result(y, "softmax", (a,), (vjp,))
-
-
-def softmax_product(a, b) -> Tensor:
-    """Column-wise softmax(a @ b) as a single node.
-
-    Values and grads equal softmax(matmul(a, b), "columns") bit for bit, but
-    the product is a temporary: no node keeps it, and backward computes its
-    grad once, hands it to both inputs and drops it. Use it where the
-    product has no other consumer, such as an L x L attention logit map.
-    """
-    a, b = _coerce(a), _coerce(b)
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(f"softmax_product: inner dimensions differ, "
-                         f"{a.value.shape} @ {b.value.shape}")
-    av, bv = a.value, b.value
-    z = av @ bv
-    z -= z.max(axis=0, keepdims=True)
-    y = _normalize(z, 0)
-    # the product's grad, from the first input's vjp to the second's
-    pending: list[np.ndarray] = []
-    both = a.requires_grad and b.requires_grad
-
-    def product_grad(g):
-        if pending:
-            return pending.pop()
-        gz = _softmax_grad(g, y, 0)
-        if both:
-            pending.append(gz)
-        return gz
-
-    return _result(y, "softmax_product", (a, b),
-                   (lambda g: product_grad(g) @ bv.T, lambda g: av.T @ product_grad(g)))
 
 
 def _concat(op: str, parts, axis: int) -> Tensor:

@@ -130,6 +130,15 @@ def from_json_object(kind, data, where: str = ""):
     return kind(**values)
 
 
+def require_ints(config, *names: str) -> None:
+    """Raise ValueError naming the first of config's fields `names` whose
+    value is not an int; as in from_json_object, a bool is not one."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass
 class ModelFlags:
     """The switches a config varies: stage 1's unattended input and the gate

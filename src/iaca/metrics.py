@@ -3,9 +3,9 @@
 CCC measures agreement, not just linear association: it is 1 only when
 predictions match the gold track in location and scale, so a rescaled or
 shifted copy scores strictly below a faithful one. Moments are population
-(1/N) throughout. The formula is written once: ``ccc_loss`` is one graph
-node whose value is ``1 - ccc`` bit for bit and whose vjp is CCC's closed-
-form gradient; the gold track never enters the graph.
+(1/N) throughout. The formula is written once: ``ccc_loss`` is a Tensor
+over one graph node, its value ``1 - ccc`` bit for bit and its vjp CCC's
+closed-form gradient; the gold track never enters the graph.
 """
 
 from __future__ import annotations

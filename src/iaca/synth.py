@@ -138,6 +138,8 @@ def corrupt_missing(x: np.ndarray, fraction: float, seed: int = 0) -> np.ndarray
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"x must be a d x L matrix, got shape {x.shape}")
     out = x.copy()
     n_clips = x.shape[1]
     n_zero = int(np.floor(fraction * n_clips))

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from iaca.attention import (
     tca_block,
 )
 from iaca.gating import FusionModel, ModelFlags
+from iaca.synth import SyntheticSequence
+from iaca.training import _batch_loss
 
 import reference as ref
 from helpers import finite_diff, mean_all, ops as ad, relative_error, sum_all
@@ -288,11 +292,11 @@ def test_variant_gradients_match_finite_differences(name):
     assert relative_error(xa_t.grad, numeric) < 1e-4
 
 
-# ------------------------------------------- one node per JCA/RJCA weight map
+# ------------------------------------------- JCA/RJCA against the public ops
 
 def _jca_from_public_ops(xa, xv, p):
-    """JCA from public ops only, each map as a correlation node, then
-    softmax, then the residual tanh: the reference for the fused maps."""
+    """JCA from public ops only, each map as the softmax of a correlation,
+    then the residual tanh: the reference for joint_cross_attention."""
     joint = ad.add_col(ad.matmul(p.joint_w, ad.concat_rows(xa, xv)), p.joint_b)
     out = []
     for x, w in ((xa, p.cross_a), (xv, p.cross_v)):
@@ -308,10 +312,10 @@ def test_jca_and_rjca_bitwise_equal_the_public_op_composition(variant):
     arrs = _jca_params(rng, 4)
     up_a, up_v = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
 
-    def run(fused):
+    def run(library):
         leaves = {k: Tensor(v) for k, v in {"xa": xa, "xv": xv, **arrs}.items()}
         p = JcaParams(*(leaves[k] for k in ("joint_w", "joint_b", "cross_a", "cross_v")))
-        if fused:
+        if library:
             attend = joint_cross_attention if variant == "JCA" else recursive_jca
             pair = attend(leaves["xa"], leaves["xv"], p)
             out = [(pair.audio, pair.audio_weights), (pair.visual, pair.visual_weights)]
@@ -331,26 +335,52 @@ def test_jca_and_rjca_bitwise_equal_the_public_op_composition(variant):
         assert np.array_equal(leaf.grad, ref_leaves[name].grad), name
 
 
+def _live_arrays(*roots):
+    """The arrays kept alive by roots: through containers, every slot of a
+    Tensor or graph node, and the closure cells and defaults of a vjp. A
+    view counts as the array it views."""
+    found, seen, stack = {}, set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            found[id(obj)] = obj
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif isinstance(obj, dict):
+            stack += obj.values()
+        elif isinstance(obj, types.FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+            stack += obj.__defaults__ or ()
+        else:
+            stack += [getattr(obj, name, None) for cls in type(obj).__mro__
+                      for name in getattr(cls, "__slots__", ())]
+    return list(found.values())
+
+
 @pytest.mark.parametrize("variant,iaca,stage1_input", [
-    ("TCA", False, "raw"), ("TCA", True, "raw"),
-    ("JCA", False, "raw"), ("JCA", True, "raw"), ("RJCA", False, "raw"),
-    ("RJCA", True, "raw"), ("RJCA", True, "self_attended"),
+    (variant, iaca, stage1_input) for variant in ("CA", "TCA", "JCA", "RJCA")
+    for iaca, stage1_input in ((False, "raw"), (True, "raw"), (True, "self_attended"))
 ])
 def test_batch_graph_holds_no_lxl_value_but_the_weight_maps(variant, iaca, stage1_input):
+    # what a training step keeps alive until backward: the loss graph and
+    # what the caller holds (parameter leaves, prediction values, gold); of
+    # it, the only L x L arrays are the weight maps, which the attended
+    # products' vjps read, and no correlation behind a map
     d, n_clips, n_seqs = 3, 5, 2
     rng = np.random.default_rng(19)
     model = FusionModel.create(d, variant, iaca, ModelFlags(stage1_input=stage1_input))
-    inputs = [tuple(Tensor(rng.normal(size=(d, n_clips)), requires_grad=False)
-                    for _ in range(2)) for _ in range(n_seqs)]
-    root = model.batch_graph(inputs, model.bind())
-    nodes, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            stack += node.parents
-    square = [n for n in nodes.values() if n.shape == (n_clips, n_clips)]
-    # two maps per TCA or JCA pass, plus one per modality's self-attention
+    batch = [SyntheticSequence(rng.normal(size=(d, n_clips)), rng.normal(size=(d, n_clips)),
+                               rng.uniform(-1.0, 1.0, size=(1, n_clips)), None, 0)
+             for _ in range(n_seqs)]
+    held = _batch_loss(model, batch)
+    square = [a for a in _live_arrays(held) if a.shape == (n_clips, n_clips)]
+    # two maps per CA, TCA or JCA pass, plus one per modality's self-attention
     maps = 2 * (RJCA_ITERATIONS if variant == "RJCA" else 1) + 2 * (stage1_input != "raw")
     assert len(square) == n_seqs * maps
-    assert {n.op for n in square} == {"softmax_product"}
+    for weights in square:
+        np.testing.assert_allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-12)

@@ -413,8 +413,8 @@ def test_readme_library_names_resolve():
             pytest.fail(f"README names {name}, which does not resolve")
 
 
-@pytest.mark.parametrize("variant,op", [("CA", "cross_correlation"), ("TCA", "softmax_product"),
-                                        ("JCA", "softmax_product")])
+@pytest.mark.parametrize("variant,op", [("CA", "cross_correlation"), ("TCA", "softmax"),
+                                        ("JCA", "softmax")])
 def test_out_of_memory_names_the_sequence_length(tmp_path, capsys, monkeypatch, variant, op):
     # stands in for numpy failing to allocate an L x L map; nothing large is allocated
     def too_big(*args, **kwargs):

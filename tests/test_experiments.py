@@ -74,6 +74,13 @@ def test_config_validation_recurses():
         _tiny_cfg(n_val=0).validate()
 
 
+@pytest.mark.parametrize("field,value", [("seed", 1.5), ("d", 4.0), ("n_clips", True),
+                                         ("n_train", "3"), ("n_val", None)])
+def test_config_validation_rejects_an_int_field_of_another_type(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        _tiny_cfg(**{field: value}).validate()
+
+
 # ------------------------------------------------------------------- splits
 
 def test_prepare_splits_deterministic_and_dimension_specific():

@@ -88,7 +88,7 @@ def test_loss_is_one_node_worth_one_minus_ccc_bitwise():
         t = Tensor(p)
         loss = ccc_loss(t, g)
         assert loss.item() == 1.0 - ccc(p, g)
-        assert loss.op == "ccc_loss" and loss.parents == (t,)  # gold is no node
+        assert loss.op == "ccc_loss" and loss.parents == (t._node,)  # gold is no node
 
 
 @pytest.mark.parametrize("constant", ["pred", "gold"])

@@ -157,3 +157,9 @@ def test_missing_is_seeded_and_validated():
     with pytest.raises(ValueError):
         corrupt_missing(x, 1.1)
 
+
+@pytest.mark.parametrize("shape", [(12,), (2, 3, 12)])
+def test_missing_rejects_input_that_is_not_a_matrix(shape):
+    with pytest.raises(ValueError, match=rf"d x L matrix, got shape \({shape[0]},"):
+        corrupt_missing(np.ones(shape), 0.5)
+

@@ -41,6 +41,15 @@ def test_config_validation():
     TrainConfig(lr=0.0).validate()  # a no-op fit is allowed
 
 
+@pytest.mark.parametrize("field,value", [("epochs", 2.5), ("batch_size", 8.0), ("seed", 1.5),
+                                         ("patience", True), ("epochs", "3")])
+def test_validate_rejects_an_int_field_of_another_type(field, value):
+    # each would pass the range checks and fail, or mistrain, inside fit
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        TrainConfig(**{field: value}).validate()
+    TrainConfig(**{field: np.int64(2)}).validate()
+
+
 @pytest.mark.parametrize("bad", [TrainConfig(lr=float("nan")), TrainConfig(lr=float("inf")),
                                  ModelFlags(temperature=float("nan")),
                                  Regime(noise_sigma=float("nan"))],
