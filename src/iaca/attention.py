@@ -13,10 +13,10 @@ column-stochastic: column i is query clip i's distribution over source
 clips.
 
 Every map is the softmax of an L x L correlation (TCA's: scaled key-query
-products). A graph node holds no value, and softmax's vjp reads only its
-output, so a training graph keeps each map (the attended product's vjp
-reads it) but not the correlation behind it, which is freed once the map
-is built.
+products), written into the correlation's own buffer: a graph node holds
+no value and the product's vjps read only its inputs, so nothing reads the
+correlation after its map is built, and each map costs one L x L buffer.
+A training graph keeps the maps, which the attended products' vjps read.
 """
 
 from __future__ import annotations
@@ -100,6 +100,11 @@ def joint_representation(xa, xv, p: JointParams) -> Tensor:
     return add_col(matmul(p.w, concat_rows(xa, xv)), p.b)
 
 
+def _normalize(z: Tensor) -> Tensor:
+    """Column softmax of the L x L product z, written over z's value."""
+    return softmax(z, out=z.value)
+
+
 def _attend(x, weights) -> Tensor:
     """Query side of the cross block: x re-weights its own clips with the
     L x L map, around a residual: tanh(x + x . weights)."""
@@ -113,8 +118,8 @@ def cross_attention(xa, xv, w) -> AttendedPair:
     matrix, the visual map the column-wise softmax of its transpose.
     """
     z = cross_correlation(xa, xv, w)
-    audio_weights = softmax(z, axis="columns")
-    visual_weights = softmax(transpose(z), axis="columns")
+    zt = transpose(z)  # taken before z is normalized in place
+    audio_weights, visual_weights = _normalize(z), _normalize(zt)
     return AttendedPair(_attend(xa, audio_weights), _attend(xv, visual_weights),
                         audio_weights, visual_weights)
 
@@ -122,7 +127,7 @@ def cross_attention(xa, xv, w) -> AttendedPair:
 def self_attention(x, w) -> Tensor:
     """Intra-modal analogue of the cross block: the modality attends to its
     own clips, same residual and tanh."""
-    return _attend(x, softmax(cross_correlation(x, x, w)))
+    return _attend(x, _normalize(cross_correlation(x, x, w)))
 
 
 def tca_block(xq, xkv, p: TcaBlockParams) -> tuple[Tensor, Tensor]:
@@ -139,7 +144,7 @@ def tca_block(xq, xkv, p: TcaBlockParams) -> tuple[Tensor, Tensor]:
     q = matmul(p.wq, xq)
     k = matmul(p.wk, xkv)
     v = matmul(p.wv, xkv)
-    weights = softmax(matmul(scale(transpose(k), 1.0 / d**0.5), q))
+    weights = _normalize(matmul(scale(transpose(k), 1.0 / d**0.5), q))
     attended = matmul(v, weights)
     h = xq + attended
     hidden = relu(add_col(matmul(p.ff1_w, h), p.ff1_b))
@@ -162,8 +167,8 @@ def joint_cross_attention(xa, xv, p: JcaParams) -> AttendedPair:
     feature standing in for the other modality.
     """
     joint = joint_representation(xa, xv, JointParams(p.joint_w, p.joint_b))
-    w_a = softmax(cross_correlation(xa, joint, p.cross_a))
-    w_v = softmax(cross_correlation(xv, joint, p.cross_v))
+    w_a = _normalize(cross_correlation(xa, joint, p.cross_a))
+    w_v = _normalize(cross_correlation(xv, joint, p.cross_v))
     return AttendedPair(_attend(xa, w_a), _attend(xv, w_v), w_a, w_v)
 
 

@@ -23,9 +23,11 @@ constant does nothing. Backward allocates grads only for the nodes it
 reaches and frees each interior node's grad once it has passed it on, so
 only leaves keep theirs; everywhere else ``grad`` is None.
 
-Values are treated as immutable once wrapped; sharing them across threads
-is safe. A graph itself belongs to one thread from construction through
-backward.
+Values are treated as immutable once wrapped, but for one exception:
+attention's ``softmax(z, out=z.value)`` normalizes each L x L product z
+in its own buffer, which is safe only because the caller drops z and no
+vjp reads it. Sharing values across threads is safe. A graph itself
+belongs to one thread from construction through backward.
 """
 
 from __future__ import annotations
@@ -260,29 +262,34 @@ def relu(a) -> Tensor:
     return _result(a.value * mask, "relu", (a,), (lambda g: g * mask,))
 
 
-def softmax(a, axis: str = "columns", temperature: float = 1.0) -> Tensor:
+def softmax(a, axis: str = "columns", temperature: float = 1.0,
+            out: np.ndarray | None = None) -> Tensor:
     """Temperature softmax along one axis, max-subtracted for stability.
 
     axis="columns" normalizes every column into a probability vector,
     axis="rows" every row. Logits are divided by the temperature first;
-    smaller temperatures sharpen toward the per-slice argmax.
+    smaller temperatures sharpen toward the per-slice argmax. As in numpy,
+    the result goes into ``out`` if given, which may be ``a.value`` itself.
     """
     a = _coerce(a)
     if not temperature > 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
     if axis not in _AXES:
         raise ValueError(f"softmax axis must be 'columns' or 'rows', got {axis!r}")
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == a.value.shape and out.flags.c_contiguous):
+        raise ShapeError(f"softmax out must be a C-contiguous float64 {a.value.shape} array")
     ax = _AXES[axis]
     z = a.value / temperature if temperature != 1.0 else a.value  # x / 1.0 == x exactly
-    y = z - z.max(axis=ax, keepdims=True)
+    y = np.subtract(z, z.max(axis=ax, keepdims=True), out=out)
     np.exp(y, out=y)
     y /= y.sum(axis=ax, keepdims=True)
 
     def vjp(g):
-        out = g * y
-        np.subtract(g, out.sum(axis=ax, keepdims=True), out=out)
-        out *= y
-        return out / temperature if temperature != 1.0 else out
+        gz = g * y
+        np.subtract(g, gz.sum(axis=ax, keepdims=True), out=gz)
+        gz *= y
+        return gz / temperature if temperature != 1.0 else gz
 
     return _result(y, "softmax", (a,), (vjp,))
 

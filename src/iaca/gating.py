@@ -130,13 +130,20 @@ def from_json_object(kind, data, where: str = ""):
     return kind(**values)
 
 
-def require_ints(config, *names: str) -> None:
+# what a config field of each type takes from Python or numpy, and its name
+_FIELD_TYPES = {bool: ((bool, np.bool_), "a bool"), int: ((int, np.integer), "an int"),
+                float: ((int, float, np.integer, np.floating), "a number")}
+
+
+def require_type(config, kind: type, *names: str) -> None:
     """Raise ValueError naming the first of config's fields `names` whose
-    value is not an int; as in from_json_object, a bool is not one."""
+    value is not of type `kind` (bool, int or float, which takes ints);
+    as in from_json_object, a bool is only a bool."""
+    types, noun = _FIELD_TYPES[kind]
     for name in names:
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+        if isinstance(value, (bool, np.bool_)) != (kind is bool) or not isinstance(value, types):
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass
@@ -148,6 +155,7 @@ class ModelFlags:
     temperature: float = 0.1
 
     def validate(self) -> None:
+        require_type(self, float, "temperature")
         if self.stage1_input not in STAGE1_INPUTS:
             raise ValueError(
                 f"stage1_input must be one of {STAGE1_INPUTS}, got {self.stage1_input!r}")

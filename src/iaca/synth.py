@@ -26,6 +26,8 @@ from typing import List
 
 import numpy as np
 
+from .gating import require_type
+
 REGIME_KINDS = ("strong_complementary", "weak_conflicting",
                 "dominating_audio", "dominating_visual")
 
@@ -57,6 +59,7 @@ class Regime:
     def validate(self) -> None:
         if self.kind not in REGIME_KINDS:
             raise ValueError(f"kind must be one of {REGIME_KINDS}, got {self.kind!r}")
+        require_type(self, float, "noise_sigma", "corrupt_fraction")
         # written so that NaN fails every check
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")

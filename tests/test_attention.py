@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -53,12 +54,12 @@ def _jca_params(rng, d):
     }
 
 
-def _as_tca(arrs):
-    return TcaBlockParams(**{k: Tensor(v) for k, v in arrs.items()})
+def _as_tca(arrs, requires_grad=True):
+    return TcaBlockParams(**{k: Tensor(v, requires_grad=requires_grad) for k, v in arrs.items()})
 
 
-def _as_jca(arrs):
-    return JcaParams(**{k: Tensor(v) for k, v in arrs.items()})
+def _as_jca(arrs, requires_grad=True):
+    return JcaParams(**{k: Tensor(v, requires_grad=requires_grad) for k, v in arrs.items()})
 
 
 # ---------------------------------------------------------------- correlation
@@ -232,14 +233,14 @@ def test_rjca_three_steps_match_unrolled_oracle():
 
 # ------------------------------------------------------- shared invariants
 
-def _variant_forward(name, xa, xv, arrs):
+def _variant_forward(name, xa, xv, arrs, requires_grad=True):
     if name == "CA":
-        return cross_attention(xa, xv, Tensor(arrs["w"]))
+        return cross_attention(xa, xv, Tensor(arrs["w"], requires_grad=requires_grad))
     if name == "TCA":
-        return tca_attention(xa, xv, _as_tca(arrs["a"]), _as_tca(arrs["v"]))
-    if name == "JCA":
-        return joint_cross_attention(xa, xv, _as_jca(arrs["j"]))
-    return recursive_jca(xa, xv, _as_jca(arrs["j"]))
+        return tca_attention(xa, xv, _as_tca(arrs["a"], requires_grad),
+                             _as_tca(arrs["v"], requires_grad))
+    attend = joint_cross_attention if name == "JCA" else recursive_jca
+    return attend(xa, xv, _as_jca(arrs["j"], requires_grad))
 
 
 def _variant_arrays(name, rng, d):
@@ -292,47 +293,115 @@ def test_variant_gradients_match_finite_differences(name):
     assert relative_error(xa_t.grad, numeric) < 1e-4
 
 
-# ------------------------------------------- JCA/RJCA against the public ops
+# ------------------------------------------- the variants against the public ops
 
-def _jca_from_public_ops(xa, xv, p):
-    """JCA from public ops only, each map as the softmax of a correlation,
-    then the residual tanh: the reference for joint_cross_attention."""
-    joint = ad.add_col(ad.matmul(p.joint_w, ad.concat_rows(xa, xv)), p.joint_b)
-    out = []
-    for x, w in ((xa, p.cross_a), (xv, p.cross_v)):
-        weights = ad.softmax(cross_correlation(x, joint, w), axis="columns")
-        out.append((ad.tanh(ad.add(x, ad.matmul(x, weights))), weights))
+def _attend_from_public_ops(x, weights):
+    return ad.tanh(ad.add(x, ad.matmul(x, weights)))
+
+
+def _tca_block_from_public_ops(xq, xkv, p):
+    d = xq.shape[0]
+    q, k, v = ad.matmul(p.wq, xq), ad.matmul(p.wk, xkv), ad.matmul(p.wv, xkv)
+    weights = ad.softmax(ad.matmul(ad.scale(ad.transpose(k), 1.0 / d**0.5), q), axis="columns")
+    h = ad.add(xq, ad.matmul(v, weights))
+    hidden = ad.relu(ad.add_col(ad.matmul(p.ff1_w, h), p.ff1_b))
+    return ad.tanh(ad.add(h, ad.add_col(ad.matmul(p.ff2_w, hidden), p.ff2_b))), weights
+
+
+def _from_public_ops(variant, xa, xv, p):
+    """The variant from public ops only, each map the allocating softmax of
+    its product: the reference for the library's in-place maps. Returns
+    (attended, map) per modality, audio first; self-attention attends xa."""
+    if variant == "CA":
+        z = cross_correlation(xa, xv, p)
+        maps = ad.softmax(z, axis="columns"), ad.softmax(ad.transpose(z), axis="columns")
+        return [(_attend_from_public_ops(x, m), m) for x, m in zip((xa, xv), maps)]
+    if variant == "TCA":
+        return [_tca_block_from_public_ops(xa, xv, p[0]), _tca_block_from_public_ops(xv, xa, p[1])]
+    if variant == "self":
+        weights = ad.softmax(cross_correlation(xa, xa, p), axis="columns")
+        return [(_attend_from_public_ops(xa, weights), weights)]
+    for _ in range(1 if variant == "JCA" else RJCA_ITERATIONS):
+        joint = ad.add_col(ad.matmul(p.joint_w, ad.concat_rows(xa, xv)), p.joint_b)
+        out = []
+        for x, w in ((xa, p.cross_a), (xv, p.cross_v)):
+            weights = ad.softmax(cross_correlation(x, joint, w), axis="columns")
+            out.append((_attend_from_public_ops(x, weights), weights))
+        xa, xv = out[0][0], out[1][0]
     return out
 
 
-@pytest.mark.parametrize("variant", ["JCA", "RJCA"])
-def test_jca_and_rjca_bitwise_equal_the_public_op_composition(variant):
+def _from_library(variant, xa, xv, p):
+    if variant == "self":
+        return [(self_attention(xa, p), None)]  # the map is not returned
+    if variant == "CA":
+        pair = cross_attention(xa, xv, p)
+    elif variant == "TCA":
+        pair = tca_attention(xa, xv, *p)
+    else:
+        pair = (joint_cross_attention if variant == "JCA" else recursive_jca)(xa, xv, p)
+    return [(pair.audio, pair.audio_weights), (pair.visual, pair.visual_weights)]
+
+
+def _bind(variant, arrs):
+    """Fresh leaves for a variant's arrays: the params its forward takes, and
+    the same leaves by name."""
+    if variant in ("CA", "self"):
+        w = Tensor(arrs["w"])
+        return w, {"w": w}
+    if variant == "TCA":
+        blocks = _as_tca(arrs["a"]), _as_tca(arrs["v"])
+        return blocks, {f"{side}.{k}": t for side, block in zip("av", blocks)
+                        for k, t in vars(block).items()}
+    p = _as_jca(arrs["j"])
+    return p, dict(vars(p))
+
+
+@pytest.mark.parametrize("variant", ["CA", "TCA", "JCA", "RJCA", "self"])
+def test_variants_bitwise_equal_the_public_op_composition(variant):
+    # the library writes each map into its product's buffer; the reference
+    # allocates it, so the in-place path cannot drift from the public ops
     rng = np.random.default_rng(18)
     xa, xv = _pair(rng, 4, 6)
-    arrs = _jca_params(rng, 4)
-    up_a, up_v = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+    arrs = _variant_arrays("CA" if variant == "self" else variant, rng, 4)
+    upstream = [rng.normal(size=(4, 6)) for _ in range(2)]
 
-    def run(library):
-        leaves = {k: Tensor(v) for k, v in {"xa": xa, "xv": xv, **arrs}.items()}
-        p = JcaParams(*(leaves[k] for k in ("joint_w", "joint_b", "cross_a", "cross_v")))
-        if library:
-            attend = joint_cross_attention if variant == "JCA" else recursive_jca
-            pair = attend(leaves["xa"], leaves["xv"], p)
-            out = [(pair.audio, pair.audio_weights), (pair.visual, pair.visual_weights)]
-        else:
-            a, v = leaves["xa"], leaves["xv"]
-            for _ in range(1 if variant == "JCA" else RJCA_ITERATIONS):
-                out = _jca_from_public_ops(a, v, p)
-                a, v = out[0][0], out[1][0]
-        loss = sum_all(ad.hadamard(out[0][0], up_a)) + sum_all(ad.hadamard(out[1][0], up_v))
+    def run(forward):
+        p, leaves = _bind(variant, arrs)
+        leaves.update(xa=Tensor(xa), xv=Tensor(xv))
+        out = forward(variant, leaves["xa"], leaves["xv"], p)
+        loss = sum_all(ad.hadamard(out[0][0], upstream[0]))
+        for (attended, _), up in zip(out[1:], upstream[1:]):
+            loss = loss + sum_all(ad.hadamard(attended, up))
         loss.backward()
-        return [t.value for pair in out for t in pair], leaves
+        return [t.value for pair in out for t in pair if t is not None], leaves
 
-    (values, leaves), (ref_values, ref_leaves) = run(True), run(False)
+    (values, leaves), (ref_values, ref_leaves) = run(_from_library), run(_from_public_ops)
+    assert len(values) == (1 if variant == "self" else 4)
     for v, r in zip(values, ref_values):
         assert np.array_equal(v, r)
-    for name, leaf in leaves.items():
+    for name, leaf in leaves.items():  # self-attention leaves xv's grad None on both sides
         assert np.array_equal(leaf.grad, ref_leaves[name].grad), name
+
+
+@pytest.mark.parametrize("name,maps", [("CA", 2), ("TCA", 2), ("JCA", 2),
+                                       ("RJCA", 2 * RJCA_ITERATIONS)])
+def test_an_attention_pass_allocates_one_lxl_buffer_per_map(name, maps):
+    # each map is normalized in the buffer of the product it came from, so a
+    # pass on constants peaks at its maps plus arrays of d x L or smaller
+    d, n_clips = 4, 256
+    rng = np.random.default_rng(20)
+    xa, xv = (Tensor(x, requires_grad=False) for x in _pair(rng, d, n_clips))
+    arrs = _variant_arrays(name, rng, d)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pair = _variant_forward(name, xa, xv, arrs, requires_grad=False)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert pair.audio_weights.shape == (n_clips, n_clips)
+    assert peak / (n_clips * n_clips * 8) < maps + 0.5
 
 
 def _live_arrays(*roots):

@@ -402,15 +402,28 @@ def test_constants_are_pruned_from_the_graph():
 def test_softmax_and_its_vjp_bitwise_equal_the_out_of_place_formulas(axis, temperature):
     rng = np.random.default_rng(3)
     z, upstream = rng.normal(size=(5, 7)), rng.normal(size=(5, 7))
-    x = Tensor(z)
-    y = ad.softmax(x, axis=axis, temperature=temperature)
     expected = ref.ref_softmax(z, axis, temperature)
-    assert np.array_equal(y.value, expected)
-    # sum(y * upstream) hands softmax's vjp exactly `upstream`
-    ad.sum_all(ad.hadamard(y, upstream)).backward()
     ax = 0 if axis == "columns" else 1
     inner = (upstream * expected).sum(axis=ax, keepdims=True)
-    assert np.array_equal(x.grad, expected * (upstream - inner) / temperature)
+    # out= (attention's maps) writes the same result over the input's buffer
+    for in_place in (False, True):
+        x = Tensor(z.copy())
+        y = ad.softmax(x, axis=axis, temperature=temperature, out=x.value if in_place else None)
+        assert (y.value is x.value) == in_place
+        assert np.array_equal(y.value, expected)
+        # sum(y * upstream) hands softmax's vjp exactly `upstream`
+        ad.sum_all(ad.hadamard(y, upstream)).backward()
+        assert np.array_equal(x.grad, expected * (upstream - inner) / temperature)
+
+
+@pytest.mark.parametrize("out", [np.zeros((4, 3)), np.zeros((3, 4), dtype=np.float32),
+                                 np.zeros((4, 3)).T, [[0.0] * 4] * 3],
+                         ids=["wrong-shape", "float32", "transposed-view", "list"])
+def test_softmax_rejects_a_bad_out_before_writing_it(out):
+    before = np.array(out, copy=True)
+    with pytest.raises(ShapeError, match="out"):
+        ad.softmax(np.ones((3, 4)), out=out)
+    assert np.array_equal(np.asarray(out), before)
 
 
 def test_tanh_vjp_bitwise_equals_the_out_of_place_formula():

@@ -81,6 +81,14 @@ def test_config_validation_rejects_an_int_field_of_another_type(field, value):
         _tiny_cfg(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("value", ["no", 1, None, np.int64(0)])
+def test_config_validation_rejects_a_non_bool_iaca(value):
+    # "no" and 1 are truthy, so either would build a gated model
+    with pytest.raises(ValueError, match="^iaca must be a bool"):
+        _tiny_cfg(iaca=value).validate()
+    _tiny_cfg(iaca=np.bool_(False)).validate()
+
+
 # ------------------------------------------------------------------- splits
 
 def test_prepare_splits_deterministic_and_dimension_specific():

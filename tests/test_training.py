@@ -50,6 +50,24 @@ def test_validate_rejects_an_int_field_of_another_type(field, value):
     TrainConfig(**{field: np.int64(2)}).validate()
 
 
+@pytest.mark.parametrize("config,field", [
+    (TrainConfig(lr="0.1"), "lr"), (ModelFlags(temperature="0.5"), "temperature"),
+    (Regime(noise_sigma="1"), "noise_sigma"), (TrainConfig(lr=True), "lr"),
+    (Regime(corrupt_fraction=True), "corrupt_fraction"), (ModelFlags(temperature=None), "temperature"),
+], ids=["str-lr", "str-temperature", "str-noise", "bool-lr", "bool-corrupt", "none-temperature"])
+def test_validate_rejects_a_float_field_of_another_type(config, field):
+    # a string would fail a range check with TypeError, a bool pass it as 0 or 1
+    with pytest.raises(ValueError, match=f"^{field} must be a number"):
+        config.validate()
+
+
+def test_validate_takes_ints_and_numpy_scalars_for_float_fields():
+    for config in (TrainConfig(lr=1), TrainConfig(lr=np.float64(0.1)),
+                   ModelFlags(temperature=np.int64(2)), Regime(noise_sigma=1, corrupt_fraction=0),
+                   Regime(noise_sigma=np.float64(0.5), corrupt_fraction=np.float64(0.2))):
+        config.validate()
+
+
 @pytest.mark.parametrize("bad", [TrainConfig(lr=float("nan")), TrainConfig(lr=float("inf")),
                                  ModelFlags(temperature=float("nan")),
                                  Regime(noise_sigma=float("nan"))],
