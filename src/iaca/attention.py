@@ -1,11 +1,12 @@
 """Attention blocks over per-clip bimodal feature matrices.
 
 All inputs are d x L matrices: one column of deep features per clip of a
-sequence. CA, JCA, RJCA and self-attention share one query-side step: the
-L x L correlation of a modality with a context (the other modality, a
-joint feature, or itself) is normalized into a stochastic weight map that
-re-weights the modality's own clips, squashed through tanh around a
-residual. JCA's joint feature comes from the joint layer, which the gating
+sequence. CA, JCA and RJCA share one query-side step: the L x L
+correlation of a modality with a context (the other modality or a joint
+feature) is normalized into a stochastic weight map that re-weights the
+modality's own clips, squashed through tanh around a residual;
+self_attention, which no model runs, takes the modality itself as the
+context. JCA's joint feature comes from the joint layer, which the gating
 layer shares; RJCA runs one JCA block RJCA_ITERATIONS times. TCA is a
 scaled query/key/value block. Every variant returns an AttendedPair, so
 the gating layer downstream treats them interchangeably. Every map is

@@ -3,7 +3,8 @@
 Little-endian layout:
 
   bytes 0-3   magic b"IACA"
-  u32         format version (currently 3: version 1's layout, fewer flags)
+  u32         format version (currently 4: version 1's layout, and flags
+              that hold the gate temperature alone)
   u32         metadata length, then that many bytes of UTF-8 JSON
               (variant, iaca, d, flags, seed, optional extras)
   u32         parameter count
@@ -33,7 +34,7 @@ import numpy as np
 from .gating import FusionModel, from_json_object, param_schema
 
 MAGIC = b"IACA"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):
@@ -113,7 +114,8 @@ def load_checkpoint(path) -> Checkpoint:
         try:
             # typed like a config: a float d or a string iaca is rejected, not coerced
             model = from_json_object(FusionModel, {k: meta[k] for k in ("variant", "iaca", "d", "flags")})
-            schema = param_schema(model.d, model.variant, model.iaca, model.flags)
+            model.flags.validate()
+            schema = param_schema(model.d, model.variant, model.iaca)
         except KeyError as exc:
             raise CheckpointError(f"checkpoint metadata missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:

@@ -31,7 +31,6 @@ from .experiments import (
     save_sweep,
     train_one,
 )
-from .gating import STAGE1_INPUTS
 from .synth import REGIME_KINDS
 from .training import OPTIMIZERS, TrainingDivergence, save_history
 
@@ -60,7 +59,6 @@ _CONFIG_FLAGS = (
     ("--optimizer", "train.optimizer", {"choices": OPTIMIZERS}),
     ("--patience", "train.patience", {"type": int}),
     ("--temperature", "flags.temperature", {"type": float}),
-    ("--stage1-input", "flags.stage1_input", {"choices": STAGE1_INPUTS}),
 )
 
 

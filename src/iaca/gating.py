@@ -2,11 +2,10 @@
 
 Both stages use one gating layer: per clip, a softmax of a scorer's logits
 blends K candidates, then ReLU. Stage 1 scores each modality's attended
-feature and blends it with its unattended one (raw by default, optionally
-a self-attention pass). The joint layer that JCA also uses fuses the two
-blends, and stage 2 scores all three stacked to gate among gated audio,
-gated visual and joint. An MLP with a 16-wide hidden layer maps each
-clip's fused d-vector into [-1, 1].
+feature and blends it with its raw, unattended one. The joint layer that
+JCA also uses fuses the two blends, and stage 2 scores all three stacked
+to gate among gated audio, gated visual and joint. An MLP with a 16-wide
+hidden layer maps each clip's fused d-vector into [-1, 1].
 
 The gate scores carry no bias term, and the ops check every shape. Inside
 the layer the scores are K x L, one column per clip on the simplex like
@@ -14,12 +13,13 @@ every per-clip tensor; the stages return them L x K, one row per clip. A
 small temperature sharpens the softmax so the gates act nearly as selectors
 while staying differentiable. Everything after attention acts clip by clip,
 so FusionModel.batch_graph runs it once over a batch's clips. param_schema
-lists a model's parameters for creation and checkpoint loads.
+lists a model's parameters, which depend on (d, variant, gating) alone, for
+creation and checkpoint loads.
 """
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional, get_type_hints
 
@@ -35,7 +35,7 @@ from .attention import (
     joint_cross_attention,
     joint_representation,
     recursive_jca,
-    self_attention,
+    self_attention,  # noqa: F401  (perfbench wraps gating.self_attention)
     tca_attention,
 )
 from .autodiff import (
@@ -50,8 +50,6 @@ from .autodiff import (
     tanh,
     transpose,
 )
-
-STAGE1_INPUTS = ("raw", "self_attended")
 
 
 @dataclass
@@ -97,6 +95,13 @@ def predict(x_fused, head: HeadParams) -> Tensor:
     return tanh(add_col(matmul(head.w2, hidden), head.b2))
 
 
+def _is_finite_float(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 # the JSON values each scalar field type takes; a bool is never a number
 _JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
 
@@ -124,7 +129,7 @@ def from_json_object(kind, data, where: str = ""):
               or not isinstance(value, _JSON_TYPES[hint])):
             raise ValueError(f"config field {prefix + key!r} must be "
                              f"{hint.__name__}, got {value!r}")
-        elif hint is float and not abs(value) <= sys.float_info.max:  # exact for ints
+        elif hint is float and not _is_finite_float(value):
             raise ValueError(f"config field {prefix + key!r} must be finite, got {value!r}")
         values[key] = value
     return kind(**values)
@@ -138,30 +143,29 @@ _FIELD_TYPES = {bool: ((bool, np.bool_), "a bool"), int: ((int, np.integer), "an
 def require_type(config, kind: type, *names: str) -> None:
     """Raise ValueError naming the first of config's fields `names` whose
     value is not of type `kind` (bool, int or float, which takes ints);
-    as in from_json_object, a bool is only a bool."""
+    as in from_json_object, a bool is only a bool, and a float field must
+    hold a finite float: not NaN, not infinite, not an int past the range."""
     types, noun = _FIELD_TYPES[kind]
     for name in names:
         value = getattr(config, name)
         if isinstance(value, (bool, np.bool_)) != (kind is bool) or not isinstance(value, types):
             raise ValueError(f"{name} must be {noun}, got {value!r}")
+        if kind is float and not _is_finite_float(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
 class ModelFlags:
-    """The switches a config varies: stage 1's unattended input and the gate
-    temperature. RJCA depth and head width are constants, not flags."""
+    """The one switch a config varies: the gate temperature. RJCA depth and
+    head width are constants, not flags."""
 
-    stage1_input: str = "raw"
     temperature: float = 0.1
 
     def validate(self) -> None:
         require_type(self, float, "temperature")
-        if self.stage1_input not in STAGE1_INPUTS:
-            raise ValueError(
-                f"stage1_input must be one of {STAGE1_INPUTS}, got {self.stage1_input!r}")
-        # written so that NaN and an int past the float range fail; the gates
-        # divide their logits by the temperature, and a subnormal one overflows
-        if not (0 < self.temperature <= sys.float_info.max and 1.0 / self.temperature < np.inf):
+        # the gates divide their logits by the temperature, and a subnormal one
+        # overflows; a Python float, so a float32 temperature is not cast back
+        if not (0 < self.temperature and 1.0 / float(self.temperature) < math.inf):
             raise ValueError("temperature must be positive and finite, with a finite "
                              f"reciprocal, got {self.temperature}")
 
@@ -177,15 +181,13 @@ class Diagnostics:
     stage2: Optional[np.ndarray] = None  # L x 3
 
 
-def param_schema(d: int, variant: str, iaca: bool,
-                 flags: ModelFlags) -> dict[str, tuple[int, int, float]]:
+def param_schema(d: int, variant: str, iaca: bool) -> dict[str, tuple[int, int, float]]:
     """Every parameter of a model as name -> (rows, cols, init std), in
     initialization order; std 0 marks a parameter initialized to zeros."""
     if d < 1:
         raise ValueError(f"feature dimension must be >= 1, got {d}")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    flags.validate()
     schema: dict = {}
     if variant == "CA":
         schema["cross.w"] = (d, d, 1.0 / d)
@@ -206,9 +208,6 @@ def param_schema(d: int, variant: str, iaca: bool,
         schema["jca.cross_v"] = (d, d, 1.0 / d)
 
     if iaca:
-        if flags.stage1_input == "self_attended":
-            schema["self_a.w"] = (d, d, 1.0 / d)
-            schema["self_v.w"] = (d, d, 1.0 / d)
         schema["gate_a.w"] = (d, 2, 1.0 / np.sqrt(d))
         schema["gate_v.w"] = (d, 2, 1.0 / np.sqrt(d))
         schema["gate_av.w"] = (3 * d, 3, 1.0 / np.sqrt(3 * d))
@@ -247,11 +246,12 @@ class FusionModel:
     def create(cls, d: int, variant: str, iaca: bool,
                flags: Optional[ModelFlags] = None, seed: int = 0) -> "FusionModel":
         flags = flags if flags is not None else ModelFlags()
+        flags.validate()
         rng = np.random.default_rng(seed)
         # zeros draw nothing, so every normal draw keeps its place in the stream
         params = {name: rng.normal(0.0, std, size=(rows, cols)) if std
                   else np.zeros((rows, cols))
-                  for name, (rows, cols, std) in param_schema(d, variant, iaca, flags).items()}
+                  for name, (rows, cols, std) in param_schema(d, variant, iaca).items()}
         return cls(d=d, variant=variant, iaca=iaca, flags=flags, params=params)
 
     def bind(self, requires_grad: bool = True) -> dict:
@@ -276,9 +276,6 @@ class FusionModel:
         for xa, xv in inputs:
             try:
                 pairs.append(self._attend(xa, xv, leaves))
-                if self.iaca and self.flags.stage1_input == "self_attended":
-                    xa, xv = (self_attention(xa, leaves["self_a.w"]),
-                              self_attention(xv, leaves["self_v.w"]))
             except MemoryError as exc:
                 n = xa.shape[1]
                 raise MemoryError(f"sequence length {n} is too long: its {n} x {n} "

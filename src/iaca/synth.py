@@ -60,8 +60,7 @@ class Regime:
         if self.kind not in REGIME_KINDS:
             raise ValueError(f"kind must be one of {REGIME_KINDS}, got {self.kind!r}")
         require_type(self, float, "noise_sigma", "corrupt_fraction")
-        # written so that NaN fails every check
-        if not 0 <= self.noise_sigma < np.inf:
+        if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if not 0.0 <= self.corrupt_fraction <= 1.0:
             raise ValueError(

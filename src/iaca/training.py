@@ -37,13 +37,12 @@ class TrainConfig:
     def validate(self) -> None:
         require_type(self, int, "epochs", "batch_size", "seed", "patience")
         require_type(self, float, "lr")
-        # written so that NaN fails every check
         if not self.epochs >= 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not self.batch_size >= 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         # lr = 0 is allowed so a no-op fit stays expressible
-        if not 0 <= self.lr < np.inf:
+        if not self.lr >= 0:
             raise ValueError(f"lr must be non-negative and finite, got {self.lr}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(

@@ -110,19 +110,14 @@ def ref_variant_attention(xa, xv, p, variant):
     return cur_a, cur_v
 
 
-def ref_full_forward(xa, xv, p, variant, iaca, stage1_input="raw", temperature=0.1):
+def ref_full_forward(xa, xv, p, variant, iaca, temperature=0.1):
     att_a, att_v = ref_variant_attention(xa, xv, p, variant)
     if not iaca:
         fused = ref_joint(att_a, att_v, p["joint.w"], p["joint.b"])
         return ref_predict(fused, p["head.w1"], p["head.b1"],
                            p["head.w2"], p["head.b2"])
-    if stage1_input == "self_attended":
-        base_a = ref_self_attention(xa, p["self_a.w"])
-        base_v = ref_self_attention(xv, p["self_v.w"])
-    else:
-        base_a, base_v = xa, xv
-    x_ga, _ = ref_stage1(base_a, att_a, p["gate_a.w"], temperature)
-    x_gv, _ = ref_stage1(base_v, att_v, p["gate_v.w"], temperature)
+    x_ga, _ = ref_stage1(xa, att_a, p["gate_a.w"], temperature)
+    x_gv, _ = ref_stage1(xv, att_v, p["gate_v.w"], temperature)
     x_gav = ref_joint(x_ga, x_gv, p["joint.w"], p["joint.b"])
     fused, _ = ref_stage2(x_ga, x_gv, x_gav, p["gate_av.w"], temperature)
     return ref_predict(fused, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"])

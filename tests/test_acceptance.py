@@ -128,18 +128,14 @@ def test_criterion_3_straight_line_equivalence():
     for seed in range(20):
         variant = VARIANTS[seed % 4]
         iaca = bool((seed // 4) % 2)
-        flags = ModelFlags(
-            stage1_input="self_attended" if seed % 5 == 0 else "raw",
-            temperature=0.5 if seed % 2 else 0.1,
-        )
+        flags = ModelFlags(temperature=0.5 if seed % 2 else 0.1)
         rng = np.random.default_rng(3000 + seed)
         xa = rng.normal(size=(d, n_clips))
         xv = rng.normal(size=(d, n_clips))
         model = FusionModel.create(d, variant, iaca, flags=flags, seed=seed)
         pred, _ = model.forward(xa, xv)
-        expected = ref.ref_full_forward(
-            xa, xv, model.params, variant, iaca,
-            stage1_input=flags.stage1_input, temperature=flags.temperature)
+        expected = ref.ref_full_forward(xa, xv, model.params, variant, iaca,
+                                        temperature=flags.temperature)
         assert np.max(np.abs(pred - expected)) < 1e-12, (variant, iaca, seed)
 
 
@@ -263,10 +259,7 @@ def test_criterion_8_checkpoint_persistence(tmp_path):
     for case in range(50):
         variant = VARIANTS[case % 4]
         iaca = bool(case % 2)
-        flags = ModelFlags(
-            temperature=float(rng.uniform(0.05, 1.0)),
-            stage1_input="self_attended" if case % 7 == 0 else "raw",
-        )
+        flags = ModelFlags(temperature=float(rng.uniform(0.05, 1.0)))
         model = FusionModel.create(int(rng.integers(2, 8)), variant, iaca,
                                    flags=flags, seed=case)
         path = tmp_path / f"case_{case}.ckpt"

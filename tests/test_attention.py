@@ -17,7 +17,7 @@ from iaca.attention import (
     tca_attention,
     tca_block,
 )
-from iaca.gating import FusionModel, ModelFlags
+from iaca.gating import FusionModel
 from iaca.synth import SyntheticSequence
 from iaca.training import _batch_loss
 
@@ -431,25 +431,24 @@ def _live_arrays(*roots):
     return list(found.values())
 
 
-@pytest.mark.parametrize("variant,iaca,stage1_input", [
-    (variant, iaca, stage1_input) for variant in ("CA", "TCA", "JCA", "RJCA")
-    for iaca, stage1_input in ((False, "raw"), (True, "raw"), (True, "self_attended"))
+@pytest.mark.parametrize("variant,iaca", [
+    (variant, iaca) for variant in ("CA", "TCA", "JCA", "RJCA") for iaca in (False, True)
 ])
-def test_batch_graph_holds_no_lxl_value_but_the_weight_maps(variant, iaca, stage1_input):
+def test_batch_graph_holds_no_lxl_value_but_the_weight_maps(variant, iaca):
     # what a training step keeps alive until backward: the loss graph and
     # what the caller holds (parameter leaves, prediction values, gold); of
     # it, the only L x L arrays are the weight maps, which the attended
     # products' vjps read, and no correlation behind a map
     d, n_clips, n_seqs = 3, 5, 2
     rng = np.random.default_rng(19)
-    model = FusionModel.create(d, variant, iaca, ModelFlags(stage1_input=stage1_input))
+    model = FusionModel.create(d, variant, iaca)
     batch = [SyntheticSequence(rng.normal(size=(d, n_clips)), rng.normal(size=(d, n_clips)),
                                rng.uniform(-1.0, 1.0, size=(1, n_clips)), None, 0)
              for _ in range(n_seqs)]
     held = _batch_loss(model, batch)
     square = [a for a in _live_arrays(held) if a.shape == (n_clips, n_clips)]
-    # two maps per CA, TCA or JCA pass, plus one per modality's self-attention
-    maps = 2 * (RJCA_ITERATIONS if variant == "RJCA" else 1) + 2 * (stage1_input != "raw")
+    # two maps per CA, TCA or JCA pass
+    maps = 2 * (RJCA_ITERATIONS if variant == "RJCA" else 1)
     assert len(square) == n_seqs * maps
     for weights in square:
         np.testing.assert_allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-12)

@@ -19,10 +19,7 @@ from iaca.gating import FusionModel, ModelFlags
 
 def _random_model(rng):
     variant = ("CA", "TCA", "JCA", "RJCA")[int(rng.integers(4))]
-    flags = ModelFlags(
-        stage1_input=("raw", "self_attended")[int(rng.integers(2))],
-        temperature=float(rng.uniform(0.05, 1.0)),
-    )
+    flags = ModelFlags(temperature=float(rng.uniform(0.05, 1.0)))
     return FusionModel.create(int(rng.integers(2, 9)), variant,
                               iaca=bool(rng.integers(2)), flags=flags,
                               seed=int(rng.integers(1 << 31)))
@@ -106,6 +103,19 @@ def test_foreign_version_raises_version_error(tmp_path):
             load_checkpoint(bad)
 
 
+def test_version_3_checkpoint_is_refused(tmp_path):
+    # version 3 stored a stage-1 input flag beside the temperature; its
+    # files are refused by version, not read with a key the model lacks
+    meta, params = _schema_params("CA", True, 3)
+    meta["flags"]["stage1_input"] = "raw"
+    raw = bytearray(_handmade(meta, params))
+    raw[4:8] = struct.pack("<I", 3)
+    path = tmp_path / "v3.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointVersionError, match="version 3 unsupported"):
+        load_checkpoint(path)
+
+
 def test_trailing_garbage_rejected(tmp_path):
     model = FusionModel.create(3, "CA", iaca=False, seed=5)
     path = tmp_path / "m.ckpt"
@@ -144,7 +154,7 @@ def test_missing_meta_fields_rejected(tmp_path):
 
 def test_corrupt_flags_rejected(tmp_path):
     meta = {"variant": "CA", "iaca": True, "d": 2,
-            "flags": {"stage1_input": "diagonal"}}
+            "flags": {"temperature": "hot"}}
     path = tmp_path / "badflags.ckpt"
     path.write_bytes(_handmade(meta, {"w": np.zeros((2, 2))}))
     with pytest.raises(CheckpointError):
@@ -246,6 +256,18 @@ def test_flag_types_checked_at_load(tmp_path):
     meta, params = _schema_params("RJCA", True, 3)
     meta["flags"]["temperature"] = "0.1"
     path = tmp_path / "str_temperature.ckpt"
+    path.write_bytes(_handmade(meta, params))
+    with pytest.raises(CheckpointError, match="temperature"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("temperature", [0.0, -0.5, 1e-320], ids=["zero", "negative", "subnormal"])
+def test_flag_values_checked_at_load(tmp_path, temperature):
+    # well typed, and the schema does not read the flags, so only the
+    # flags' own validation can reject this file
+    meta, params = _schema_params("CA", True, 3)
+    meta["flags"]["temperature"] = temperature
+    path = tmp_path / "bad_temperature.ckpt"
     path.write_bytes(_handmade(meta, params))
     with pytest.raises(CheckpointError, match="temperature"):
         load_checkpoint(path)

@@ -255,6 +255,9 @@ def test_repeated_dim_rejected_before_training(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# the overflow that --lr 1e300 provokes on purpose, and nothing else
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_diverging_train_exits_with_error(tmp_path, capsys):
     rc = main(["train", "--variant", "CA", "--iaca", "--lr", "1e300", "--optimizer", "sgd",
                "--d", "4", "--clips", "8", "--n-train", "2", "--n-val", "2",
@@ -336,6 +339,24 @@ def test_unknown_nested_config_key_exits_with_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "regime.bogus" in err
+
+
+def test_stage1_input_config_field_is_unknown(tmp_path, capsys):
+    # stage 1 blends each attended feature with the raw one; no flag picks it
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"flags": {"stage1_input": "raw"}}))
+    rc = main(["train", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown config fields: ['flags.stage1_input']\n"
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+def test_stage1_input_flag_is_unknown(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", *TINY, "--stage1-input", "raw", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stage1-input raw" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("config", [

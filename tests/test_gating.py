@@ -8,7 +8,6 @@ from iaca.gating import (
     HeadParams,
     JointParams,
     ModelFlags,
-    STAGE1_INPUTS,
     joint_representation,
     predict,
     stage1_gate,
@@ -263,8 +262,6 @@ def test_create_validates_arguments():
         FusionModel.create(4, "XCA", True)
     with pytest.raises(ValueError):
         FusionModel.create(4, "CA", True, ModelFlags(temperature=-1.0))
-    with pytest.raises(ValueError):
-        FusionModel.create(4, "CA", True, ModelFlags(stage1_input="attended"))
     # the gates divide their logits by the temperature: at 1e-320 they
     # overflow to inf and every prediction is NaN; 1e-300 still predicts
     with pytest.raises(ValueError, match="temperature"):
@@ -281,11 +278,6 @@ def test_param_inventory_tracks_configuration():
     assert set(gated.params) - set(base.params) == extra
     sizes = [sum(v.size for v in m.params.values()) for m in (gated, base)]
     assert sizes[0] == sizes[1] + 4 * 2 + 4 * 2 + 12 * 3
-
-    sa = FusionModel.create(4, "CA", iaca=True,
-                            flags=ModelFlags(stage1_input="self_attended"))
-    assert {"self_a.w", "self_v.w"} <= set(sa.params)
-    assert "self_a.w" not in gated.params
 
     shared = FusionModel.create(4, "RJCA", iaca=True)
     assert any(k.startswith("jca.") for k in shared.params)
@@ -330,17 +322,6 @@ def test_forward_matches_straight_line_oracle(variant, iaca):
     model = FusionModel.create(4, variant, iaca=iaca, seed=3)
     pred, _ = model.forward(xa, xv)
     r = ref.ref_full_forward(xa, xv, model.params, variant, iaca)
-    assert relative_error(pred, r) < 1e-12
-
-
-@pytest.mark.parametrize("stage1_input", ["raw", "self_attended"])
-def test_forward_flag_combinations_match_oracle(stage1_input):
-    rng = np.random.default_rng(36)
-    xa, xv = _features(rng, 4, 5)
-    flags = ModelFlags(stage1_input=stage1_input)
-    model = FusionModel.create(4, "CA", iaca=True, flags=flags, seed=4)
-    pred, _ = model.forward(xa, xv)
-    r = ref.ref_full_forward(xa, xv, model.params, "CA", True, stage1_input=stage1_input)
     assert relative_error(pred, r) < 1e-12
 
 
@@ -463,22 +444,19 @@ def test_batch_graph_matches_per_sequence_graphs(variant, iaca):
     rng = np.random.default_rng(44)
     seqs = [_features(rng, 4, n) for n in (3, 6, 5)]
     gold = rng.uniform(-0.5, 0.5, size=(1, 14))
-    # a gated model also joins the self-attended stage-1 bases
-    for stage1_input in ("raw", "self_attended") if iaca else ("raw",):
-        model = FusionModel.create(4, variant, iaca=iaca, seed=13,
-                                   flags=ModelFlags(stage1_input, temperature=0.5))
-        leaves = model.bind()
-        pred = model.batch_graph([(Tensor(a), Tensor(v)) for a, v in seqs], leaves)
-        expected = np.hstack([model.predict_values(a, v) for a, v in seqs])
-        np.testing.assert_allclose(pred.value, expected, rtol=0.0, atol=1e-12)
-        ccc_loss(pred, gold).backward()
+    model = FusionModel.create(4, variant, iaca=iaca, seed=13,
+                               flags=ModelFlags(temperature=0.5))
+    leaves = model.bind()
+    pred = model.batch_graph([(Tensor(a), Tensor(v)) for a, v in seqs], leaves)
+    expected = np.hstack([model.predict_values(a, v) for a, v in seqs])
+    np.testing.assert_allclose(pred.value, expected, rtol=0.0, atol=1e-12)
+    ccc_loss(pred, gold).backward()
 
-        per_sequence = model.bind()
-        parts = [model.forward_graph(Tensor(a), Tensor(v), per_sequence)[0] for a, v in seqs]
-        ccc_loss(concat_cols(*parts), gold).backward()
-        for name in model.params:
-            assert relative_error(leaves[name].grad, per_sequence[name].grad) < 1e-12, \
-                (stage1_input, name)
+    per_sequence = model.bind()
+    parts = [model.forward_graph(Tensor(a), Tensor(v), per_sequence)[0] for a, v in seqs]
+    ccc_loss(concat_cols(*parts), gold).backward()
+    for name in model.params:
+        assert relative_error(leaves[name].grad, per_sequence[name].grad) < 1e-12, name
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -489,22 +467,21 @@ def test_gated_batch_graph_transposes_only_the_gate_scores(variant):
     rng = np.random.default_rng(47)
     seqs = [_features(rng, 4, n) for n in range(3, 11)]
     n = sum(a.shape[1] for a, _ in seqs)
-    for stage1_input in STAGE1_INPUTS:
-        model = FusionModel.create(4, variant, iaca=True, seed=15,
-                                   flags=ModelFlags(stage1_input, temperature=0.5))
-        pred, _, gates = model._graph([(Tensor(a), Tensor(v)) for a, v in seqs], model.bind())
-        score_nodes = [g._node for g in gates]
-        seen, stack, wide = set(), [pred._node, *score_nodes], []
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                stack.extend(node.parents)
-                if node.op == "transpose" and n in node.shape:
-                    wide.append(node)
-        assert sorted(map(id, wide)) == sorted(map(id, score_nodes)), stage1_input
-        assert [g.shape for g in gates] == [(n, 2), (n, 2), (n, 3)]
-        assert all(g.parents[0].op == "softmax" for g in gates)
+    model = FusionModel.create(4, variant, iaca=True, seed=15,
+                               flags=ModelFlags(temperature=0.5))
+    pred, _, gates = model._graph([(Tensor(a), Tensor(v)) for a, v in seqs], model.bind())
+    score_nodes = [g._node for g in gates]
+    seen, stack, wide = set(), [pred._node, *score_nodes], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if node.op == "transpose" and n in node.shape:
+                wide.append(node)
+    assert sorted(map(id, wide)) == sorted(map(id, score_nodes))
+    assert [g.shape for g in gates] == [(n, 2), (n, 2), (n, 3)]
+    assert all(g.parents[0].op == "softmax" for g in gates)
 
 
 def test_the_model_runs_every_exported_op_and_no_other():
@@ -516,16 +493,13 @@ def test_the_model_runs_every_exported_op_and_no_other():
     tags = set()
     for variant in ALL_VARIANTS:
         for iaca in (False, True):
-            for stage1_input in STAGE1_INPUTS:
-                model = FusionModel.create(4, variant, iaca=iaca, seed=16,
-                                           flags=ModelFlags(stage1_input))
-                pred = model.batch_graph([(Tensor(a), Tensor(v)) for a, v in seqs],
-                                         model.bind())
-                seen, stack = set(), [ccc_loss(pred, gold)]
-                while stack:
-                    node = stack.pop()
-                    if id(node) not in seen:
-                        seen.add(id(node))
-                        tags.add(node.op)
-                        stack.extend(node.parents)
+            model = FusionModel.create(4, variant, iaca=iaca, seed=16)
+            pred = model.batch_graph([(Tensor(a), Tensor(v)) for a, v in seqs], model.bind())
+            seen, stack = set(), [ccc_loss(pred, gold)]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    tags.add(node.op)
+                    stack.extend(node.parents)
     assert tags - {"leaf", "ccc_loss"} == set(ad.__all__) - {"ShapeError", "Tensor"}

@@ -63,17 +63,22 @@ def test_validate_rejects_a_float_field_of_another_type(config, field):
 
 def test_validate_takes_ints_and_numpy_scalars_for_float_fields():
     for config in (TrainConfig(lr=1), TrainConfig(lr=np.float64(0.1)),
-                   ModelFlags(temperature=np.int64(2)), Regime(noise_sigma=1, corrupt_fraction=0),
+                   ModelFlags(temperature=np.int64(2)), ModelFlags(temperature=np.float32(0.5)),
+                   Regime(noise_sigma=1, corrupt_fraction=0),
                    Regime(noise_sigma=np.float64(0.5), corrupt_fraction=np.float64(0.2))):
         config.validate()
 
 
-@pytest.mark.parametrize("bad", [TrainConfig(lr=float("nan")), TrainConfig(lr=float("inf")),
-                                 ModelFlags(temperature=float("nan")),
-                                 Regime(noise_sigma=float("nan"))],
-                         ids=["nan-lr", "inf-lr", "nan-temperature", "nan-noise"])
-def test_validate_rejects_non_finite_values(bad):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("bad,field", [
+    (TrainConfig(lr=float("nan")), "lr"), (TrainConfig(lr=float("inf")), "lr"),
+    (ModelFlags(temperature=float("nan")), "temperature"),
+    (Regime(noise_sigma=float("nan")), "noise_sigma"),
+    (TrainConfig(lr=10**400), "lr"), (Regime("weak_conflicting", noise_sigma=10**400), "noise_sigma"),
+], ids=["nan-lr", "inf-lr", "nan-temperature", "nan-noise", "huge-int-lr", "huge-int-noise"])
+def test_validate_rejects_non_finite_values(bad, field):
+    # an int past the float range would pass a range check, then fail inside
+    # fit or generate with an untyped OverflowError
+    with pytest.raises(ValueError, match=f"^{field} must be"):
         bad.validate()
 
 
