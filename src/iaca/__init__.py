@@ -5,63 +5,17 @@ sequences: a cross-attention stage (four variants), a two-stage gating
 mechanism that decides per clip how much attended, unattended, and joint
 information to pass on, and a concordance-based training loop, all on a
 self-contained reverse-mode autodiff engine over float64 matrices.
+
+The top level exports the README's library names plus ModelFlags and
+derive_seed; every other name is imported from its module, such as
+iaca.checkpoint. Config fields are typed by their annotations alone, and one
+check serves configs read from JSON, built in Python and restored from
+checkpoints (see iaca.gating).
 """
 
-from .attention import (
-    VARIANTS,
-    AttendedPair,
-    JcaParams,
-    JointParams,
-    TcaBlockParams,
-    cross_attention,
-    cross_correlation,
-    joint_cross_attention,
-    joint_representation,
-    recursive_jca,
-    self_attention,
-    tca_attention,
-    tca_block,
-)
-from .autodiff import ShapeError, Tensor
-from .checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    CheckpointVersionError,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .experiments import (
-    ExperimentConfig,
-    dump_attention,
-    missing_modality_sweep,
-    relative_improvement,
-    run_ablation,
-    train_one,
-)
-from .gating import (
-    Diagnostics,
-    FusionModel,
-    HeadParams,
-    ModelFlags,
-    predict,
-    stage1_gate,
-    stage2_gate,
-)
-from .metrics import ccc, ccc_loss
-from .synth import (
-    REGIME_KINDS,
-    Regime,
-    SyntheticSequence,
-    corrupt_missing,
-    derive_seed,
-    generate,
-)
-from .training import (
-    TrainConfig,
-    TrainingDivergence,
-    evaluate,
-    fit,
-    save_history,
-)
+from . import attention, autodiff, checkpoint, experiments, metrics  # noqa: F401
+from .gating import FusionModel, ModelFlags
+from .synth import Regime, derive_seed, generate
+from .training import TrainConfig, fit
 
 __version__ = "0.1.0"

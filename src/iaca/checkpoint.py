@@ -109,7 +109,7 @@ def load_checkpoint(path) -> Checkpoint:
         meta_len = struct.unpack("<I", read(4, "metadata length"))[0]
         try:
             meta = json.loads(read(meta_len, "metadata").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointError(f"unreadable checkpoint metadata: {exc}") from exc
         try:
             # typed like a config: a float d or a string iaca is rejected, not coerced

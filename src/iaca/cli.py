@@ -78,7 +78,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     data = {}
     if args.config:
         with open(args.config) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"config file {args.config} nests too deeply") from None
     cfg = ExperimentConfig.from_dict(data)
 
     if args.out_dir is not None:

@@ -18,7 +18,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .attention import VARIANTS
-from .gating import FusionModel, ModelFlags, from_json_object, require_type
+from .gating import FusionModel, ModelFlags, check_types, from_json_object
 from .metrics import ccc  # noqa: F401  (unused here; perfbench wraps experiments.ccc)
 from .synth import Regime, SyntheticSequence, corrupt_missing, derive_seed, generate
 from .training import TrainConfig, TrainingDivergence, evaluate, fit
@@ -55,10 +55,9 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def validate(self) -> None:
+        check_types(self)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        require_type(self, bool, "iaca")
-        require_type(self, int, "d", "n_clips", "n_train", "n_val", "seed")
         if not (self.d >= 2 and self.n_clips >= 2):
             raise ValueError("d and n_clips must both be >= 2")
         if not (self.n_train >= 1 and self.n_val >= 1):

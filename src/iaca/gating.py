@@ -15,10 +15,15 @@ while staying differentiable. Everything after attention acts clip by clip,
 so FusionModel.batch_graph runs it once over a batch's clips. param_schema
 lists a model's parameters, which depend on (d, variant, gating) alone, for
 creation and checkpoint loads.
+
+Config fields are typed by their annotations alone, and one per-value check
+serves configs built in Python (check_types), read from JSON files and
+restored from checkpoints (from_json_object).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional, get_type_hints
@@ -95,28 +100,47 @@ def predict(x_fused, head: HeadParams) -> Tensor:
     return tanh(add_col(matmul(head.w2, hidden), head.b2))
 
 
-def _is_finite_float(value) -> bool:
+# what a scalar config field of each annotated type takes from JSON, Python or
+# numpy, and its name; a bool is never a number, and a float field takes ints
+_FIELD_TYPES = {bool: ((bool, np.bool_), "a bool"), int: ((int, np.integer), "an int"),
+                float: ((int, float, np.integer, np.floating), "a number"),
+                str: (str, "a string")}
+_type_hints = functools.cache(get_type_hints)
+
+
+def _check_field(label: str, hint: type, value) -> None:
+    """Raise ValueError naming `label` unless value has the annotated type
+    `hint` and, for a float field, is finite: not NaN, not infinite and not
+    an int past the float range (Python's json reads all three)."""
+    types, noun = _FIELD_TYPES.get(hint, (hint, f"a {hint.__name__}"))
+    if isinstance(value, (bool, np.bool_)) != (hint is bool) or not isinstance(value, types):
+        raise ValueError(f"{label} must be {noun}, got {value!r:.40}")
     try:
-        return math.isfinite(value)
+        finite = hint is not float or math.isfinite(value)
     except OverflowError:  # an int past the float range
-        return False
+        finite = False
+    if not finite:
+        raise ValueError(f"{label} must be finite, got {value!r:.40}")
 
 
-# the JSON values each scalar field type takes; a bool is never a number
-_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
+def check_types(config) -> None:
+    """Check each field of the dataclass `config` against its annotation, as
+    from_json_object checks a config file's; a nested config's own fields are
+    left to its own validate."""
+    for name, hint in _type_hints(type(config)).items():
+        _check_field(name, hint, getattr(config, name))
 
 
 def from_json_object(kind, data, where: str = ""):
     """Build the dataclass `kind` from a parsed JSON object, checking that
-    every key names a field and every value has its field's type, and that
-    no float field is NaN, infinite or an int past the float range (Python's
-    json reads all three); dataclass-typed fields recurse. Problems raise
+    every key names a field and every value has its field's annotated type
+    (see check_types); dataclass-typed fields recurse. Problems raise
     ValueError naming the dotted field."""
     if not isinstance(data, dict):
         raise ValueError(f"config field {where!r} must be an object" if where
                          else f"config must be an object, got {type(data).__name__}")
     prefix = f"{where}." if where else ""
-    hints = get_type_hints(kind)
+    hints = _type_hints(kind)
     unknown = sorted(prefix + key for key in set(data) - set(hints))
     if unknown:
         raise ValueError(f"unknown config fields: {unknown}")
@@ -125,33 +149,10 @@ def from_json_object(kind, data, where: str = ""):
         hint = hints[key]
         if is_dataclass(hint):
             value = from_json_object(hint, value, prefix + key)
-        elif (isinstance(value, bool) != (hint is bool)
-              or not isinstance(value, _JSON_TYPES[hint])):
-            raise ValueError(f"config field {prefix + key!r} must be "
-                             f"{hint.__name__}, got {value!r}")
-        elif hint is float and not _is_finite_float(value):
-            raise ValueError(f"config field {prefix + key!r} must be finite, got {value!r}")
+        else:
+            _check_field(f"config field {prefix + key!r}", hint, value)
         values[key] = value
     return kind(**values)
-
-
-# what a config field of each type takes from Python or numpy, and its name
-_FIELD_TYPES = {bool: ((bool, np.bool_), "a bool"), int: ((int, np.integer), "an int"),
-                float: ((int, float, np.integer, np.floating), "a number")}
-
-
-def require_type(config, kind: type, *names: str) -> None:
-    """Raise ValueError naming the first of config's fields `names` whose
-    value is not of type `kind` (bool, int or float, which takes ints);
-    as in from_json_object, a bool is only a bool, and a float field must
-    hold a finite float: not NaN, not infinite, not an int past the range."""
-    types, noun = _FIELD_TYPES[kind]
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, (bool, np.bool_)) != (kind is bool) or not isinstance(value, types):
-            raise ValueError(f"{name} must be {noun}, got {value!r}")
-        if kind is float and not _is_finite_float(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -162,7 +163,7 @@ class ModelFlags:
     temperature: float = 0.1
 
     def validate(self) -> None:
-        require_type(self, float, "temperature")
+        check_types(self)
         # the gates divide their logits by the temperature, and a subnormal one
         # overflows; a Python float, so a float32 temperature is not cast back
         if not (0 < self.temperature and 1.0 / float(self.temperature) < math.inf):

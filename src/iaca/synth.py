@@ -26,7 +26,7 @@ from typing import List
 
 import numpy as np
 
-from .gating import require_type
+from .gating import check_types
 
 REGIME_KINDS = ("strong_complementary", "weak_conflicting",
                 "dominating_audio", "dominating_visual")
@@ -57,9 +57,9 @@ class Regime:
     corrupt_fraction: float = 0.0  # train-time audio masking, applied by the harness
 
     def validate(self) -> None:
+        check_types(self)
         if self.kind not in REGIME_KINDS:
             raise ValueError(f"kind must be one of {REGIME_KINDS}, got {self.kind!r}")
-        require_type(self, float, "noise_sigma", "corrupt_fraction")
         if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if not 0.0 <= self.corrupt_fraction <= 1.0:

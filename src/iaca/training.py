@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .gating import FusionModel, require_type
+from .gating import FusionModel, check_types
 from .metrics import ccc, ccc_loss
 
 
@@ -35,8 +35,7 @@ class TrainConfig:
     patience: int = 10  # epochs without val improvement; 0 disables
 
     def validate(self) -> None:
-        require_type(self, int, "epochs", "batch_size", "seed", "patience")
-        require_type(self, float, "lr")
+        check_types(self)
         if not self.epochs >= 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not self.batch_size >= 1:

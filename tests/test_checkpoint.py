@@ -186,6 +186,16 @@ def test_unparseable_metadata_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_deeply_nested_metadata_rejected(tmp_path):
+    # json's parser recurses once per level and gives up with RecursionError
+    blob = b"[" * 200_000
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)) + blob
+                     + struct.pack("<I", 0))
+    with pytest.raises(CheckpointError, match="unreadable checkpoint metadata"):
+        load_checkpoint(path)
+
+
 def test_failed_save_leaves_previous_file_and_no_temp(tmp_path):
     rng = np.random.default_rng(75)
     path = tmp_path / "model.ckpt"

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import pkgutil
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import iaca
 from iaca.checkpoint import load_checkpoint, save_checkpoint
 from iaca.cli import build_parser, main
 from iaca.experiments import ExperimentConfig, prepare_splits
@@ -397,7 +399,17 @@ def test_non_finite_config_exits_with_error(tmp_path, capsys, section, field, va
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{section}.{field}" in err
+    assert len(err) < 110  # the echo is cut, not 401 digits
     assert not list(tmp_path.rglob("*.ckpt"))
+
+
+def test_deeply_nested_config_exits_with_error(tmp_path, capsys):
+    # json's parser recurses once per level and gives up with RecursionError
+    cfg_file = tmp_path / "deep.json"
+    cfg_file.write_text("[" * 200_000)
+    rc = main(["train", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: config file {cfg_file} nests too deeply\n"
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -432,6 +444,15 @@ def test_readme_library_names_resolve():
             pkgutil.resolve_name(name)
         except (ImportError, AttributeError):
             pytest.fail(f"README names {name}, which does not resolve")
+
+
+def test_package_top_level_exports_each_public_name_once():
+    # the README's library names, and the two perfbench reads from the package;
+    # everything else is imported from its own module
+    public = {name for name, value in vars(iaca).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == {"FusionModel", "Regime", "TrainConfig", "fit", "generate",
+                      "ModelFlags", "derive_seed"}
 
 
 @pytest.mark.parametrize("variant,op", [("CA", "cross_correlation"), ("TCA", "softmax"),

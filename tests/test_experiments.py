@@ -1,6 +1,9 @@
 import csv
 import json
-from dataclasses import asdict
+import re
+from dataclasses import asdict, is_dataclass
+from functools import reduce
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -72,6 +75,8 @@ def test_config_validation_recurses():
         _tiny_cfg(train=TrainConfig(epochs=0)).validate()
     with pytest.raises(ValueError):
         _tiny_cfg(n_val=0).validate()
+    with pytest.raises(ValueError, match="^regime must be a Regime, got 'weak_conflicting'"):
+        _tiny_cfg(regime="weak_conflicting").validate()
 
 
 @pytest.mark.parametrize("field,value", [("seed", 1.5), ("d", 4.0), ("n_clips", True),
@@ -87,6 +92,40 @@ def test_config_validation_rejects_a_non_bool_iaca(value):
     with pytest.raises(ValueError, match="^iaca must be a bool"):
         _tiny_cfg(iaca=value).validate()
     _tiny_cfg(iaca=np.bool_(False)).validate()
+
+
+def _scalar_fields(kind=ExperimentConfig, path=()):
+    # (dotted path, annotated type) of every scalar field in the config tree
+    for name, hint in get_type_hints(kind).items():
+        if is_dataclass(hint):
+            yield from _scalar_fields(hint, path + (name,))
+        else:
+            yield path + (name,), hint
+
+
+# each annotated type's name in the message, and values of other types
+_WRONG_VALUES = {bool: ("a bool", [1]), int: ("an int", [True, 2.5]),
+                 float: ("a number", ["0.5"]), str: ("a string", [["sgd"], 5])}
+
+
+@pytest.mark.parametrize("path,noun,value", [
+    pytest.param(path, noun, value, id=f"{'.'.join(path)}-{type(value).__name__}")
+    for path, hint in _scalar_fields() for noun, values in [_WRONG_VALUES[hint]]
+    for value in values])
+def test_every_scalar_config_field_rejects_a_value_of_another_type(path, noun, value):
+    # one check reads the annotations, for a config read from JSON and for one
+    # built in Python; a list in a str field used to escape as TypeError
+    *sections, name = path
+    data = value
+    for section in reversed(path):
+        data = {section: data}
+    label = f"config field {'.'.join(path)!r}"
+    with pytest.raises(ValueError, match=re.escape(f"{label} must be {noun},")):
+        ExperimentConfig.from_dict(data)
+    cfg = ExperimentConfig()
+    setattr(reduce(getattr, sections, cfg), name, value)
+    with pytest.raises(ValueError, match=f"^{name} must be {noun}, got "):
+        cfg.validate()
 
 
 # ------------------------------------------------------------------- splits
