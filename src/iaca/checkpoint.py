@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gating import FusionModel, from_json_object, param_schema
+from .gating import FusionModel, ModelFlags, from_json_object, param_schema
 
 MAGIC = b"IACA"
 FORMAT_VERSION = 4
@@ -112,8 +112,10 @@ def load_checkpoint(path) -> Checkpoint:
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointError(f"unreadable checkpoint metadata: {exc}") from exc
         try:
-            # typed like a config: a float d or a string iaca is rejected, not coerced
-            model = from_json_object(FusionModel, {k: meta[k] for k in ("variant", "iaca", "d", "flags")})
+            # typed like a config, with every flag: a float d, a string iaca or a
+            # missing temperature is rejected, not coerced or defaulted
+            model = from_json_object(FusionModel, {k: meta[k] for k in ("variant", "iaca", "d")})
+            model.flags = from_json_object(ModelFlags, meta["flags"], "flags", complete=True)
             model.flags.validate()
             schema = param_schema(model.d, model.variant, model.iaca)
         except KeyError as exc:

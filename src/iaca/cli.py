@@ -161,7 +161,8 @@ def _restore(path):
     exp = ckpt.meta.get("experiment")
     if exp is None:
         raise ValueError(f"{path} carries no experiment config; cannot rebuild data")
-    cfg = ExperimentConfig.from_dict(exp)
+    # stored whole by train; a missing field must not fall back to its default
+    cfg = ExperimentConfig.from_dict(exp, complete=True)
     cfg.validate()
     return ckpt.model, cfg, ckpt.meta.get("output_dim")
 

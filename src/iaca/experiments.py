@@ -67,8 +67,8 @@ class ExperimentConfig:
         self.flags.validate()
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return from_json_object(cls, data)
+    def from_dict(cls, data: dict, complete: bool = False) -> "ExperimentConfig":
+        return from_json_object(cls, data, complete=complete)
 
 
 def _missing_audio(seqs: Sequence[SyntheticSequence], fraction: float,
@@ -212,23 +212,22 @@ def dump_attention(model: FusionModel, seq: SyntheticSequence) -> dict:
     """Per-clip attention magnitudes and gate scores, plot-ready.
 
     A clip's attention magnitude is its pull as a source, the row sum of
-    the column-stochastic map, min-max normalized over the sequence; gate
-    scores are dumped as-is (already rows on the simplex).
+    the column-stochastic map, min-max normalized over the sequence; the
+    pass's K x L gate scores are written as L x K, one row per clip on the
+    simplex.
     """
-    pred, diag = model.forward(seq.xa, seq.xv)
+    pred, (pair,), gates = model.forward(seq.xa, seq.xv)
     dump = {
         "variant": model.variant,
         "iaca": model.iaca,
         "n_clips": int(seq.xa.shape[1]),
-        "audio_attention": _minmax(diag.audio_weights.sum(axis=1)).tolist(),
-        "visual_attention": _minmax(diag.visual_weights.sum(axis=1)).tolist(),
-        "prediction": pred.ravel().tolist(),
+        "audio_attention": _minmax(pair.audio_weights.value.sum(axis=1)).tolist(),
+        "visual_attention": _minmax(pair.visual_weights.value.sum(axis=1)).tolist(),
+        "prediction": pred.value.ravel().tolist(),
         "target": np.asarray(seq.target).ravel().tolist(),
     }
-    if model.iaca:
-        dump["stage1_audio"] = diag.stage1_audio.tolist()
-        dump["stage1_visual"] = diag.stage1_visual.tolist()
-        dump["stage2"] = diag.stage2.tolist()
+    for key, g in zip(("stage1_audio", "stage1_visual", "stage2"), gates):
+        dump[key] = g.value.T.tolist()
     return dump
 
 

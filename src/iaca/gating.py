@@ -7,12 +7,12 @@ JCA also uses fuses the two blends, and stage 2 scores all three stacked
 to gate among gated audio, gated visual and joint. An MLP with a 16-wide
 hidden layer maps each clip's fused d-vector into [-1, 1].
 
-The gate scores carry no bias term, and the ops check every shape. Inside
-the layer the scores are K x L, one column per clip on the simplex like
-every per-clip tensor; the stages return them L x K, one row per clip. A
-small temperature sharpens the softmax so the gates act nearly as selectors
-while staying differentiable. Everything after attention acts clip by clip,
-so FusionModel.batch_graph runs it once over a batch's clips. param_schema
+The gate scores carry no bias term, and the ops check every shape. The
+scores are K x L, one column per clip on the simplex like every per-clip
+tensor, from the layer to a model's Pass. A small temperature sharpens the
+softmax so the gates act nearly as selectors while staying differentiable.
+Everything after attention acts clip by clip, so FusionModel.run, the one
+graph builder, runs it once over all its sequences' clips. param_schema
 lists a model's parameters, which depend on (d, variant, gating) alone, for
 creation and checkpoint loads.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Optional, get_type_hints
+from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -67,9 +67,9 @@ class HeadParams:
 
 def _gate(scorer, w, candidates, temperature: float) -> tuple[Tensor, Tensor]:
     # the gating layer: K x L scores softmax(w^T . scorer / T), one column per
-    # clip, weight the K candidates; returns the ReLU'd blend and the L x K scores
+    # clip, weight the K candidates; returns the ReLU'd blend and the scores
     g = softmax(matmul(transpose(w), scorer), axis="columns", temperature=temperature)
-    return relu(gate_mix(g, candidates)), transpose(g)
+    return relu(gate_mix(g, candidates)), g
 
 
 def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, Tensor]:
@@ -78,7 +78,7 @@ def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, Tensor
     Logits come from the attended feature: w_gl^T . x_att (2 x L),
     normalized per clip at the given temperature. Row 0 weights the base
     feature, row 1 the attended one; the convex blend passes through ReLU.
-    Returns the blend and the scores as L x 2 (column 0 for the base).
+    Returns the blend and the 2 x L scores.
     """
     return _gate(x_att, w_gl, (x_base, x_att), temperature)
 
@@ -88,8 +88,8 @@ def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, T
 
     The gate sees all three stacked per clip (3d x L) so its scores can
     depend on every candidate; rows 0..2 of the softmaxed 3 x L logits
-    weight x_ga, x_gv, x_gav in that order. Returns the mix and the scores
-    as L x 3.
+    weight x_ga, x_gv, x_gav in that order. Returns the mix and the 3 x L
+    scores.
     """
     return _gate(concat_rows(x_ga, x_gv, x_gav), w_avl, (x_ga, x_gv, x_gav), temperature)
 
@@ -131,11 +131,12 @@ def check_types(config) -> None:
         _check_field(name, hint, getattr(config, name))
 
 
-def from_json_object(kind, data, where: str = ""):
+def from_json_object(kind, data, where: str = "", complete: bool = False):
     """Build the dataclass `kind` from a parsed JSON object, checking that
     every key names a field and every value has its field's annotated type
-    (see check_types); dataclass-typed fields recurse. Problems raise
-    ValueError naming the dotted field."""
+    (see check_types); dataclass-typed fields recurse. With `complete` (for
+    metadata, which is written whole) a missing field is an error too.
+    Problems raise ValueError naming the dotted field."""
     if not isinstance(data, dict):
         raise ValueError(f"config field {where!r} must be an object" if where
                          else f"config must be an object, got {type(data).__name__}")
@@ -144,11 +145,14 @@ def from_json_object(kind, data, where: str = ""):
     unknown = sorted(prefix + key for key in set(data) - set(hints))
     if unknown:
         raise ValueError(f"unknown config fields: {unknown}")
+    missing = sorted(prefix + key for key in set(hints) - set(data)) if complete else []
+    if missing:
+        raise ValueError(f"missing config fields: {missing}")
     values = {}
     for key, value in data.items():
         hint = hints[key]
         if is_dataclass(hint):
-            value = from_json_object(hint, value, prefix + key)
+            value = from_json_object(hint, value, prefix + key, complete)
         else:
             _check_field(f"config field {prefix + key!r}", hint, value)
         values[key] = value
@@ -171,15 +175,12 @@ class ModelFlags:
                              f"reciprocal, got {self.temperature}")
 
 
-@dataclass
-class Diagnostics:
-    """Forward-pass internals captured as plain arrays for dumping."""
+class Pass(NamedTuple):
+    """One model pass over a list of sequences, the prediction first."""
 
-    audio_weights: np.ndarray  # L x L, column-stochastic
-    visual_weights: np.ndarray  # L x L, column-stochastic
-    stage1_audio: Optional[np.ndarray] = None  # L x 2
-    stage1_visual: Optional[np.ndarray] = None  # L x 2
-    stage2: Optional[np.ndarray] = None  # L x 3
+    prediction: Tensor  # 1 x sum(L)
+    pairs: list  # one AttendedPair per sequence
+    gates: tuple  # stage-1 audio, stage-1 visual, stage-2: 2, 2, 3 x sum(L); () ungated
 
 
 def param_schema(d: int, variant: str, iaca: bool) -> dict[str, tuple[int, int, float]]:
@@ -270,9 +271,9 @@ class FusionModel:
             return joint_cross_attention(xa, xv, jca)
         return recursive_jca(xa, xv, jca)
 
-    def _graph(self, inputs, leaves: dict) -> tuple[Tensor, list, tuple]:
+    def run(self, inputs, leaves: dict) -> Pass:
         """Attention per (xa, xv) sequence, then the per-clip tail once over all
-        clips joined; returns the prediction, the pairs and any gate scores."""
+        clips joined: the one graph builder, for training and inference."""
         pairs, columns = [], []
         for xa, xv in inputs:
             try:
@@ -287,30 +288,23 @@ class FusionModel:
         joint = _block(JointParams, leaves, "joint")
         head = _block(HeadParams, leaves, "head")
         if not self.iaca:
-            return predict(joint_representation(att_a, att_v, joint), head), pairs, ()
+            return Pass(predict(joint_representation(att_a, att_v, joint), head), pairs, ())
         temperature = self.flags.temperature
         x_ga, g_a = stage1_gate(bases[0], att_a, leaves["gate_a.w"], temperature)
         x_gv, g_v = stage1_gate(bases[1], att_v, leaves["gate_v.w"], temperature)
         x_gav = joint_representation(x_ga, x_gv, joint)
         fused, g_av = stage2_gate(x_ga, x_gv, x_gav, leaves["gate_av.w"], temperature)
-        return predict(fused, head), pairs, (g_a, g_v, g_av)
+        return Pass(predict(fused, head), pairs, (g_a, g_v, g_av))
 
-    def batch_graph(self, inputs, leaves: dict) -> Tensor:
-        """The 1 x sum(L) prediction graph of a batch of (xa, xv) sequences."""
-        return self._graph(inputs, leaves)[0]
+    def forward_graph(self, xa: Tensor, xv: Tensor, leaves: dict) -> Pass:
+        """The pass of one sequence."""
+        return self.run([(xa, xv)], leaves)
 
-    def forward_graph(self, xa: Tensor, xv: Tensor, leaves: dict) -> tuple[Tensor, Diagnostics]:
-        """The prediction graph of one sequence, with its diagnostics."""
-        pred, (pair,), gates = self._graph([(xa, xv)], leaves)
-        return pred, Diagnostics(pair.audio_weights.value, pair.visual_weights.value,
-                                 *[g.value for g in gates])
-
-    def forward(self, xa_value, xv_value) -> tuple[np.ndarray, Diagnostics]:
+    def forward(self, xa_value, xv_value) -> Pass:
         """forward_graph on plain arrays, all bound as constants: no graph kept."""
         xa, xv = (Tensor(x, requires_grad=False) for x in (xa_value, xv_value))
-        pred, diag = self.forward_graph(xa, xv, self.bind(requires_grad=False))
-        return pred.value.copy(), diag
+        return self.forward_graph(xa, xv, self.bind(requires_grad=False))
 
     def predict_values(self, xa_value, xv_value) -> np.ndarray:
         """The 1 x L prediction of :meth:`forward`."""
-        return self.forward(xa_value, xv_value)[0]
+        return self.forward(xa_value, xv_value).prediction.value

@@ -115,8 +115,8 @@ def _batch_loss(model: FusionModel, batch: Sequence
     """Loss graph of one batch, its parameter leaves, and the batch's
     concatenated prediction values and gold track."""
     leaves = model.bind()
-    pred = model.batch_graph([(Tensor(s.xa, requires_grad=False),
-                               Tensor(s.xv, requires_grad=False)) for s in batch], leaves)
+    pred = model.run([(Tensor(s.xa, requires_grad=False),
+                       Tensor(s.xv, requires_grad=False)) for s in batch], leaves).prediction
     gold = np.hstack([np.asarray(s.target).reshape(1, -1) for s in batch])
     return ccc_loss(pred, gold), leaves, pred.value, gold
 

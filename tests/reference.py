@@ -110,14 +110,25 @@ def ref_variant_attention(xa, xv, p, variant):
     return cur_a, cur_v
 
 
-def ref_full_forward(xa, xv, p, variant, iaca, temperature=0.1):
+def _ref_gated(xa, xv, p, variant, temperature):
     att_a, att_v = ref_variant_attention(xa, xv, p, variant)
-    if not iaca:
-        fused = ref_joint(att_a, att_v, p["joint.w"], p["joint.b"])
-        return ref_predict(fused, p["head.w1"], p["head.b1"],
-                           p["head.w2"], p["head.b2"])
-    x_ga, _ = ref_stage1(xa, att_a, p["gate_a.w"], temperature)
-    x_gv, _ = ref_stage1(xv, att_v, p["gate_v.w"], temperature)
+    x_ga, g_a = ref_stage1(xa, att_a, p["gate_a.w"], temperature)
+    x_gv, g_v = ref_stage1(xv, att_v, p["gate_v.w"], temperature)
     x_gav = ref_joint(x_ga, x_gv, p["joint.w"], p["joint.b"])
-    fused, _ = ref_stage2(x_ga, x_gv, x_gav, p["gate_av.w"], temperature)
+    fused, g_av = ref_stage2(x_ga, x_gv, x_gav, p["gate_av.w"], temperature)
+    return fused, (g_a, g_v, g_av)
+
+
+def ref_gate_scores(xa, xv, p, variant, temperature=0.1):
+    """Stage-1 audio, stage-1 visual and stage-2 scores of the gated model,
+    each L x K (one row per clip)."""
+    return _ref_gated(xa, xv, p, variant, temperature)[1]
+
+
+def ref_full_forward(xa, xv, p, variant, iaca, temperature=0.1):
+    if iaca:
+        fused, _ = _ref_gated(xa, xv, p, variant, temperature)
+    else:
+        att_a, att_v = ref_variant_attention(xa, xv, p, variant)
+        fused = ref_joint(att_a, att_v, p["joint.w"], p["joint.b"])
     return ref_predict(fused, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"])

@@ -57,7 +57,7 @@ def test_criterion_1_gradient_oracle():
                 v += rng.normal(0.0, 0.05, size=v.shape)
 
             def loss_graph(leaves):
-                pred, _ = model.forward_graph(Tensor(xa), Tensor(xv), leaves)
+                pred = model.forward_graph(Tensor(xa), Tensor(xv), leaves).prediction
                 return ccc_loss(pred, gold)
 
             leaves = model.bind()
@@ -117,7 +117,7 @@ def test_criterion_2_simplex_suite():
                             Tensor(w2), temperature=temperature)
         for scores in (s1.value, s2.value):
             assert np.all(scores >= 0.0)
-            assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
+            assert np.allclose(scores.sum(axis=0), 1.0, atol=1e-9)
 
 
 # ------------------------------------------------------------- criterion 3
@@ -133,7 +133,7 @@ def test_criterion_3_straight_line_equivalence():
         xa = rng.normal(size=(d, n_clips))
         xv = rng.normal(size=(d, n_clips))
         model = FusionModel.create(d, variant, iaca, flags=flags, seed=seed)
-        pred, _ = model.forward(xa, xv)
+        pred = model.forward(xa, xv).prediction.value
         expected = ref.ref_full_forward(xa, xv, model.params, variant, iaca,
                                         temperature=flags.temperature)
         assert np.max(np.abs(pred - expected)) < 1e-12, (variant, iaca, seed)

@@ -162,7 +162,7 @@ def test_corrupt_flags_rejected(tmp_path):
 
 
 def test_degenerate_shape_rejected(tmp_path):
-    meta = {"variant": "CA", "iaca": False, "d": 2, "flags": {}}
+    meta = {"variant": "CA", "iaca": False, "d": 2, "flags": {"temperature": 0.1}}
     raw = bytearray(_handmade(meta, {"w": np.zeros((1, 1))}))
     # zero out the row count in the shape table: ...name("w") u32 u32
     idx = raw.index(b"w", 4)
@@ -268,6 +268,17 @@ def test_flag_types_checked_at_load(tmp_path):
     path = tmp_path / "str_temperature.ckpt"
     path.write_bytes(_handmade(meta, params))
     with pytest.raises(CheckpointError, match="temperature"):
+        load_checkpoint(path)
+
+
+def test_model_flags_missing_from_metadata_rejected(tmp_path):
+    # save_checkpoint writes every flag; one left out would load at its
+    # default, and this model would predict at temperature 0.1, not 0.5
+    meta, params = _schema_params("CA", True, 3, flags=ModelFlags(temperature=0.5))
+    meta["flags"] = {}
+    path = tmp_path / "no_temperature.ckpt"
+    path.write_bytes(_handmade(meta, params))
+    with pytest.raises(CheckpointError, match=r"\['flags\.temperature'\]"):
         load_checkpoint(path)
 
 

@@ -222,6 +222,24 @@ def test_invalid_stored_experiment_exits_with_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("missing", ["seed", "regime.kind"])
+def test_stored_experiment_missing_a_field_exits_with_error(tmp_path, capsys, missing):
+    # train stores the whole config; a field left out would rebuild the data
+    # from its default (seed 0, strong_complementary), not the model's own
+    model = FusionModel.create(6, "CA", iaca=True, seed=1)
+    experiment = asdict(ExperimentConfig(d=6, n_clips=8, n_train=4, n_val=2, seed=3,
+                                         regime=Regime("weak_conflicting")))
+    section, _, name = missing.rpartition(".")
+    (experiment[section] if section else experiment).pop(name)
+    save_checkpoint(model, tmp_path / "m.ckpt",
+                    extra_meta={"experiment": experiment, "output_dim": "valence"})
+    rc = main(["dump-attn", "--checkpoint", str(tmp_path / "m.ckpt"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: missing config fields: ['{missing}']\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_env_var_sets_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("IACA_RESULTS_DIR", str(tmp_path / "envroot"))
     rc = main(["train", *TINY, "--dims", "valence", "--name", "env"])

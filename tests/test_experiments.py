@@ -273,10 +273,10 @@ def test_dump_uses_each_maps_normalization_axis(variant):
         if name.endswith((".wq", "cross.w")):
             model.params[name] *= 1e-7
     seq = generate(Regime(), d=4, n_clips=8, n_sequences=1, seed=2)[0]
-    _, diag = model.forward(seq.xa, seq.xv)
-    for key, weights in (("audio_attention", diag.audio_weights),
-                         ("visual_attention", diag.visual_weights)):
-        pull = weights.sum(axis=1)
+    _, (pair,), _ = model.forward(seq.xa, seq.xv)
+    for key, weights in (("audio_attention", pair.audio_weights),
+                         ("visual_attention", pair.visual_weights)):
+        pull = weights.value.sum(axis=1)
         expected = (pull - pull.min()) / (pull.max() - pull.min())
         assert np.allclose(dump_attention(model, seq)[key], expected, atol=1e-6)
 

@@ -49,7 +49,7 @@ def test_stage1_low_temperature_selects_attended():
     x_att = Tensor([[1.0]])
     w = Tensor([[1.0, 2.0]])
     out, g = stage1_gate(Tensor([[5.0]]), x_att, w, temperature=0.01)
-    assert g.value[0, 1] > 1.0 - 1e-8
+    assert g.value[1, 0] > 1.0 - 1e-8
     assert abs(out.value[0, 0] - 1.0) < 1e-8
 
 
@@ -61,7 +61,7 @@ def test_stage1_matches_oracle():
     out, g = stage1_gate(Tensor(xb), Tensor(xt), Tensor(w), 0.1)
     r_out, r_g = ref.ref_stage1(xb, xt, w, 0.1)
     assert relative_error(out.value, r_out) < 1e-12
-    assert relative_error(g.value, r_g) < 1e-12
+    assert relative_error(g.value.T, r_g) < 1e-12
 
 
 def test_stage1_rejects_bad_inputs():
@@ -75,7 +75,7 @@ def test_stage1_rejects_bad_inputs():
 
 
 def test_stage1_scores_shift_invariant():
-    # adding the same offset to both gate columns shifts every row's
+    # adding the same offset to both gate columns shifts every clip's
     # logits by a per-clip constant and must not move the scores
     rng = np.random.default_rng(23)
     xb, xt = _features(rng)
@@ -134,7 +134,7 @@ def test_stage2_matches_oracle():
     out, g = stage2_gate(Tensor(xa), Tensor(xv), Tensor(xj), Tensor(w), 0.1)
     r_out, r_g = ref.ref_stage2(xa, xv, xj, w, 0.1)
     assert relative_error(out.value, r_out) < 1e-12
-    assert relative_error(g.value, r_g) < 1e-12
+    assert relative_error(g.value.T, r_g) < 1e-12
 
 
 def test_stage2_rejects_bad_shapes():
@@ -156,7 +156,7 @@ def test_gates_bitwise_equal_the_public_op_composition(stage):
     d, n_clips, k = 4, 6, stage + 1
     values = [rng.normal(size=(d, n_clips)) for _ in range(k)]
     w = rng.normal(size=(d if stage == 1 else 3 * d, k))
-    up_out, up_g = rng.normal(size=(d, n_clips)), rng.normal(size=(n_clips, k))
+    up_out, up_g = rng.normal(size=(d, n_clips)), rng.normal(size=(k, n_clips))
 
     def run(public):
         leaves = [Tensor(v) for v in (*values, w)]
@@ -164,7 +164,7 @@ def test_gates_bitwise_equal_the_public_op_composition(stage):
         if public:
             scorer = cands[1] if stage == 1 else ad.concat_rows(*cands)
             scores = ad.softmax(ad.matmul(ad.transpose(w_t), scorer), "columns", 0.5)
-            out, g = ad.relu(ad.gate_mix(scores, cands)), ad.transpose(scores)
+            out, g = ad.relu(ad.gate_mix(scores, cands)), scores
         else:
             out, g = (stage1_gate if stage == 1 else stage2_gate)(*cands, w_t, 0.5)
         (sum_all(hadamard(out, up_out)) + sum_all(hadamard(g, up_g))).backward()
@@ -184,13 +184,13 @@ def test_gate_rows_live_on_simplex():
         _, g1 = stage1_gate(Tensor(xb), Tensor(xt),
                             Tensor(rng.normal(size=(4, 2))), 0.1)
         s1 = g1.value
-        assert np.allclose(s1.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(s1.sum(axis=0), 1.0, atol=1e-9)
         assert np.all(s1 >= 0.0) and np.all(s1 <= 1.0)
         xj = rng.normal(size=(4, 7))
         _, g2 = stage2_gate(Tensor(xb), Tensor(xt), Tensor(xj),
                             Tensor(rng.normal(size=(12, 3))), 0.1)
         s2 = g2.value
-        assert np.allclose(s2.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(s2.sum(axis=0), 1.0, atol=1e-9)
         assert np.all(s2 >= 0.0)
 
 
@@ -212,7 +212,7 @@ def test_temperature_sharpens_toward_argmax():
     prev_max = None
     for temperature in (2.0, 0.5, 0.1, 0.01):
         _, g = stage1_gate(Tensor(xb), Tensor(xt), Tensor(w), temperature)
-        cur_max = g.value.max(axis=1)
+        cur_max = g.value.max(axis=0)
         if prev_max is not None:
             assert np.all(cur_max >= prev_max - 1e-12)
         prev_max = cur_max
@@ -220,7 +220,7 @@ def test_temperature_sharpens_toward_argmax():
     onehot = np.zeros_like(logits)
     onehot[np.arange(len(logits)), logits.argmax(axis=1)] = 1.0
     _, g = stage1_gate(Tensor(xb), Tensor(xt), Tensor(w), 1e-4)
-    assert np.allclose(g.value, onehot, atol=1e-9)
+    assert np.allclose(g.value.T, onehot, atol=1e-9)
 
 
 def test_tied_logits_stay_uniform_at_any_temperature():
@@ -300,18 +300,12 @@ def test_forward_shape_and_diagnostics(variant, iaca):
     rng = np.random.default_rng(34)
     xa, xv = _features(rng, 4, 6)
     model = FusionModel.create(4, variant, iaca=iaca, seed=2)
-    pred, diag = model.forward(xa, xv)
+    pred, (pair,), gates = model.forward(xa, xv)
     assert pred.shape == (1, 6)
-    assert np.all(np.abs(pred) <= 1.0)
-    assert diag.audio_weights.shape == (6, 6)
-    assert diag.visual_weights.shape == (6, 6)
-    if iaca:
-        assert diag.stage1_audio.shape == (6, 2)
-        assert diag.stage1_visual.shape == (6, 2)
-        assert diag.stage2.shape == (6, 3)
-    else:
-        assert diag.stage1_audio is None
-        assert diag.stage2 is None
+    assert np.all(np.abs(pred.value) <= 1.0)
+    assert pair.audio_weights.shape == (6, 6)
+    assert pair.visual_weights.shape == (6, 6)
+    assert [g.shape for g in gates] == ([(2, 6), (2, 6), (3, 6)] if iaca else [])
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -320,9 +314,24 @@ def test_forward_matches_straight_line_oracle(variant, iaca):
     rng = np.random.default_rng(35)
     xa, xv = _features(rng, 4, 6)
     model = FusionModel.create(4, variant, iaca=iaca, seed=3)
-    pred, _ = model.forward(xa, xv)
+    pred = model.forward(xa, xv).prediction.value
     r = ref.ref_full_forward(xa, xv, model.params, variant, iaca)
     assert relative_error(pred, r) < 1e-12
+
+
+@pytest.mark.parametrize("temperature", [0.1, 0.5])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_pass_gate_scores_match_straight_line_oracle(variant, temperature):
+    # the K x L scores a whole pass returns, which the dump writes as rows
+    rng = np.random.default_rng(49)
+    xa, xv = _features(rng, 4, 6)
+    model = FusionModel.create(4, variant, iaca=True, seed=17,
+                               flags=ModelFlags(temperature=temperature))
+    gates = model.forward(xa, xv).gates
+    expected = ref.ref_gate_scores(xa, xv, model.params, variant, temperature)
+    assert len(gates) == len(expected) == 3
+    for g, r in zip(gates, expected):
+        assert relative_error(g.value.T, r) < 1e-12
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -331,8 +340,8 @@ def test_prediction_permutation_equivariance(variant):
     xa, xv = _features(rng, 4, 6)
     model = FusionModel.create(4, variant, iaca=True, seed=6)
     perm = rng.permutation(6)
-    base, _ = model.forward(xa, xv)
-    shuffled, _ = model.forward(xa[:, perm], xv[:, perm])
+    base = model.forward(xa, xv).prediction.value
+    shuffled = model.forward(xa[:, perm], xv[:, perm]).prediction.value
     assert np.allclose(shuffled, base[:, perm], atol=1e-12)
 
 
@@ -342,7 +351,7 @@ def test_zeroed_modality_keeps_forward_finite(variant):
     xa, xv = _features(rng, 4, 6)
     model = FusionModel.create(4, variant, iaca=True, seed=7)
     for pair in ((np.zeros_like(xa), xv), (xa, np.zeros_like(xv))):
-        pred, _ = model.forward(*pair)
+        pred = model.forward(*pair).prediction.value
         assert np.all(np.isfinite(pred))
 
 
@@ -351,7 +360,7 @@ def test_forward_graph_builds_on_given_leaves():
     xa, xv = _features(rng, 3, 4)
     model = FusionModel.create(3, "CA", iaca=True, seed=8)
     leaves = model.bind()
-    pred, _ = model.forward_graph(Tensor(xa), Tensor(xv), leaves)
+    pred = model.forward_graph(Tensor(xa), Tensor(xv), leaves).prediction
     loss = mean_all(pred)
     loss.backward()
     assert any(np.any(leaves[k].grad != 0.0) for k in leaves)
@@ -363,14 +372,16 @@ def test_predict_values_is_bitwise_the_graph_forward(variant, iaca):
     rng = np.random.default_rng(42)
     xa, xv = _features(rng, 5, 7)
     model = FusionModel.create(5, variant, iaca=iaca, seed=10)
-    pred, diag = model.forward_graph(Tensor(xa), Tensor(xv), model.bind())
-    assert pred.parents
+    graph = model.forward_graph(Tensor(xa), Tensor(xv), model.bind())
+    assert graph.prediction.parents
     values = model.predict_values(xa, xv)
-    assert values.tobytes() == pred.value.tobytes()
-    _, value_diag = model.forward(xa, xv)
-    for name in ("audio_weights", "visual_weights", "stage1_audio", "stage2"):
-        a, b = getattr(diag, name), getattr(value_diag, name)
-        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    assert values.tobytes() == graph.prediction.value.tobytes()
+    constant = model.forward(xa, xv)
+    (pair,), (value_pair,) = graph.pairs, constant.pairs
+    for a, b in [(pair.audio_weights, value_pair.audio_weights),
+                 (pair.visual_weights, value_pair.visual_weights),
+                 *zip(graph.gates, constant.gates, strict=True)]:
+        assert a.value.tobytes() == b.value.tobytes()
 
 
 @pytest.mark.parametrize("iaca", [False, True])
@@ -380,7 +391,7 @@ def test_forward_keeps_no_graph(monkeypatch, iaca):
 
     def recording(model, xa, xv, leaves):
         out = forward_graph(model, xa, xv, leaves)
-        built.append(out[0])
+        built.append(out.prediction)
         return out
 
     monkeypatch.setattr(FusionModel, "forward_graph", recording)
@@ -394,7 +405,7 @@ def test_forward_keeps_no_graph(monkeypatch, iaca):
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_every_parameter_group_gets_finite_difference_checked(variant):
     # one sequence through forward_graph, then a batch of two sequences of
-    # different lengths through batch_graph
+    # different lengths through one run
     rng = np.random.default_rng(41)
     d, n_clips = 3, 4
     xa, xv = _features(rng, d, n_clips)
@@ -409,11 +420,11 @@ def test_every_parameter_group_gets_finite_difference_checked(variant):
     batch_target = rng.uniform(-0.5, 0.5, size=(1, 9))
 
     def single(leaves):
-        return model.forward_graph(Tensor(xa), Tensor(xv), leaves)[0], target
+        return model.forward_graph(Tensor(xa), Tensor(xv), leaves).prediction, target
 
     def batched(leaves):
         inputs = [(Tensor(a), Tensor(v)) for a, v in batch]
-        return model.batch_graph(inputs, leaves), batch_target
+        return model.run(inputs, leaves).prediction, batch_target
 
     def loss_graph(graph, leaves):
         pred, gold = graph(leaves)
@@ -438,7 +449,7 @@ def test_every_parameter_group_gets_finite_difference_checked(variant):
 @pytest.mark.parametrize("iaca", [False, True])
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_batch_graph_matches_per_sequence_graphs(variant, iaca):
-    # the batch graph runs the per-clip tail once over the joined clips;
+    # a batched run builds the per-clip tail once over the joined clips;
     # its prediction must be the per-sequence inference forwards side by
     # side, and its grads those of per-sequence graphs joined before the loss
     rng = np.random.default_rng(44)
@@ -447,31 +458,31 @@ def test_batch_graph_matches_per_sequence_graphs(variant, iaca):
     model = FusionModel.create(4, variant, iaca=iaca, seed=13,
                                flags=ModelFlags(temperature=0.5))
     leaves = model.bind()
-    pred = model.batch_graph([(Tensor(a), Tensor(v)) for a, v in seqs], leaves)
+    pred = model.run([(Tensor(a), Tensor(v)) for a, v in seqs], leaves).prediction
     expected = np.hstack([model.predict_values(a, v) for a, v in seqs])
     np.testing.assert_allclose(pred.value, expected, rtol=0.0, atol=1e-12)
     ccc_loss(pred, gold).backward()
 
     per_sequence = model.bind()
-    parts = [model.forward_graph(Tensor(a), Tensor(v), per_sequence)[0] for a, v in seqs]
+    parts = [model.forward_graph(Tensor(a), Tensor(v), per_sequence).prediction
+             for a, v in seqs]
     ccc_loss(concat_cols(*parts), gold).backward()
     for name in model.params:
         assert relative_error(leaves[name].grad, per_sequence[name].grad) < 1e-12, name
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_gated_batch_graph_transposes_only_the_gate_scores(variant):
+def test_gated_run_keeps_gate_scores_in_the_clip_layout(variant):
     # the gating layer scores clips as K x N, one column per clip like the
-    # features, so no d x N feature is copied transposed; the only transposes
-    # with N = sum(L) rows or columns are the returned N x K score copies
+    # features, and the pass returns those scores as they are: no transpose
+    # node has N = sum(L) rows or columns
     rng = np.random.default_rng(47)
     seqs = [_features(rng, 4, n) for n in range(3, 11)]
     n = sum(a.shape[1] for a, _ in seqs)
     model = FusionModel.create(4, variant, iaca=True, seed=15,
                                flags=ModelFlags(temperature=0.5))
-    pred, _, gates = model._graph([(Tensor(a), Tensor(v)) for a, v in seqs], model.bind())
-    score_nodes = [g._node for g in gates]
-    seen, stack, wide = set(), [pred._node, *score_nodes], []
+    pred, _, gates = model.run([(Tensor(a), Tensor(v)) for a, v in seqs], model.bind())
+    seen, stack, wide = set(), [pred._node, *(g._node for g in gates)], []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -479,9 +490,9 @@ def test_gated_batch_graph_transposes_only_the_gate_scores(variant):
             stack.extend(node.parents)
             if node.op == "transpose" and n in node.shape:
                 wide.append(node)
-    assert sorted(map(id, wide)) == sorted(map(id, score_nodes))
-    assert [g.shape for g in gates] == [(n, 2), (n, 2), (n, 3)]
-    assert all(g.parents[0].op == "softmax" for g in gates)
+    assert wide == []
+    assert [g.shape for g in gates] == [(2, n), (2, n), (3, n)]
+    assert all(g.op == "softmax" for g in gates)
 
 
 def test_the_model_runs_every_exported_op_and_no_other():
@@ -494,7 +505,7 @@ def test_the_model_runs_every_exported_op_and_no_other():
     for variant in ALL_VARIANTS:
         for iaca in (False, True):
             model = FusionModel.create(4, variant, iaca=iaca, seed=16)
-            pred = model.batch_graph([(Tensor(a), Tensor(v)) for a, v in seqs], model.bind())
+            pred = model.run([(Tensor(a), Tensor(v)) for a, v in seqs], model.bind()).prediction
             seen, stack = set(), [ccc_loss(pred, gold)]
             while stack:
                 node = stack.pop()

@@ -162,11 +162,11 @@ def test_loss_gradient_through_model_matches_finite_differences():
     def loss_value(w):
         leaves = model.bind()
         leaves["cross.w"] = Tensor(w)
-        pred, _ = model.forward_graph(Tensor(xa), Tensor(xv), leaves)
+        pred = model.forward_graph(Tensor(xa), Tensor(xv), leaves).prediction
         return ccc_loss(pred, gold)
 
     leaves = model.bind()
-    pred, _ = model.forward_graph(Tensor(xa), Tensor(xv), leaves)
+    pred = model.forward_graph(Tensor(xa), Tensor(xv), leaves).prediction
     loss = ccc_loss(pred, gold)
     loss.backward()
     numeric = finite_diff(lambda w: loss_value(w).item(), model.params["cross.w"])

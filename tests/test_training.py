@@ -127,7 +127,7 @@ def test_history_covers_every_epoch_without_early_stop():
 
 
 def test_fit_runs_no_forward_over_the_training_split(monkeypatch):
-    # training forwards go through batch_graph, one per batch;
+    # training forwards are one model run per batch;
     # predict_values is only the per-epoch validation score
     train, val = _small_data(n=6)
     val = val[:3]
