@@ -52,9 +52,6 @@ __all__ = [
     "gate_mix",
 ]
 
-_AXES = {"columns": 0, "rows": 1}
-
-
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
@@ -262,32 +259,28 @@ def relu(a) -> Tensor:
     return _result(a.value * mask, "relu", (a,), (lambda g: g * mask,))
 
 
-def softmax(a, axis: str = "columns", temperature: float = 1.0,
-            out: np.ndarray | None = None) -> Tensor:
-    """Temperature softmax along one axis, max-subtracted for stability.
+def softmax(a, temperature: float = 1.0, out: np.ndarray | None = None) -> Tensor:
+    """Temperature softmax of every column, max-subtracted for stability.
 
-    axis="columns" normalizes every column into a probability vector,
-    axis="rows" every row. Logits are divided by the temperature first;
-    smaller temperatures sharpen toward the per-slice argmax. As in numpy,
-    the result goes into ``out`` if given, which may be ``a.value`` itself.
+    Each column becomes a probability vector; a row softmax is
+    ``transpose(softmax(transpose(x)))``. Logits are divided by the
+    temperature first, so smaller temperatures sharpen toward each column's
+    argmax. The result goes into ``out`` if given, which may be ``a.value``.
     """
     a = _coerce(a)
     if not temperature > 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    if axis not in _AXES:
-        raise ValueError(f"softmax axis must be 'columns' or 'rows', got {axis!r}")
     if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
                                 and out.shape == a.value.shape and out.flags.c_contiguous):
         raise ShapeError(f"softmax out must be a C-contiguous float64 {a.value.shape} array")
-    ax = _AXES[axis]
     z = a.value / temperature if temperature != 1.0 else a.value  # x / 1.0 == x exactly
-    y = np.subtract(z, z.max(axis=ax, keepdims=True), out=out)
+    y = np.subtract(z, z.max(axis=0, keepdims=True), out=out)
     np.exp(y, out=y)
-    y /= y.sum(axis=ax, keepdims=True)
+    y /= y.sum(axis=0, keepdims=True)
 
     def vjp(g):
         gz = g * y
-        np.subtract(g, gz.sum(axis=ax, keepdims=True), out=gz)
+        np.subtract(g, gz.sum(axis=0, keepdims=True), out=gz)
         gz *= y
         return gz / temperature if temperature != 1.0 else gz
 

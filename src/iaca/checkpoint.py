@@ -47,7 +47,6 @@ class CheckpointVersionError(CheckpointError):
 
 @dataclass
 class Checkpoint:
-    version: int
     model: FusionModel
     meta: dict
 
@@ -101,7 +100,7 @@ def load_checkpoint(path) -> Checkpoint:
             return fh.read(n)
 
         if read(4, "magic") != MAGIC:
-            raise CheckpointError(f"bad magic; {path} is not a checkpoint")
+            raise CheckpointError("bad magic; not a checkpoint")
         version = struct.unpack("<I", read(4, "version"))[0]
         if version != FORMAT_VERSION:
             raise CheckpointVersionError(
@@ -145,4 +144,4 @@ def load_checkpoint(path) -> Checkpoint:
         model.params = {name: np.frombuffer(read(8 * rows * cols, f"payload of {name}"),
                                             dtype="<f8").reshape(rows, cols).copy()
                         for name, (rows, cols) in shapes.items()}
-    return Checkpoint(version=version, model=model, meta=meta)
+    return Checkpoint(model=model, meta=meta)

@@ -99,8 +99,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _out_root(cfg: ExperimentConfig) -> Path:
-    root = Path(cfg.out_dir)
+def _out_root(cfg: ExperimentConfig, out_dir: str | None = None) -> Path:
+    root = Path(out_dir or cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
     return root
 
@@ -157,13 +157,16 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 
 
 def _restore(path):
-    ckpt = load_checkpoint(path)
-    exp = ckpt.meta.get("experiment")
-    if exp is None:
-        raise ValueError(f"{path} carries no experiment config; cannot rebuild data")
-    # stored whole by train; a missing field must not fall back to its default
-    cfg = ExperimentConfig.from_dict(exp, complete=True)
-    cfg.validate()
+    try:
+        ckpt = load_checkpoint(path)
+        exp = ckpt.meta.get("experiment")
+        if exp is None:
+            raise ValueError("carries no experiment config; cannot rebuild data")
+        # stored whole by train; a missing field must not fall back to its default
+        cfg = ExperimentConfig.from_dict(exp, complete=True)
+        cfg.validate()
+    except (ValueError, CheckpointError) as exc:  # sweep restores two: say which
+        raise type(exc)(f"{path}: {exc}") from exc
     return ckpt.model, cfg, ckpt.meta.get("output_dim")
 
 
@@ -192,9 +195,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _, arousal_val = prepare_splits(aro_cfg, "arousal")
     rows = missing_modality_sweep(val_model, aro_model, valence_val, arousal_val,
                                   fractions)
-    if args.out_dir:
-        val_cfg.out_dir = args.out_dir
-    path = _out_root(val_cfg) / args.out
+    path = _out_root(val_cfg, args.out_dir) / args.out
     save_sweep(rows, path)
     print(f"wrote {len(rows)} fractions to {path}")
     for r in rows:
@@ -211,9 +212,7 @@ def _cmd_dump_attn(args: argparse.Namespace) -> int:
         raise ValueError(f"sequence index {args.index} out of range "
                          f"(split has {len(seqs)})")
     dump = dump_attention(model, seqs[args.index])
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
-    path = _out_root(cfg) / args.out
+    path = _out_root(cfg, args.out_dir) / args.out
     save_attention_dump(dump, path)
     print(f"wrote attention dump for {args.split}[{args.index}] to {path}")
     return 0

@@ -152,10 +152,7 @@ def run_ablation(cfg: ExperimentConfig,
         deltas = []
         for dim in OUTPUT_DIMS:
             base, new = scored[False][dim], scored[True][dim]
-            if np.isnan(base) or np.isnan(new) or base == 0:
-                deltas.append(float("nan"))
-            else:
-                deltas.append(relative_improvement(base, new))
+            deltas.append(relative_improvement(base, new) if base != 0 else float("nan"))
         rows.append(AblationRow(variant, "delta_pct", deltas[0], deltas[1]))
     return rows
 

@@ -68,7 +68,7 @@ class HeadParams:
 def _gate(scorer, w, candidates, temperature: float) -> tuple[Tensor, Tensor]:
     # the gating layer: K x L scores softmax(w^T . scorer / T), one column per
     # clip, weight the K candidates; returns the ReLU'd blend and the scores
-    g = softmax(matmul(transpose(w), scorer), axis="columns", temperature=temperature)
+    g = softmax(matmul(transpose(w), scorer), temperature=temperature)
     return relu(gate_mix(g, candidates)), g
 
 

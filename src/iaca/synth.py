@@ -72,7 +72,6 @@ class SyntheticSequence:
     xa: np.ndarray  # d x L
     xv: np.ndarray  # d x L
     target: np.ndarray  # 1 x L, entries in [-1, 1]
-    regime: Regime
     seed: int
 
 
@@ -129,8 +128,7 @@ def generate(regime: Regime, d: int = 32, n_clips: int = 64,
         xa = embed_a @ _track_stack(rng, n_clips, sig_a)
         xv = embed_v @ _track_stack(rng, n_clips, sig_v)
         out.append(SyntheticSequence(xa=xa, xv=xv,
-                                     target=signal.reshape(1, n_clips),
-                                     regime=regime, seed=seq_seed))
+                                     target=signal.reshape(1, n_clips), seed=seq_seed))
     return out
 
 

@@ -146,7 +146,6 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
     rng = np.random.default_rng(cfg.seed)
     result = FitResult()
     best_params = {k: v.copy() for k, v in model.params.items()}
-    since_best = 0
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train))
@@ -183,12 +182,9 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
             result.best_val_ccc = record.val_ccc
             result.best_epoch = epoch
             best_params = {k: v.copy() for k, v in model.params.items()}
-            since_best = 0
-        else:
-            since_best += 1
-            if cfg.patience and since_best >= cfg.patience:
-                result.stopped_early = True
-                break
+        elif cfg.patience and epoch - result.best_epoch >= cfg.patience:
+            result.stopped_early = True
+            break
 
     model.params.update(best_params)
     return result

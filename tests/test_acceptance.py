@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from iaca.attention import VARIANTS
-from iaca.autodiff import Tensor, softmax
+from iaca.autodiff import Tensor, softmax, transpose
 from iaca.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from iaca.experiments import (
     DEFAULT_SWEEP_FRACTIONS,
@@ -87,22 +87,22 @@ def test_criterion_2_simplex_suite():
         logits = rng.normal(scale=3.0, size=(n_clips, d))
         temperature = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
 
-        rows = softmax(Tensor(logits), axis="rows", temperature=temperature)
-        cols = softmax(Tensor(logits), axis="columns", temperature=temperature)
+        rows = transpose(softmax(transpose(Tensor(logits)), temperature=temperature))
+        cols = softmax(Tensor(logits), temperature=temperature)
         for mat, axis in ((rows.value, 1), (cols.value, 0)):
             assert np.all(mat >= 0.0)
             assert np.allclose(mat.sum(axis=axis), 1.0, atol=1e-9)
 
         # adding a per-row constant must leave the rows unchanged
         shift = rng.normal(scale=5.0, size=(n_clips, 1))
-        shifted = softmax(Tensor(logits + shift), axis="rows",
-                          temperature=temperature)
+        shifted = transpose(softmax(transpose(Tensor(logits + shift)),
+                                    temperature=temperature))
         assert np.max(np.abs(shifted.value - rows.value)) < 1e-9
 
         # sharpening limit on rows with a clearly untied maximum
         spread = logits.copy()
         spread[np.arange(n_clips), np.argmax(spread, axis=1)] += 0.3
-        sharp = softmax(Tensor(spread), axis="rows", temperature=0.01)
+        sharp = transpose(softmax(transpose(Tensor(spread)), temperature=0.01))
         assert np.all(sharp.value.max(axis=1) > 1.0 - 1e-6)
 
         # gate scores live on the same simplex

@@ -302,7 +302,7 @@ def _attend_from_public_ops(x, weights):
 def _tca_block_from_public_ops(xq, xkv, p):
     d = xq.shape[0]
     q, k, v = ad.matmul(p.wq, xq), ad.matmul(p.wk, xkv), ad.matmul(p.wv, xkv)
-    weights = ad.softmax(ad.matmul(ad.scale(ad.transpose(k), 1.0 / d**0.5), q), axis="columns")
+    weights = ad.softmax(ad.matmul(ad.scale(ad.transpose(k), 1.0 / d**0.5), q))
     h = ad.add(xq, ad.matmul(v, weights))
     hidden = ad.relu(ad.add_col(ad.matmul(p.ff1_w, h), p.ff1_b))
     return ad.tanh(ad.add(h, ad.add_col(ad.matmul(p.ff2_w, hidden), p.ff2_b))), weights
@@ -314,18 +314,18 @@ def _from_public_ops(variant, xa, xv, p):
     (attended, map) per modality, audio first; self-attention attends xa."""
     if variant == "CA":
         z = cross_correlation(xa, xv, p)
-        maps = ad.softmax(z, axis="columns"), ad.softmax(ad.transpose(z), axis="columns")
+        maps = ad.softmax(z), ad.softmax(ad.transpose(z))
         return [(_attend_from_public_ops(x, m), m) for x, m in zip((xa, xv), maps)]
     if variant == "TCA":
         return [_tca_block_from_public_ops(xa, xv, p[0]), _tca_block_from_public_ops(xv, xa, p[1])]
     if variant == "self":
-        weights = ad.softmax(cross_correlation(xa, xa, p), axis="columns")
+        weights = ad.softmax(cross_correlation(xa, xa, p))
         return [(_attend_from_public_ops(xa, weights), weights)]
     for _ in range(1 if variant == "JCA" else RJCA_ITERATIONS):
         joint = ad.add_col(ad.matmul(p.joint_w, ad.concat_rows(xa, xv)), p.joint_b)
         out = []
         for x, w in ((xa, p.cross_a), (xv, p.cross_v)):
-            weights = ad.softmax(cross_correlation(x, joint, w), axis="columns")
+            weights = ad.softmax(cross_correlation(x, joint, w))
             out.append((_attend_from_public_ops(x, weights), weights))
         xa, xv = out[0][0], out[1][0]
     return out
@@ -434,7 +434,7 @@ def _live_arrays(*roots):
 @pytest.mark.parametrize("variant,iaca", [
     (variant, iaca) for variant in ("CA", "TCA", "JCA", "RJCA") for iaca in (False, True)
 ])
-def test_batch_graph_holds_no_lxl_value_but_the_weight_maps(variant, iaca):
+def test_training_graph_holds_no_lxl_value_but_the_weight_maps(variant, iaca):
     # what a training step keeps alive until backward: the loss graph and
     # what the caller holds (parameter leaves, prediction values, gold); of
     # it, the only L x L arrays are the weight maps, which the attended
@@ -443,7 +443,7 @@ def test_batch_graph_holds_no_lxl_value_but_the_weight_maps(variant, iaca):
     rng = np.random.default_rng(19)
     model = FusionModel.create(d, variant, iaca)
     batch = [SyntheticSequence(rng.normal(size=(d, n_clips)), rng.normal(size=(d, n_clips)),
-                               rng.uniform(-1.0, 1.0, size=(1, n_clips)), None, 0)
+                               rng.uniform(-1.0, 1.0, size=(1, n_clips)), 0)
              for _ in range(n_seqs)]
     held = _batch_loss(model, batch)
     square = [a for a in _live_arrays(held) if a.shape == (n_clips, n_clips)]

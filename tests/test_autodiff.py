@@ -50,17 +50,17 @@ def test_matmul_associativity():
 
 
 def test_softmax_uniform_on_constant_column():
-    out = ad.softmax(np.zeros((4, 1)), axis="columns")
+    out = ad.softmax(np.zeros((4, 1)))
     np.testing.assert_allclose(out.value, np.full((4, 1), 0.25), atol=1e-15)
 
 
 def test_softmax_hand_case():
-    out = ad.softmax(np.array([[math.log(1.0)], [math.log(3.0)]]), axis="columns")
+    out = ad.softmax(np.array([[math.log(1.0)], [math.log(3.0)]]))
     np.testing.assert_allclose(out.value, [[0.25], [0.75]], atol=1e-12)
 
 
 def test_softmax_sharpening_limit():
-    out = ad.softmax(np.array([[1.0], [2.0]]), axis="columns", temperature=0.01)
+    out = ad.softmax(np.array([[1.0], [2.0]]), temperature=0.01)
     np.testing.assert_allclose(out.value, [[0.0], [1.0]], atol=1e-8)
 
 
@@ -70,18 +70,12 @@ def test_softmax_rejects_bad_temperature():
             ad.softmax(np.ones((2, 2)), temperature=t)
 
 
-def test_softmax_rejects_bad_axis():
-    for bad in ("diagonal", "Columns", 0):
-        with pytest.raises(ValueError, match="axis"):
-            ad.softmax(np.zeros((2, 2)), bad)
-
-
 def test_softmax_slices_sum_to_one_over_wide_range():
     rng = np.random.default_rng(2)
     for _ in range(50):
         m = rng.uniform(-700.0, 700.0, size=rng.integers(1, 9, size=2))
-        cols = ad.softmax(m, axis="columns").value
-        rows = ad.softmax(m, axis="rows").value
+        cols = ad.softmax(m).value
+        rows = ad.transpose(ad.softmax(ad.transpose(m))).value
         np.testing.assert_allclose(cols.sum(axis=0), 1.0, atol=1e-9)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(cols >= 0.0) and np.all(rows >= 0.0)
@@ -90,8 +84,8 @@ def test_softmax_slices_sum_to_one_over_wide_range():
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(6, 5))
-    base = ad.softmax(m, axis="columns").value
-    shifted = ad.softmax(m + 13.5, axis="columns").value
+    base = ad.softmax(m).value
+    shifted = ad.softmax(m + 13.5).value
     np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
@@ -346,9 +340,9 @@ def _run_program(program, leaf_values):
         elif op == "transpose":
             pool.append(ad.transpose(pool[args[0]]))
         elif op == "softmax_cols":
-            pool.append(ad.softmax(pool[args[0]], axis="columns"))
+            pool.append(ad.softmax(pool[args[0]]))
         elif op == "softmax_rows":
-            pool.append(ad.softmax(pool[args[0]], axis="rows"))
+            pool.append(ad.transpose(ad.softmax(ad.transpose(pool[args[0]]))))
         elif op == "add":
             pool.append(ad.add(pool[args[0]], pool[args[1]]))
         elif op == "sub":
@@ -398,17 +392,15 @@ def test_constants_are_pruned_from_the_graph():
 
 # 0.5 divides exactly, 0.3 does not, so it also pins the order of operations
 @pytest.mark.parametrize("temperature", [1.0, 0.5, 0.3])
-@pytest.mark.parametrize("axis", ["columns", "rows"])
-def test_softmax_and_its_vjp_bitwise_equal_the_out_of_place_formulas(axis, temperature):
+def test_softmax_and_its_vjp_bitwise_equal_the_out_of_place_formulas(temperature):
     rng = np.random.default_rng(3)
     z, upstream = rng.normal(size=(5, 7)), rng.normal(size=(5, 7))
-    expected = ref.ref_softmax(z, axis, temperature)
-    ax = 0 if axis == "columns" else 1
-    inner = (upstream * expected).sum(axis=ax, keepdims=True)
+    expected = ref.ref_softmax(z, "columns", temperature)
+    inner = (upstream * expected).sum(axis=0, keepdims=True)
     # out= (attention's maps) writes the same result over the input's buffer
     for in_place in (False, True):
         x = Tensor(z.copy())
-        y = ad.softmax(x, axis=axis, temperature=temperature, out=x.value if in_place else None)
+        y = ad.softmax(x, temperature=temperature, out=x.value if in_place else None)
         assert (y.value is x.value) == in_place
         assert np.array_equal(y.value, expected)
         # sum(y * upstream) hands softmax's vjp exactly `upstream`

@@ -218,7 +218,7 @@ def test_invalid_stored_experiment_exits_with_error(tmp_path, capsys, command):
     else:
         argv = ["dump-attn", "--checkpoint", str(paths["valence"])]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: both splits")
+    assert capsys.readouterr().err.startswith(f"error: {paths['valence']}: both splits")
     assert not (tmp_path / "out").exists()
 
 
@@ -236,7 +236,35 @@ def test_stored_experiment_missing_a_field_exits_with_error(tmp_path, capsys, mi
     rc = main(["dump-attn", "--checkpoint", str(tmp_path / "m.ckpt"),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: missing config fields: ['{missing}']\n"
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'm.ckpt'}: "
+                                       f"missing config fields: ['{missing}']\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not-a-checkpoint", "unknown-field"])
+def test_sweep_error_names_the_bad_checkpoint(tmp_path, capsys, damage):
+    # the valence checkpoint is good, so the error must say it is the arousal one
+    model = FusionModel.create(6, "CA", iaca=True, seed=1)
+    experiment = asdict(ExperimentConfig(d=6, n_clips=8, n_train=4, n_val=2))
+    paths = {dim: tmp_path / f"{dim}.ckpt" for dim in ("valence", "arousal")}
+    save_checkpoint(model, paths["valence"],
+                    extra_meta={"experiment": experiment, "output_dim": "valence"})
+    if damage == "truncated":
+        save_checkpoint(model, paths["arousal"],
+                        extra_meta={"experiment": experiment, "output_dim": "arousal"})
+        paths["arousal"].write_bytes(paths["arousal"].read_bytes()[:20])
+    elif damage == "not-a-checkpoint":
+        paths["arousal"].write_text("not a checkpoint at all")
+    else:
+        save_checkpoint(model, paths["arousal"], extra_meta={
+            "experiment": {**experiment, "colour": "red"}, "output_dim": "arousal"})
+    rc = main(["sweep", "--checkpoint-valence", str(paths["valence"]),
+               "--checkpoint-arousal", str(paths["arousal"]),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths['arousal']}: ")
+    assert err.count(str(paths["arousal"])) == 1 and str(paths["valence"]) not in err
     assert not (tmp_path / "out").exists()
 
 

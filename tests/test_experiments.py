@@ -3,11 +3,13 @@ import json
 import re
 from dataclasses import asdict, is_dataclass
 from functools import reduce
+from types import SimpleNamespace
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+from iaca import experiments
 from iaca.experiments import (
     ExperimentConfig,
     dump_attention,
@@ -206,6 +208,23 @@ def test_ablation_records_divergence_and_continues(capsys):
     assert len(rows) == 3
     assert all(np.isnan(r.valence) and np.isnan(r.arousal) for r in rows)
     assert "diverged" in capsys.readouterr().err
+
+
+def test_ablation_delta_is_nan_for_a_nan_cell_or_a_zero_base(monkeypatch):
+    # one variant per case: a diverged gated cell, a diverged ungated cell,
+    # and an ungated CCC of exactly 0, where no relative change exists
+    scores = {("CA", False): 0.5, ("CA", True): float("nan"),
+              ("TCA", False): float("nan"), ("TCA", True): 0.5,
+              ("JCA", False): 0.0, ("JCA", True): 0.5}
+
+    def fake_train_one(cell, dim):
+        return None, SimpleNamespace(best_val_ccc=scores[cell.variant, cell.iaca]), None
+
+    monkeypatch.setattr(experiments, "train_one", fake_train_one)
+    rows = run_ablation(_tiny_cfg(), variants=("CA", "TCA", "JCA"))
+    deltas = [r for r in rows if r.iaca == "delta_pct"]
+    assert [r.variant for r in deltas] == ["CA", "TCA", "JCA"]
+    assert all(np.isnan(r.valence) and np.isnan(r.arousal) for r in deltas)
 
 
 # -------------------------------------------------------------------- sweep

@@ -163,7 +163,7 @@ def test_gates_bitwise_equal_the_public_op_composition(stage):
         *cands, w_t = leaves
         if public:
             scorer = cands[1] if stage == 1 else ad.concat_rows(*cands)
-            scores = ad.softmax(ad.matmul(ad.transpose(w_t), scorer), "columns", 0.5)
+            scores = ad.softmax(ad.matmul(ad.transpose(w_t), scorer), 0.5)
             out, g = ad.relu(ad.gate_mix(scores, cands)), scores
         else:
             out, g = (stage1_gate if stage == 1 else stage2_gate)(*cands, w_t, 0.5)
@@ -448,7 +448,7 @@ def test_every_parameter_group_gets_finite_difference_checked(variant):
 
 @pytest.mark.parametrize("iaca", [False, True])
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_batch_graph_matches_per_sequence_graphs(variant, iaca):
+def test_batched_run_matches_per_sequence_graphs(variant, iaca):
     # a batched run builds the per-clip tail once over the joined clips;
     # its prediction must be the per-sequence inference forwards side by
     # side, and its grads those of per-sequence graphs joined before the loss

@@ -167,6 +167,18 @@ def test_early_stop_cuts_history_short():
     assert result.best_epoch == 0
 
 
+def test_early_stop_counts_from_the_latest_improvement(monkeypatch):
+    # 0.3 then 0.5 each reset the count; the second 0.4 is the 2nd epoch
+    # without a new best, so the run stops there
+    scores = iter([0.1, 0.3, 0.2, 0.5, 0.4, 0.4])
+    monkeypatch.setattr(training, "evaluate", lambda model, seqs: next(scores))
+    train, val = _small_data()
+    result = fit(_small_model(), train, val, TrainConfig(epochs=10, patience=2))
+    assert result.stopped_early
+    assert len(result.history) == 6
+    assert result.best_epoch == 3 and result.best_val_ccc == 0.5
+
+
 def test_best_parameters_are_restored():
     train, val = _small_data()
     model = _small_model()
