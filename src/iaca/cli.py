@@ -3,8 +3,10 @@
 Subcommands: train, ablation, sweep, dump-attn. train and ablation take a
 JSON config file (the ExperimentConfig schema) plus flag overrides; sweep
 and dump-attn rebuild data from a checkpoint's config and output_dim.
-Output lands under --out-dir, else the config's out_dir, else
-$IACA_RESULTS_DIR, else the working directory.
+train and ablation write under --out-dir, else the config's out_dir, else
+$IACA_RESULTS_DIR, else the working directory; sweep and dump-attn under
+--out-dir, else the (valence) checkpoint's directory. Checkpoints store no
+out_dir, so one training writes the same bytes wherever it goes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .attention import VARIANTS
@@ -31,6 +33,7 @@ from .experiments import (
     save_sweep,
     train_one,
 )
+from .gating import _type_hints
 from .synth import REGIME_KINDS
 from .training import OPTIMIZERS, TrainingDivergence, save_history
 
@@ -38,40 +41,42 @@ ENV_OUT_DIR = "IACA_RESULTS_DIR"
 
 
 # Every config flag: (flag, dotted ExperimentConfig field, argparse keywords).
-# Its value is read back from argparse's default destination (--n-train ->
-# n_train).
+# It parses to the field's annotated type (a bool gets a --no- twin), and its
+# value is read back from argparse's default destination (--n-train -> n_train).
 _CONFIG_FLAGS = (
     ("--variant", "variant", {"choices": VARIANTS}),
-    ("--iaca", "iaca", {"action": "store_true", "default": None,
-                        "help": "attach the two-stage gating (default from config)"}),
+    ("--iaca", "iaca", {"help": "attach the two-stage gating (default from config)"}),
     ("--regime", "regime.kind", {"choices": REGIME_KINDS}),
-    ("--noise-sigma", "regime.noise_sigma", {"type": float}),
+    ("--noise-sigma", "regime.noise_sigma", {}),
     ("--corrupt-fraction", "regime.corrupt_fraction",
-     {"type": float, "help": "fraction of audio clips zeroed in training sequences"}),
-    ("--d", "d", {"type": int}),
-    ("--clips", "n_clips", {"type": int, "help": "sequence length L"}),
-    ("--n-train", "n_train", {"type": int}),
-    ("--n-val", "n_val", {"type": int}),
-    ("--seed", "seed", {"type": int}),
-    ("--epochs", "train.epochs", {"type": int}),
-    ("--batch-size", "train.batch_size", {"type": int}),
-    ("--lr", "train.lr", {"type": float}),
+     {"help": "fraction of audio clips zeroed in training sequences"}),
+    ("--d", "d", {}),
+    ("--clips", "n_clips", {"help": "sequence length L"}),
+    ("--n-train", "n_train", {}),
+    ("--n-val", "n_val", {}),
+    ("--seed", "seed", {}),
+    ("--epochs", "train.epochs", {}),
+    ("--batch-size", "train.batch_size", {}),
+    ("--lr", "train.lr", {}),
     ("--optimizer", "train.optimizer", {"choices": OPTIMIZERS}),
-    ("--patience", "train.patience", {"type": int}),
-    ("--temperature", "flags.temperature", {"type": float}),
+    ("--patience", "train.patience", {}),
+    ("--temperature", "flags.temperature", {}),
+    ("--out-dir", "out_dir", {}),
 )
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with ExperimentConfig fields")
-    for flag, _, kwargs in _CONFIG_FLAGS:
-        if flag == "--iaca":
-            gate = parser.add_mutually_exclusive_group()
-            gate.add_argument(flag, **kwargs)
-            gate.add_argument("--no-iaca", dest="iaca", action="store_false")
+    for flag, dotted, kwargs in _CONFIG_FLAGS:
+        kind = ExperimentConfig
+        for name in dotted.split("."):
+            kind = _type_hints(kind)[name]
+        if kind is bool:
+            pair = parser.add_mutually_exclusive_group()
+            pair.add_argument(flag, action="store_true", default=None, **kwargs)
+            pair.add_argument(f"--no-{flag[2:]}", dest=flag[2:], action="store_false")
         else:
-            parser.add_argument(flag, **kwargs)
-    parser.add_argument("--out-dir")
+            parser.add_argument(flag, type=kind, **kwargs)
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -83,12 +88,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             except RecursionError:
                 raise ValueError(f"config file {args.config} nests too deeply") from None
     cfg = ExperimentConfig.from_dict(data)
-
-    if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
-    elif "out_dir" not in data:
-        cfg.out_dir = os.environ.get(ENV_OUT_DIR, ".")
-
     for flag, dotted, _ in _CONFIG_FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
@@ -99,8 +98,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _out_root(cfg: ExperimentConfig, out_dir: str | None = None) -> Path:
-    root = Path(out_dir or cfg.out_dir)
+def _out_root(path) -> Path:
+    root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     return root
 
@@ -119,7 +118,7 @@ def _reject_repeats(flag: str, values) -> None:
 def _cmd_train(args: argparse.Namespace) -> int:
     _reject_repeats("--dims", args.dims)
     cfg = _load_config(args)
-    root = _out_root(cfg)
+    root = _out_root(cfg.out_dir or os.environ.get(ENV_OUT_DIR) or ".")
     for dim in args.dims:
         model, result, _ = train_one(cfg, dim)
         stem = args.name or _ckpt_name(cfg, dim)
@@ -127,7 +126,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             stem = f"{args.name}_{dim}"
         ckpt_path = root / f"{stem}.ckpt"
         save_checkpoint(model, ckpt_path, extra_meta={
-            "experiment": asdict(cfg),
+            "experiment": asdict(replace(cfg, out_dir="")),
             "output_dim": dim,
             "best_val_ccc": result.best_val_ccc,
             "best_epoch": result.best_epoch,
@@ -147,7 +146,7 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown variant {v!r}; choose from {','.join(VARIANTS)}")
     _reject_repeats("--variants", variants)
     rows = run_ablation(cfg, variants)
-    path = _out_root(cfg) / args.out
+    path = _out_root(cfg.out_dir or os.environ.get(ENV_OUT_DIR) or ".") / args.out
     save_ablation(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
     for r in rows:
@@ -188,14 +187,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("checkpoints must be a (valence, arousal) pair; got "
                          f"({val_dim}, {aro_dim})")
     _require_same("be one model pair", val_model, aro_model, ("variant", "iaca", "d", "flags"))
-    # out_dir is where a checkpoint was written, not how its data was made
+    # older checkpoints store where they were written, not how their data was made
     _require_same("share one experiment config", val_cfg, aro_cfg,
                   [f.name for f in fields(ExperimentConfig) if f.name != "out_dir"])
     _, valence_val = prepare_splits(val_cfg, "valence")
     _, arousal_val = prepare_splits(aro_cfg, "arousal")
     rows = missing_modality_sweep(val_model, aro_model, valence_val, arousal_val,
                                   fractions)
-    path = _out_root(val_cfg, args.out_dir) / args.out
+    path = _out_root(args.out_dir or Path(args.checkpoint_valence).parent) / args.out
     save_sweep(rows, path)
     print(f"wrote {len(rows)} fractions to {path}")
     for r in rows:
@@ -212,7 +211,7 @@ def _cmd_dump_attn(args: argparse.Namespace) -> int:
         raise ValueError(f"sequence index {args.index} out of range "
                          f"(split has {len(seqs)})")
     dump = dump_attention(model, seqs[args.index])
-    path = _out_root(cfg, args.out_dir) / args.out
+    path = _out_root(args.out_dir or Path(args.checkpoint).parent) / args.out
     save_attention_dump(dump, path)
     print(f"wrote attention dump for {args.split}[{args.index}] to {path}")
     return 0

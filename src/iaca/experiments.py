@@ -34,10 +34,8 @@ _SWEEP_STREAM = 555
 
 
 def relative_improvement(base: float, new: float) -> float:
-    """(new - base) / |base| in percent, the ablation table's delta."""
-    if base == 0:
-        raise ZeroDivisionError("relative improvement undefined for a zero base")
-    return (new - base) / abs(base) * 100.0
+    """(new - base) / |base| in percent, the ablation table's delta; NaN for a zero base."""
+    return (new - base) / abs(base) * 100.0 if base != 0 else float("nan")
 
 
 @dataclass
@@ -52,7 +50,7 @@ class ExperimentConfig:
     seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
     flags: ModelFlags = field(default_factory=ModelFlags)
-    out_dir: str = "."
+    out_dir: str = ""  # unset; the CLI then writes under $IACA_RESULTS_DIR or "."
 
     def validate(self) -> None:
         check_types(self)
@@ -149,11 +147,9 @@ def run_ablation(cfg: ExperimentConfig,
             scored[iaca] = values
             rows.append(AblationRow(variant, "yes" if iaca else "no",
                                     values["valence"], values["arousal"]))
-        deltas = []
-        for dim in OUTPUT_DIMS:
-            base, new = scored[False][dim], scored[True][dim]
-            deltas.append(relative_improvement(base, new) if base != 0 else float("nan"))
-        rows.append(AblationRow(variant, "delta_pct", deltas[0], deltas[1]))
+        rows.append(AblationRow(variant, "delta_pct", *(
+            relative_improvement(scored[False][dim], scored[True][dim])
+            for dim in OUTPUT_DIMS)))
     return rows
 
 

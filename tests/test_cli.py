@@ -6,13 +6,14 @@ import re
 import shlex
 from dataclasses import asdict
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 import iaca
 from iaca.checkpoint import load_checkpoint, save_checkpoint
-from iaca.cli import build_parser, main
+from iaca.cli import _CONFIG_FLAGS, _load_config, build_parser, main
 from iaca.experiments import ExperimentConfig, prepare_splits
 from iaca.gating import FusionModel, ModelFlags
 from iaca.synth import Regime
@@ -116,7 +117,7 @@ def test_sweep_takes_a_pair_trained_into_two_directories(tmp_path, capsys):
                "--checkpoint-arousal", str(tmp_path / "b" / "ca_iaca_arousal.ckpt"),
                "--fractions", "0,0.5", "--out", "sweep.csv"])
     assert rc == 0, capsys.readouterr().err
-    # with no --out-dir, output follows the valence checkpoint's config
+    # with no --out-dir, output lands next to the valence checkpoint
     assert len(_csv_rows(tmp_path / "a" / "sweep.csv")) == 2
 
 
@@ -273,6 +274,69 @@ def test_env_var_sets_output_root(tmp_path, monkeypatch):
     rc = main(["train", *TINY, "--dims", "valence", "--name", "env"])
     assert rc == 0
     assert (tmp_path / "envroot" / "env.ckpt").exists()
+
+
+def test_checkpoints_are_byte_identical_wherever_they_are_written(tmp_path, monkeypatch):
+    # --out-dir and a config file's out_dir both beat the environment variable,
+    # and none of the three routes leaves its path in the checkpoint
+    monkeypatch.setenv("IACA_RESULTS_DIR", str(tmp_path / "env"))
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"out_dir": str(tmp_path / "file")}))
+    argv = ["train", *TINY, "--variant", "CA", "--iaca", "--dims", "valence"]
+    assert main([*argv, "--out-dir", str(tmp_path / "flag")]) == 0
+    assert main(argv) == 0
+    assert main([*argv, "--config", str(cfg_file)]) == 0
+    blobs = set()
+    for root in ("flag", "env", "file"):
+        path = tmp_path / root / "ca_iaca_valence.ckpt"
+        assert load_checkpoint(path).meta["experiment"]["out_dir"] == ""
+        blobs.add(path.read_bytes())
+    assert len(blobs) == 1
+    assert sorted(p.name for p in (tmp_path / "env").iterdir()) == [
+        "ca_iaca_valence.ckpt", "ca_iaca_valence_history.csv"]
+
+
+def test_sweep_and_dump_write_next_to_checkpoints_from_any_directory(tmp_path, monkeypatch):
+    (tmp_path / "x").mkdir()
+    (tmp_path / "y").mkdir()
+    monkeypatch.delenv("IACA_RESULTS_DIR", raising=False)
+    monkeypatch.chdir(tmp_path / "x")
+    assert main(["train", *TINY, "--variant", "CA", "--iaca", "--out-dir", "runs"]) == 0
+    monkeypatch.chdir(tmp_path / "y")
+    runs = Path("..", "x", "runs")
+    assert main(["sweep", "--checkpoint-valence", str(runs / "ca_iaca_valence.ckpt"),
+                 "--checkpoint-arousal", str(runs / "ca_iaca_arousal.ckpt"),
+                 "--fractions", "0,0.5", "--out", "sweep.csv"]) == 0
+    assert main(["dump-attn", "--checkpoint", str(runs / "ca_iaca_arousal.ckpt"),
+                 "--out", "attn.json"]) == 0
+    assert len(_csv_rows(tmp_path / "x" / "runs" / "sweep.csv")) == 2
+    assert (tmp_path / "x" / "runs" / "attn.json").is_file()
+    assert list((tmp_path / "y").iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, dotted, kwargs", _CONFIG_FLAGS,
+                         ids=[row[0] for row in _CONFIG_FLAGS])
+def test_each_config_flag_parses_to_its_field_type(flag, dotted, kwargs):
+    # the annotation types the flag; no row restates it
+    assert "type" not in kwargs
+    kind = ExperimentConfig
+    for name in dotted.split("."):
+        kind = get_type_hints(kind)[name]
+    choice = next(iter(kwargs.get("choices", ["runs"])))
+    argv, expected = {bool: ([], True), int: (["3"], 3), float: (["0.5"], 0.5),
+                      str: ([choice], choice)}[kind]
+    cfg = _load_config(build_parser().parse_args(["train", flag, *argv]))
+    section, _, name = dotted.rpartition(".")
+    value = getattr(getattr(cfg, section) if section else cfg, name)
+    assert type(value) is kind and value == expected
+
+
+def test_a_bool_flag_and_its_negation_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["train", "--iaca", "--no-iaca"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert build_parser().parse_args(["train", "--no-iaca"]).iaca is False
 
 
 def test_flag_overrides_beat_config_file(tmp_path):
