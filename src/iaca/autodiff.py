@@ -15,13 +15,15 @@ with the op functions below, call ``backward()`` once on a 1x1 output, read
 gradients off the leaves, then rebuild for the next pass. A function with a
 closed-form gradient can be one node, built as ``Tensor(value, op=...,
 parents=..., vjps=...)``, as ``metrics.ccc_loss`` is. A Tensor built with
-``requires_grad=False`` is a constant (input data) and has no node: an op
-links only the inputs that have one and gets one itself only if some input
-does, so backward never reaches a constant, a pass built only from
-constants keeps no graph behind its output, and ``backward()`` on a
-constant does nothing. Backward allocates grads only for the nodes it
-reaches and frees each interior node's grad once it has passed it on, so
-only leaves keep theirs; everywhere else ``grad`` is None.
+``requires_grad=False`` is a constant (input data) and has no node. Every
+op computes its value first; if no input has a node, it returns a constant
+of that value and builds no vjp and no node, so a pass built only from
+constants costs no graph bookkeeping and keeps no graph behind its output.
+Otherwise it links only the inputs that have a node, so backward never
+reaches a constant, and ``backward()`` on a constant does nothing.
+Backward allocates grads only for the nodes it reaches and frees each
+interior node's grad once it has passed it on, so only leaves keep
+theirs; everywhere else ``grad`` is None.
 
 Values are treated as immutable once wrapped, but for one exception:
 attention's ``softmax(z, out=z.value)`` normalizes each L x L product z
@@ -88,7 +90,7 @@ def _link(op: str, shape: tuple, parents, vjps) -> _Node | None:
     # a node; None when some are given but none has one (no parents: a leaf)
     for p in parents:
         if p._node is None:
-            for q in parents:  # no comprehension: inference is all constants
+            for q in parents:
                 if q._node is not None:
                     kept = [(r._node, f) for r, f in zip(parents, vjps) if r._node is not None]
                     return _Node(op, shape, tuple([n for n, _ in kept]),
@@ -194,6 +196,14 @@ def _result(value: np.ndarray, op: str, parents: tuple, vjps: tuple) -> Tensor:
     return t
 
 
+def _constant(value: np.ndarray) -> Tensor:
+    # an op's output when no input has a node: no vjps built, no node linked
+    t = object.__new__(Tensor)
+    t.value = value
+    t._node = None
+    return t
+
+
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -224,31 +234,45 @@ def matmul(a, b) -> Tensor:
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.value.shape} @ {b.value.shape}")
     av, bv = a.value, b.value
-    return _result(av @ bv, "matmul", (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
+    value = av @ bv
+    if a._node is None and b._node is None:
+        return _constant(value)
+    return _result(value, "matmul", (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
-    return _result(a.value + b.value, "add", (a, b), (lambda g: g, lambda g: g))
+    value = a.value + b.value
+    if a._node is None and b._node is None:
+        return _constant(value)
+    return _result(value, "add", (a, b), (lambda g: g, lambda g: g))
 
 
 def scale(a, c: float) -> Tensor:
     """Multiply by a compile-time constant (not differentiated through c)."""
     a = _coerce(a)
     c = float(c)
-    return _result(a.value * c, "scale", (a,), (lambda g: g * c,))
+    value = a.value * c
+    if a._node is None:
+        return _constant(value)
+    return _result(value, "scale", (a,), (lambda g: g * c,))
 
 
 def transpose(a) -> Tensor:
     a = _coerce(a)
-    return _result(np.ascontiguousarray(a.value.T), "transpose", (a,), (lambda g: g.T,))
+    value = np.ascontiguousarray(a.value.T)
+    if a._node is None:
+        return _constant(value)
+    return _result(value, "transpose", (a,), (lambda g: g.T,))
 
 
 def tanh(a) -> Tensor:
     a = _coerce(a)
     y = np.tanh(a.value)
+    if a._node is None:
+        return _constant(y)
     return _result(y, "tanh", (a,), (lambda g: g * (1.0 - y * y),))
 
 
@@ -256,7 +280,10 @@ def relu(a) -> Tensor:
     """Entrywise max(x, 0); the subgradient at exactly 0 is taken as 0."""
     a = _coerce(a)
     mask = a.value > 0.0
-    return _result(a.value * mask, "relu", (a,), (lambda g: g * mask,))
+    value = a.value * mask
+    if a._node is None:
+        return _constant(value)
+    return _result(value, "relu", (a,), (lambda g: g * mask,))
 
 
 def softmax(a, temperature: float = 1.0, out: np.ndarray | None = None) -> Tensor:
@@ -273,10 +300,15 @@ def softmax(a, temperature: float = 1.0, out: np.ndarray | None = None) -> Tenso
     if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
                                 and out.shape == a.value.shape and out.flags.c_contiguous):
         raise ShapeError(f"softmax out must be a C-contiguous float64 {a.value.shape} array")
-    z = a.value / temperature if temperature != 1.0 else a.value  # x / 1.0 == x exactly
+    z = a.value
+    if temperature != 1.0:  # x / 1.0 == x exactly
+        # into out, or one fresh buffer that the rest then normalizes in place
+        z = out = np.divide(z, temperature, out=out)
     y = np.subtract(z, z.max(axis=0, keepdims=True), out=out)
     np.exp(y, out=y)
     y /= y.sum(axis=0, keepdims=True)
+    if a._node is None:
+        return _constant(y)
 
     def vjp(g):
         gz = g * y
@@ -295,6 +327,8 @@ def _concat(op: str, parts, axis: int) -> Tensor:
         raise ShapeError(f"{op}: {('row', 'column')[1 - axis]} counts differ, "
                          f"{[t.value.shape for t in ts]}")
     value = np.concatenate([t.value for t in ts], axis=axis)
+    if all(t._node is None for t in ts):
+        return _constant(value)
     vjps = []
     offset = 0
     for t in ts:
@@ -319,7 +353,10 @@ def add_col(a, col) -> Tensor:
     a, col = _coerce(a), _coerce(col)
     if col.value.shape != (a.value.shape[0], 1):
         raise ShapeError(f"add_col needs a {a.value.shape[0]}x1 column, got shape {col.value.shape}")
-    return _result(a.value + col.value, "add_col", (a, col),
+    value = a.value + col.value
+    if a._node is None and col._node is None:
+        return _constant(value)
+    return _result(value, "add_col", (a, col),
                    (lambda g: g, lambda g: g.sum(axis=1, keepdims=True)))
 
 
@@ -339,9 +376,11 @@ def gate_mix(gate, candidates: Sequence) -> Tensor:
         raise ShapeError(f"gate_mix: candidates must share one shape with {n_clips} "
                          f"columns, got {[x.value.shape for x in xs]}")
     rows = gate.value
-    value = xs[0].value * rows[0]
+    value = xs[0].value * rows[0]  # a fresh buffer, so the sum builds in place
     for j in range(1, k):
-        value = value + xs[j].value * rows[j]
+        value += xs[j].value * rows[j]
+    if gate._node is None and all(x._node is None for x in xs):
+        return _constant(value)
 
     def gate_vjp(g):
         out = np.empty((k, n_clips))

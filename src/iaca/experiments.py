@@ -176,6 +176,10 @@ def missing_modality_sweep(valence_model: FusionModel, arousal_model: FusionMode
                            fractions: Sequence[float] = DEFAULT_SWEEP_FRACTIONS,
                            ) -> List[SweepRow]:
     """Test-time robustness curve; no retraining, fractions ascending."""
+    for dim, seqs in zip(OUTPUT_DIMS, (valence_val, arousal_val)):
+        if not seqs:
+            raise ValueError(f"empty {dim} validation set")
+
     def score(model, seqs, fraction):
         return evaluate(model, _missing_audio(seqs, fraction, _SWEEP_STREAM))
 

@@ -224,9 +224,14 @@ def param_schema(d: int, variant: str, iaca: bool) -> dict[str, tuple[int, int, 
     return schema
 
 
+@functools.cache
+def _field_names(kind) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(kind))
+
+
 def _block(kind, leaves: dict, prefix: str):
     # a parameter dataclass filled from the leaves named "<prefix>.<field>"
-    return kind(**{f.name: leaves[f"{prefix}.{f.name}"] for f in fields(kind)})
+    return kind(**{name: leaves[f"{prefix}.{name}"] for name in _field_names(kind)})
 
 
 @dataclass

@@ -105,6 +105,8 @@ class FitResult:
 
 def evaluate(model: FusionModel, seqs: Sequence) -> float:
     """CCC of the model over every clip of a split, concatenated."""
+    if not seqs:
+        raise ValueError("empty evaluation set")
     preds = [model.predict_values(s.xa, s.xv) for s in seqs]
     golds = [np.asarray(s.target).reshape(1, -1) for s in seqs]
     return ccc(np.hstack(preds), np.hstack(golds))

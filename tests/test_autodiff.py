@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from iaca import autodiff
 from iaca.autodiff import ShapeError, Tensor
 
 import reference as ref
@@ -388,6 +389,56 @@ def test_constants_are_pruned_from_the_graph():
     ad.sum_all(mixed).backward()
     assert c1.grad is None and only_constants.grad is None
     np.testing.assert_array_equal(x.grad, only_constants.value)
+
+
+# every op the model runs, over inputs of the given shapes: (shapes, call on
+# the input Tensors, whether the op may write its first input: softmax's out)
+_OP_CASES = {
+    "matmul": ([(3, 4), (4, 2)], lambda t: autodiff.matmul(*t), False),
+    "add": ([(3, 4), (3, 4)], lambda t: autodiff.add(*t), False),
+    "scale": ([(3, 4)], lambda t: autodiff.scale(t[0], 0.3), False),
+    "transpose": ([(3, 4)], lambda t: autodiff.transpose(t[0]), False),
+    "tanh": ([(3, 4)], lambda t: autodiff.tanh(t[0]), False),
+    "relu": ([(3, 4)], lambda t: autodiff.relu(t[0]), False),
+    "concat_rows": ([(2, 4), (3, 4), (1, 4)], lambda t: autodiff.concat_rows(*t), False),
+    "concat_cols": ([(3, 2), (3, 4)], lambda t: autodiff.concat_cols(*t), False),
+    "add_col": ([(3, 4), (3, 1)], lambda t: autodiff.add_col(*t), False),
+    "gate_mix": ([(3, 4), (2, 4), (2, 4), (2, 4)],
+                 lambda t: autodiff.gate_mix(t[0], t[1:]), False),
+}
+for _t in (1.0, 0.5, 0.3):
+    _OP_CASES[f"softmax-T{_t}"] = (
+        [(4, 5)], lambda t, _t=_t: autodiff.softmax(t[0], temperature=_t), False)
+    _OP_CASES[f"softmax-T{_t}-out"] = (
+        [(4, 5)], lambda t, _t=_t: autodiff.softmax(t[0], temperature=_t, out=t[0].value), True)
+
+
+def test_the_constant_cases_cover_every_op_the_model_runs():
+    ops = {name.split("-")[0] for name in _OP_CASES}
+    assert ops == set(autodiff.__all__) - {"ShapeError", "Tensor"}
+
+
+@pytest.mark.parametrize("case", sorted(_OP_CASES))
+def test_an_op_over_constants_returns_a_constant_and_builds_no_node(monkeypatch, case):
+    shapes, call, writes_first = _OP_CASES[case]
+    rng = np.random.default_rng(8)
+    values = [rng.normal(size=shape) for shape in shapes]
+    expected = call([Tensor(v.copy()) for v in values]).value
+
+    def no_graph(*args):
+        raise AssertionError("an op over constants built a node or linked its inputs")
+
+    inputs = [Tensor(v.copy(), requires_grad=False) for v in values]
+    monkeypatch.setattr(autodiff._Node, "__init__", no_graph)
+    monkeypatch.setattr(autodiff, "_result", no_graph)  # where vjps are handed over
+    out = call(inputs)
+    assert out.op == "constant" and out.parents == () and not out.requires_grad
+    assert out.value.shape == expected.shape and out.value.tobytes() == expected.tobytes()
+    if writes_first:
+        assert out.value is inputs[0].value
+    for i, (t, v) in enumerate(zip(inputs, values)):
+        if not (writes_first and i == 0):
+            assert t.value.tobytes() == v.tobytes(), f"input {i} was written"
 
 
 # 0.5 divides exactly, 0.3 does not, so it also pins the order of operations

@@ -9,7 +9,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from iaca import experiments
+from iaca import autodiff, experiments
 from iaca.experiments import (
     ExperimentConfig,
     dump_attention,
@@ -251,6 +251,15 @@ def test_sweep_anchor_row_equals_plain_evaluation(tmp_path):
     assert float(loaded[1]["valence_ccc"]) == pytest.approx(rows[1].valence, abs=5e-4)
 
 
+@pytest.mark.parametrize("empty", ["valence", "arousal"])
+def test_sweep_rejects_an_empty_split_by_name(empty):
+    model = FusionModel.create(4, "CA", iaca=True, seed=1)
+    split = generate(Regime(), d=4, n_clips=6, n_sequences=2, seed=3)
+    splits = {dim: [] if dim == empty else split for dim in ("valence", "arousal")}
+    with pytest.raises(ValueError, match=f"empty {empty} validation set"):
+        missing_modality_sweep(model, model, splits["valence"], splits["arousal"])
+
+
 def test_missing_audio_evaluation_is_seeded():
     val_model, aro_model, val_split, aro_split = _trained_pair()
     a = missing_modality_sweep(val_model, aro_model, val_split, aro_split, (0.5,))
@@ -297,6 +306,23 @@ def test_dump_uses_each_maps_normalization_axis(variant):
         pull = weights.value.sum(axis=1)
         expected = (pull - pull.min()) / (pull.max() - pull.min())
         assert np.allclose(dump_attention(model, seq)[key], expected, atol=1e-6)
+
+
+@pytest.mark.parametrize("iaca", [False, True])
+@pytest.mark.parametrize("variant", ["CA", "TCA", "JCA", "RJCA"])
+def test_inference_builds_no_graph_node(monkeypatch, variant, iaca):
+    model = FusionModel.create(4, variant, iaca=iaca, seed=5)
+    seqs = generate(Regime(), d=4, n_clips=6, n_sequences=2, seed=4)
+
+    def no_graph(*args):
+        raise AssertionError("inference built a node or linked an op's inputs")
+
+    monkeypatch.setattr(autodiff._Node, "__init__", no_graph)
+    monkeypatch.setattr(autodiff, "_result", no_graph)
+    model.predict_values(seqs[0].xa, seqs[0].xv)
+    assert model.forward(seqs[0].xa, seqs[0].xv).prediction.op == "constant"
+    dump_attention(model, seqs[0])
+    evaluate(model, seqs)
 
 
 def test_dump_without_gating_omits_gate_fields():

@@ -247,6 +247,11 @@ def test_fit_rejects_empty_splits():
         fit(_small_model(), train, [], TrainConfig(epochs=1))
 
 
+def test_evaluate_rejects_an_empty_split_by_name():
+    with pytest.raises(ValueError, match="empty evaluation set"):
+        evaluate(_small_model(), [])
+
+
 def test_fit_rejects_a_non_finite_validation_sequence():
     # one NaN would make every val_ccc NaN, so no epoch could beat -inf and
     # fit would return the initial parameters with best_epoch -1
