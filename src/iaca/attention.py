@@ -11,7 +11,9 @@ layer shares; RJCA runs one JCA block RJCA_ITERATIONS times. TCA is a
 scaled query/key/value block. Every variant returns an AttendedPair, so
 the gating layer downstream treats them interchangeably. Every map is
 column-stochastic: column i is query clip i's distribution over source
-clips.
+clips. A block's weights come as a dict read by gating.param_schema's
+names within the block: p["wq"] for "tca_a.wq", p["joint_w"] for
+"jca.joint_w".
 
 Every map is the softmax of an L x L correlation (TCA's: scaled key-query
 products), written into the correlation's own buffer: a graph node holds
@@ -52,37 +54,6 @@ class AttendedPair:
     visual_weights: Tensor  # L x L, applied to the visual features
 
 
-@dataclass
-class TcaBlockParams:
-    """Weights of one transformer-style direction (queries from one modality,
-    keys/values from the other)."""
-
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    ff1_w: Tensor
-    ff1_b: Tensor
-    ff2_w: Tensor
-    ff2_b: Tensor
-
-
-@dataclass
-class JointParams:
-    w: Tensor  # d x 2d
-    b: Tensor  # d x 1
-
-
-@dataclass
-class JcaParams:
-    """Joint cross-attention weights: the concat+FC map producing the joint
-    feature plus one cross-correlation matrix per modality."""
-
-    joint_w: Tensor  # d x 2d
-    joint_b: Tensor  # d x 1
-    cross_a: Tensor  # d x d
-    cross_v: Tensor  # d x d
-
-
 def _check_pair(xa: Tensor, xv: Tensor) -> None:
     if xa.shape != xv.shape:
         raise ShapeError(f"modality features must share d and L, got {xa.shape} vs {xv.shape}")
@@ -95,10 +66,10 @@ def cross_correlation(xa, xv, w) -> Tensor:
     return matmul(matmul(transpose(xa), w), xv)
 
 
-def joint_representation(xa, xv, p: JointParams) -> Tensor:
-    """Concatenate the two modalities and project back to d rows."""
+def joint_representation(xa, xv, w, b) -> Tensor:
+    """Concatenate the two modalities and project back to d rows: w . [xa; xv] + b."""
     _check_pair(xa, xv)
-    return add_col(matmul(p.w, concat_rows(xa, xv)), p.b)
+    return add_col(matmul(w, concat_rows(xa, xv)), b)
 
 
 def _normalize(z: Tensor) -> Tensor:
@@ -131,7 +102,7 @@ def self_attention(x, w) -> Tensor:
     return _attend(x, _normalize(cross_correlation(x, x, w)))
 
 
-def tca_block(xq, xkv, p: TcaBlockParams) -> tuple[Tensor, Tensor]:
+def tca_block(xq, xkv, p: dict) -> tuple[Tensor, Tensor]:
     """Single-head transformer-style block for one direction.
 
     Queries come from xq, keys and values from xkv; key-query dot products
@@ -142,38 +113,38 @@ def tca_block(xq, xkv, p: TcaBlockParams) -> tuple[Tensor, Tensor]:
     """
     _check_pair(xq, xkv)
     d = xq.shape[0]
-    q = matmul(p.wq, xq)
-    k = matmul(p.wk, xkv)
-    v = matmul(p.wv, xkv)
+    q = matmul(p["wq"], xq)
+    k = matmul(p["wk"], xkv)
+    v = matmul(p["wv"], xkv)
     weights = _normalize(matmul(scale(transpose(k), 1.0 / d**0.5), q))
     attended = matmul(v, weights)
     h = xq + attended
-    hidden = relu(add_col(matmul(p.ff1_w, h), p.ff1_b))
-    ff = add_col(matmul(p.ff2_w, hidden), p.ff2_b)
+    hidden = relu(add_col(matmul(p["ff1_w"], h), p["ff1_b"]))
+    ff = add_col(matmul(p["ff2_w"], hidden), p["ff2_b"])
     return tanh(h + ff), weights
 
 
-def tca_attention(xa, xv, p_audio: TcaBlockParams, p_visual: TcaBlockParams) -> AttendedPair:
+def tca_attention(xa, xv, p_audio: dict, p_visual: dict) -> AttendedPair:
     """Both transformer-style directions packaged like the other variants."""
     att_a, w_a = tca_block(xa, xv, p_audio)
     att_v, w_v = tca_block(xv, xa, p_visual)
     return AttendedPair(att_a, att_v, w_a, w_v)
 
 
-def joint_cross_attention(xa, xv, p: JcaParams) -> AttendedPair:
+def joint_cross_attention(xa, xv, p: dict) -> AttendedPair:
     """Each modality cross-attends against a shared joint feature.
 
     The joint feature is the joint layer over both modalities; each
     modality then runs the query side of the cross block with the joint
     feature standing in for the other modality.
     """
-    joint = joint_representation(xa, xv, JointParams(p.joint_w, p.joint_b))
-    w_a = _normalize(cross_correlation(xa, joint, p.cross_a))
-    w_v = _normalize(cross_correlation(xv, joint, p.cross_v))
+    joint = joint_representation(xa, xv, p["joint_w"], p["joint_b"])
+    w_a = _normalize(cross_correlation(xa, joint, p["cross_a"]))
+    w_v = _normalize(cross_correlation(xv, joint, p["cross_v"]))
     return AttendedPair(_attend(xa, w_a), _attend(xv, w_v), w_a, w_v)
 
 
-def recursive_jca(xa, xv, p: JcaParams) -> AttendedPair:
+def recursive_jca(xa, xv, p: dict) -> AttendedPair:
     """Iterated joint cross-attention: RJCA_ITERATIONS passes of one block,
     each fed the attended outputs of the last."""
     for _ in range(RJCA_ITERATIONS):

@@ -6,7 +6,7 @@ Little-endian layout:
   u32         format version (currently 4: version 1's layout, and flags
               that hold the gate temperature alone)
   u32         metadata length, then that many bytes of UTF-8 JSON
-              (variant, iaca, d, flags, seed, optional extras)
+              (variant, iaca, d, flags; no seed; optional extras)
   u32         parameter count
   per parameter: u16 name length, name bytes, u32 rows, u32 cols
   payload     all parameter entries as raw little-endian float64,

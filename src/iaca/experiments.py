@@ -3,8 +3,10 @@
 "Valence" and "arousal" are two independently seeded instances of the
 same synthetic protocol (the generator produces one track per call), so
 every (variant, gating) cell trains one model per output dimension on
-shared per-dimension splits. All derived randomness flows from the
-config seed through fixed stream labels, making whole runs replayable.
+shared per-dimension splits. The data and model init flow from the
+config seed through fixed stream labels, making whole runs replayable;
+fit's batch order flows from TrainConfig.seed (default 0) instead, so
+runs that differ only in the config seed share one batch order.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ softmax so the gates act nearly as selectors while staying differentiable.
 Everything after attention acts clip by clip, so FusionModel.run, the one
 graph builder, runs it once over all its sequences' clips. param_schema
 lists a model's parameters, which depend on (d, variant, gating) alone, for
-creation and checkpoint loads.
+creation and checkpoint loads; run groups their leaves by its
+"<block>.<name>" names once per call, and every block reads its dict by
+those names.
 
 Config fields are typed by their annotations alone, and one per-value check
 serves configs built in Python (check_types), read from JSON files and
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
@@ -33,9 +35,6 @@ import numpy as np
 from .attention import (
     VARIANTS,
     AttendedPair,
-    JcaParams,
-    JointParams,
-    TcaBlockParams,
     cross_attention,
     joint_cross_attention,
     joint_representation,
@@ -55,14 +54,6 @@ from .autodiff import (
     tanh,
     transpose,
 )
-
-
-@dataclass
-class HeadParams:
-    w1: Tensor  # h x d
-    b1: Tensor  # h x 1
-    w2: Tensor  # 1 x h
-    b2: Tensor  # 1 x 1
 
 
 def _gate(scorer, w, candidates, temperature: float) -> tuple[Tensor, Tensor]:
@@ -94,10 +85,10 @@ def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, T
     return _gate(concat_rows(x_ga, x_gv, x_gav), w_avl, (x_ga, x_gv, x_gav), temperature)
 
 
-def predict(x_fused, head: HeadParams) -> Tensor:
+def predict(x_fused, head: dict) -> Tensor:
     """MLP head: ReLU hidden layer, linear output, tanh into [-1, 1]."""
-    hidden = relu(add_col(matmul(head.w1, x_fused), head.b1))
-    return tanh(add_col(matmul(head.w2, hidden), head.b2))
+    hidden = relu(add_col(matmul(head["w1"], x_fused), head["b1"]))
+    return tanh(add_col(matmul(head["w2"], hidden), head["b2"]))
 
 
 # what a scalar config field of each annotated type takes from JSON, Python or
@@ -224,16 +215,6 @@ def param_schema(d: int, variant: str, iaca: bool) -> dict[str, tuple[int, int, 
     return schema
 
 
-@functools.cache
-def _field_names(kind) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(kind))
-
-
-def _block(kind, leaves: dict, prefix: str):
-    # a parameter dataclass filled from the leaves named "<prefix>.<field>"
-    return kind(**{name: leaves[f"{prefix}.{name}"] for name in _field_names(kind)})
-
-
 @dataclass
 class FusionModel:
     """Parameter bundle plus wiring for one output dimension.
@@ -265,24 +246,25 @@ class FusionModel:
         return {name: Tensor(value, requires_grad=requires_grad)
                 for name, value in self.params.items()}
 
-    def _attend(self, xa: Tensor, xv: Tensor, leaves: dict) -> AttendedPair:
+    def _attend(self, xa: Tensor, xv: Tensor, blocks: dict) -> AttendedPair:
         if self.variant == "CA":
-            return cross_attention(xa, xv, leaves["cross.w"])
+            return cross_attention(xa, xv, blocks["cross"]["w"])
         if self.variant == "TCA":
-            return tca_attention(xa, xv, _block(TcaBlockParams, leaves, "tca_a"),
-                                 _block(TcaBlockParams, leaves, "tca_v"))
-        jca = _block(JcaParams, leaves, "jca")
-        if self.variant == "JCA":
-            return joint_cross_attention(xa, xv, jca)
-        return recursive_jca(xa, xv, jca)
+            return tca_attention(xa, xv, blocks["tca_a"], blocks["tca_v"])
+        attend = joint_cross_attention if self.variant == "JCA" else recursive_jca
+        return attend(xa, xv, blocks["jca"])
 
     def run(self, inputs, leaves: dict) -> Pass:
         """Attention per (xa, xv) sequence, then the per-clip tail once over all
         clips joined: the one graph builder, for training and inference."""
+        blocks: dict = {}  # "<block>.<name>" leaves as blocks[block][name]
+        for key, leaf in leaves.items():
+            block, name = key.split(".")
+            blocks.setdefault(block, {})[name] = leaf
         pairs, columns = [], []
         for xa, xv in inputs:
             try:
-                pairs.append(self._attend(xa, xv, leaves))
+                pairs.append(self._attend(xa, xv, blocks))
             except MemoryError as exc:
                 n = xa.shape[1]
                 raise MemoryError(f"sequence length {n} is too long: its {n} x {n} "
@@ -290,15 +272,15 @@ class FusionModel:
             columns.append((pairs[-1].audio, pairs[-1].visual) + ((xa, xv) if self.iaca else ()))
         att_a, att_v, *bases = (columns[0] if len(columns) == 1
                                 else [concat_cols(*parts) for parts in zip(*columns)])
-        joint = _block(JointParams, leaves, "joint")
-        head = _block(HeadParams, leaves, "head")
+        joint, head = blocks["joint"], blocks["head"]
         if not self.iaca:
-            return Pass(predict(joint_representation(att_a, att_v, joint), head), pairs, ())
+            return Pass(predict(joint_representation(att_a, att_v, joint["w"], joint["b"]), head),
+                        pairs, ())
         temperature = self.flags.temperature
-        x_ga, g_a = stage1_gate(bases[0], att_a, leaves["gate_a.w"], temperature)
-        x_gv, g_v = stage1_gate(bases[1], att_v, leaves["gate_v.w"], temperature)
-        x_gav = joint_representation(x_ga, x_gv, joint)
-        fused, g_av = stage2_gate(x_ga, x_gv, x_gav, leaves["gate_av.w"], temperature)
+        x_ga, g_a = stage1_gate(bases[0], att_a, blocks["gate_a"]["w"], temperature)
+        x_gv, g_v = stage1_gate(bases[1], att_v, blocks["gate_v"]["w"], temperature)
+        x_gav = joint_representation(x_ga, x_gv, joint["w"], joint["b"])
+        fused, g_av = stage2_gate(x_ga, x_gv, x_gav, blocks["gate_av"]["w"], temperature)
         return Pass(predict(fused, head), pairs, (g_a, g_v, g_av))
 
     def forward_graph(self, xa: Tensor, xv: Tensor, leaves: dict) -> Pass:

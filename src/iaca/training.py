@@ -175,10 +175,11 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
             preds.append(pred)
             golds.append(gold)
 
-        record = EpochRecord(epoch=epoch,
-                             train_ccc=ccc(np.hstack(preds), np.hstack(golds)),
-                             val_ccc=evaluate(model, val),
-                             loss=float(np.mean(losses)))
+        val_ccc = evaluate(model, val)
+        if not np.isfinite(val_ccc):  # NaN never beats the best: fit would keep the init
+            raise TrainingDivergence(f"non-finite validation CCC {val_ccc} at epoch {epoch}")
+        record = EpochRecord(epoch=epoch, train_ccc=ccc(np.hstack(preds), np.hstack(golds)),
+                             val_ccc=val_ccc, loss=float(np.mean(losses)))
         result.history.append(record)
         if record.val_ccc > result.best_val_ccc:
             result.best_val_ccc = record.val_ccc

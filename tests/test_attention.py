@@ -7,8 +7,6 @@ import pytest
 from iaca.autodiff import ShapeError, Tensor
 from iaca.attention import (
     RJCA_ITERATIONS,
-    JcaParams,
-    TcaBlockParams,
     cross_attention,
     cross_correlation,
     joint_cross_attention,
@@ -54,12 +52,9 @@ def _jca_params(rng, d):
     }
 
 
-def _as_tca(arrs, requires_grad=True):
-    return TcaBlockParams(**{k: Tensor(v, requires_grad=requires_grad) for k, v in arrs.items()})
-
-
-def _as_jca(arrs, requires_grad=True):
-    return JcaParams(**{k: Tensor(v, requires_grad=requires_grad) for k, v in arrs.items()})
+def _as_block(arrs, requires_grad=True):
+    """A block as the attention functions read it: leaves by name."""
+    return {k: Tensor(v, requires_grad=requires_grad) for k, v in arrs.items()}
 
 
 # ---------------------------------------------------------------- correlation
@@ -153,7 +148,7 @@ def test_self_attention_matches_oracle():
 def test_tca_block_weights_column_stochastic():
     rng = np.random.default_rng(6)
     xa, xv = _pair(rng, 4, 6)
-    out, weights = tca_block(Tensor(xa), Tensor(xv), _as_tca(_tca_params(rng, 4)))
+    out, weights = tca_block(Tensor(xa), Tensor(xv), _as_block(_tca_params(rng, 4)))
     assert out.shape == (4, 6)
     assert weights.shape == (6, 6)
     assert np.allclose(weights.value.sum(axis=0), 1.0, atol=1e-9)
@@ -164,7 +159,7 @@ def test_tca_matches_oracle():
     xa, xv = _pair(rng, 4, 6)
     pa = _tca_params(rng, 4)
     pv = _tca_params(rng, 4)
-    pair = tca_attention(Tensor(xa), Tensor(xv), _as_tca(pa), _as_tca(pv))
+    pair = tca_attention(Tensor(xa), Tensor(xv), _as_block(pa), _as_block(pv))
     ra, wa = ref.ref_tca_block(xa, xv, **pa)
     rv, wv = ref.ref_tca_block(xv, xa, **pv)
     assert relative_error(pair.audio.value, ra) < 1e-12
@@ -178,7 +173,7 @@ def test_tca_shape_mismatch():
     rng = np.random.default_rng(8)
     with pytest.raises(ShapeError):
         tca_block(Tensor(np.zeros((4, 6))), Tensor(np.zeros((4, 5))),
-                  _as_tca(_tca_params(rng, 4)))
+                  _as_block(_tca_params(rng, 4)))
 
 
 # ------------------------------------------------------------------------ JCA
@@ -188,7 +183,7 @@ def test_jca_symmetric_inputs_give_symmetric_outputs():
     x = rng.normal(size=(4, 5))
     arrs = _jca_params(rng, 4)
     arrs["cross_v"] = arrs["cross_a"].copy()
-    pair = joint_cross_attention(Tensor(x), Tensor(x), _as_jca(arrs))
+    pair = joint_cross_attention(Tensor(x), Tensor(x), _as_block(arrs))
     assert np.array_equal(pair.audio.value, pair.visual.value)
 
 
@@ -196,7 +191,7 @@ def test_jca_matches_oracle():
     rng = np.random.default_rng(10)
     xa, xv = _pair(rng, 4, 6)
     arrs = _jca_params(rng, 4)
-    pair = joint_cross_attention(Tensor(xa), Tensor(xv), _as_jca(arrs))
+    pair = joint_cross_attention(Tensor(xa), Tensor(xv), _as_block(arrs))
     assert pair.audio.shape == (4, 6)
     att_a, att_v, w_a, w_v = ref.ref_jca(xa, xv, **arrs)
     assert relative_error(pair.audio.value, att_a) < 1e-12
@@ -211,7 +206,7 @@ def test_rjca_single_step_is_jca():
     # each RJCA step is one JCA pass over the last step's output
     rng = np.random.default_rng(11)
     xa, xv = _pair(rng, 4, 6)
-    p = _as_jca(_jca_params(rng, 4))
+    p = _as_block(_jca_params(rng, 4))
     out = recursive_jca(Tensor(xa), Tensor(xv), p)
     first = joint_cross_attention(Tensor(xa), Tensor(xv), p)
     base = joint_cross_attention(first.audio, first.visual, p)
@@ -223,7 +218,7 @@ def test_rjca_three_steps_match_unrolled_oracle():
     rng = np.random.default_rng(12)
     xa, xv = _pair(rng, 4, 6)
     arrs = _jca_params(rng, 4)
-    out = recursive_jca(Tensor(xa), Tensor(xv), _as_jca(arrs))
+    out = recursive_jca(Tensor(xa), Tensor(xv), _as_block(arrs))
     ra, rv, _, _ = ref.ref_rjca(xa, xv, t=RJCA_ITERATIONS, **arrs)
     assert relative_error(out.audio.value, ra) < 1e-12
     assert relative_error(out.visual.value, rv) < 1e-12
@@ -237,10 +232,10 @@ def _variant_forward(name, xa, xv, arrs, requires_grad=True):
     if name == "CA":
         return cross_attention(xa, xv, Tensor(arrs["w"], requires_grad=requires_grad))
     if name == "TCA":
-        return tca_attention(xa, xv, _as_tca(arrs["a"], requires_grad),
-                             _as_tca(arrs["v"], requires_grad))
+        return tca_attention(xa, xv, _as_block(arrs["a"], requires_grad),
+                             _as_block(arrs["v"], requires_grad))
     attend = joint_cross_attention if name == "JCA" else recursive_jca
-    return attend(xa, xv, _as_jca(arrs["j"], requires_grad))
+    return attend(xa, xv, _as_block(arrs["j"], requires_grad))
 
 
 def _variant_arrays(name, rng, d):
@@ -301,11 +296,11 @@ def _attend_from_public_ops(x, weights):
 
 def _tca_block_from_public_ops(xq, xkv, p):
     d = xq.shape[0]
-    q, k, v = ad.matmul(p.wq, xq), ad.matmul(p.wk, xkv), ad.matmul(p.wv, xkv)
+    q, k, v = ad.matmul(p["wq"], xq), ad.matmul(p["wk"], xkv), ad.matmul(p["wv"], xkv)
     weights = ad.softmax(ad.matmul(ad.scale(ad.transpose(k), 1.0 / d**0.5), q))
     h = ad.add(xq, ad.matmul(v, weights))
-    hidden = ad.relu(ad.add_col(ad.matmul(p.ff1_w, h), p.ff1_b))
-    return ad.tanh(ad.add(h, ad.add_col(ad.matmul(p.ff2_w, hidden), p.ff2_b))), weights
+    hidden = ad.relu(ad.add_col(ad.matmul(p["ff1_w"], h), p["ff1_b"]))
+    return ad.tanh(ad.add(h, ad.add_col(ad.matmul(p["ff2_w"], hidden), p["ff2_b"]))), weights
 
 
 def _from_public_ops(variant, xa, xv, p):
@@ -322,9 +317,9 @@ def _from_public_ops(variant, xa, xv, p):
         weights = ad.softmax(cross_correlation(xa, xa, p))
         return [(_attend_from_public_ops(xa, weights), weights)]
     for _ in range(1 if variant == "JCA" else RJCA_ITERATIONS):
-        joint = ad.add_col(ad.matmul(p.joint_w, ad.concat_rows(xa, xv)), p.joint_b)
+        joint = ad.add_col(ad.matmul(p["joint_w"], ad.concat_rows(xa, xv)), p["joint_b"])
         out = []
-        for x, w in ((xa, p.cross_a), (xv, p.cross_v)):
+        for x, w in ((xa, p["cross_a"]), (xv, p["cross_v"])):
             weights = ad.softmax(cross_correlation(x, joint, w))
             out.append((_attend_from_public_ops(x, weights), weights))
         xa, xv = out[0][0], out[1][0]
@@ -350,11 +345,11 @@ def _bind(variant, arrs):
         w = Tensor(arrs["w"])
         return w, {"w": w}
     if variant == "TCA":
-        blocks = _as_tca(arrs["a"]), _as_tca(arrs["v"])
+        blocks = _as_block(arrs["a"]), _as_block(arrs["v"])
         return blocks, {f"{side}.{k}": t for side, block in zip("av", blocks)
-                        for k, t in vars(block).items()}
-    p = _as_jca(arrs["j"])
-    return p, dict(vars(p))
+                        for k, t in block.items()}
+    p = _as_block(arrs["j"])
+    return p, dict(p)
 
 
 @pytest.mark.parametrize("variant", ["CA", "TCA", "JCA", "RJCA", "self"])

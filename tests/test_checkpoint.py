@@ -60,6 +60,9 @@ def test_extra_metadata_round_trips(tmp_path):
     meta = load_checkpoint(path).meta
     assert meta["note"] == "unit"
     assert meta["best_val_ccc"] == 0.5
+    save_checkpoint(model, path)  # the core keys alone: no seed
+    assert load_checkpoint(path).meta == {"variant": "CA", "iaca": False, "d": 3,
+                                          "flags": {"temperature": 0.1}}
     with pytest.raises(ValueError):
         save_checkpoint(model, path, extra_meta={"variant": "sneaky"})
 

@@ -370,13 +370,18 @@ def test_repeated_dim_rejected_before_training(tmp_path, capsys):
 # the overflow that --lr 1e300 provokes on purpose, and nothing else
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-def test_diverging_train_exits_with_error(tmp_path, capsys):
+@pytest.mark.parametrize("epochs", ["1", "2"])
+def test_diverging_train_exits_with_error(epochs, tmp_path, capsys):
+    # one epoch diverges only in its validation CCC, which must stop the fit
+    # as a non-finite loss does, before any checkpoint of the init is written
     rc = main(["train", "--variant", "CA", "--iaca", "--lr", "1e300", "--optimizer", "sgd",
                "--d", "4", "--clips", "8", "--n-train", "2", "--n-val", "2",
-               "--epochs", "2", "--out-dir", str(tmp_path)])
+               "--epochs", epochs, "--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err
+    assert "at epoch 0" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_subnormal_temperature_rejected_before_data(tmp_path, capsys, monkeypatch):

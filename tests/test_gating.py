@@ -5,8 +5,6 @@ from iaca import autodiff as ad
 from iaca.autodiff import ShapeError, Tensor, concat_cols
 from iaca.gating import (
     FusionModel,
-    HeadParams,
-    JointParams,
     ModelFlags,
     joint_representation,
     predict,
@@ -94,7 +92,7 @@ def test_joint_representation_projection_case():
     xa, xv = _features(rng, 3, 5)
     w = np.hstack([np.eye(3), np.zeros((3, 3))])
     out = joint_representation(Tensor(xa), Tensor(xv),
-                               JointParams(Tensor(w), Tensor(np.zeros((3, 1)))))
+                               Tensor(w), Tensor(np.zeros((3, 1))))
     assert out.shape == (3, 5)
     assert np.allclose(out.value, xa, atol=1e-12)
 
@@ -104,8 +102,7 @@ def test_joint_representation_matches_oracle():
     xa, xv = _features(rng, 4, 6)
     w = rng.normal(size=(4, 8))
     b = rng.normal(size=(4, 1))
-    out = joint_representation(Tensor(xa), Tensor(xv),
-                               JointParams(Tensor(w), Tensor(b)))
+    out = joint_representation(Tensor(xa), Tensor(xv), Tensor(w), Tensor(b))
     assert relative_error(out.value, ref.ref_joint(xa, xv, w, b)) < 1e-12
 
 
@@ -236,19 +233,19 @@ def test_tied_logits_stay_uniform_at_any_temperature():
 def test_predict_shape_and_range():
     rng = np.random.default_rng(32)
     x = rng.normal(size=(4, 7))
-    head = HeadParams(Tensor(rng.normal(size=(6, 4))), Tensor(rng.normal(size=(6, 1))),
-                      Tensor(rng.normal(size=(1, 6))), Tensor(rng.normal(size=(1, 1))))
-    out = predict(Tensor(x), head)
+    arrs = {"w1": rng.normal(size=(6, 4)), "b1": rng.normal(size=(6, 1)),
+            "w2": rng.normal(size=(1, 6)), "b2": rng.normal(size=(1, 1))}
+    out = predict(Tensor(x), {k: Tensor(v) for k, v in arrs.items()})
     assert out.shape == (1, 7)
     assert np.all(np.abs(out.value) <= 1.0)
-    r = ref.ref_predict(x, head.w1.value, head.b1.value, head.w2.value, head.b2.value)
+    r = ref.ref_predict(x, **arrs)
     assert relative_error(out.value, r) < 1e-12
 
 
 def test_predict_zero_weights_constant_output():
     x = Tensor(np.random.default_rng(33).normal(size=(3, 5)))
-    head = HeadParams(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 1))),
-                      Tensor(np.zeros((1, 4))), Tensor([[0.7]]))
+    head = {"w1": Tensor(np.zeros((4, 3))), "b1": Tensor(np.zeros((4, 1))),
+            "w2": Tensor(np.zeros((1, 4))), "b2": Tensor([[0.7]])}
     out = predict(x, head)
     assert np.allclose(out.value, np.tanh(0.7), atol=1e-12)
 

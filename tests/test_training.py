@@ -223,6 +223,14 @@ def test_non_finite_gradient_names_epoch_batch_and_parameter(monkeypatch):
     assert "batch starting at 0" in message and next(iter(model.params)) in message
 
 
+def test_non_finite_validation_ccc_names_the_epoch(monkeypatch):
+    # a NaN never beats the best score, so fit would return the init as "best"
+    monkeypatch.setattr(training, "evaluate", lambda model, seqs: float("nan"))
+    train, val = _small_data()
+    with pytest.raises(TrainingDivergence, match="^non-finite validation CCC nan at epoch 0$"):
+        fit(_small_model(), train, val, TrainConfig(epochs=3))
+
+
 def test_training_improves_validation_ccc():
     train, val = _small_data(seed=11)
     model = _small_model(seed=5)
@@ -364,3 +372,16 @@ def test_constant_data_leaves_parameter_grads_bitwise_unchanged(monkeypatch, var
     assert constant.keys() == full.keys()
     for name, g in constant.items():
         assert np.array_equal(g, full[name]), name
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_batch_backward_reaches_every_parameter(variant, gated):
+    # fit zero-fills a missing grad, so a schema entry that run stopped
+    # reading would otherwise train on silently as a constant
+    seqs = generate(Regime("weak_conflicting"), d=4, n_clips=6, n_sequences=2, seed=2)
+    model = FusionModel.create(4, variant, iaca=gated, seed=1)
+    loss, leaves, *_ = training._batch_loss(model, seqs)
+    loss.backward()
+    assert leaves.keys() == model.params.keys()
+    assert [name for name, leaf in leaves.items() if leaf.grad is None] == []
