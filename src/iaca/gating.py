@@ -19,8 +19,9 @@ creation and checkpoint loads; run groups their leaves by its
 those names.
 
 Config fields are typed by their annotations alone, and one per-value check
-serves configs built in Python (check_types), read from JSON files and
-restored from checkpoints (from_json_object).
+(check_field) serves configs built in Python (check_types), read from JSON
+files and restored from checkpoints (from_json_object), and the synthetic
+generator's arguments.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ _FIELD_TYPES = {bool: ((bool, np.bool_), "a bool"), int: ((int, np.integer), "an
 _type_hints = functools.cache(get_type_hints)
 
 
-def _check_field(label: str, hint: type, value) -> None:
+def check_field(label: str, hint: type, value) -> None:
     """Raise ValueError naming `label` unless value has the annotated type
     `hint` and, for a float field, is finite: not NaN, not infinite and not
     an int past the float range (Python's json reads all three)."""
@@ -119,7 +120,7 @@ def check_types(config) -> None:
     from_json_object checks a config file's; a nested config's own fields are
     left to its own validate."""
     for name, hint in _type_hints(type(config)).items():
-        _check_field(name, hint, getattr(config, name))
+        check_field(name, hint, getattr(config, name))
 
 
 def from_json_object(kind, data, where: str = "", complete: bool = False):
@@ -145,7 +146,7 @@ def from_json_object(kind, data, where: str = "", complete: bool = False):
         if is_dataclass(hint):
             value = from_json_object(hint, value, prefix + key, complete)
         else:
-            _check_field(f"config field {prefix + key!r}", hint, value)
+            check_field(f"config field {prefix + key!r}", hint, value)
         values[key] = value
     return kind(**values)
 

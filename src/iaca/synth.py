@@ -16,22 +16,29 @@ Only the last three kinds read noise_sigma; strong_complementary ignores it.
 Embeddings are drawn once per generate() call, so every sequence of a
 call (and any split carved out of it) shares the same observation model.
 Sequence-level randomness comes from a splitmix-style derivation of the
-master seed, making each sequence reproducible in isolation.
+master seed, making each sequence reproducible in isolation. The README's
+"Data regimes" lists the order of a sequence's draws, which a test pins; a
+new kind adds its draws after them, so the existing kinds keep their bits.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
-from .gating import check_types
+from .gating import check_field, check_types
 
 REGIME_KINDS = ("strong_complementary", "weak_conflicting",
                 "dominating_audio", "dominating_visual")
 
 _N_TRACKS = 4  # signal slot + 3 nuisance tracks
+# where each sine's amplitude, frequency and phase start and how wide their
+# ranges are: rng.uniform(low, high) returns low + (high - low) * u
+_SINE_LOW = (0.3, 0.5, 0.0)
+_SINE_SPAN = (1.0 - 0.3, 3.0 - 0.5, 2.0 * np.pi - 0.0)
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -47,7 +54,7 @@ def splitmix64(state: int) -> int:
 
 def derive_seed(seed: int, index: int) -> int:
     """Independent stream seed for the index-th consumer of a master seed."""
-    return splitmix64(((seed & _MASK) + index * _GOLDEN) & _MASK)
+    return splitmix64(((operator.index(seed) & _MASK) + index * _GOLDEN) & _MASK)
 
 
 @dataclass
@@ -75,29 +82,39 @@ class SyntheticSequence:
     seed: int
 
 
+def _smooth_into(rng: np.random.Generator, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # one track into `out` on the times t: the same doubles and arithmetic as
+    # one rng.uniform per amplitude, frequency and phase of each sine in turn,
+    # and the sines added to 0.0 in draw order, so the bits are those of a
+    # loop over the sines
+    n = int(rng.integers(2, 5))
+    amplitude, freq, phase = (rng.random((n, 3)) * _SINE_SPAN + _SINE_LOW).T[:, :, None]
+    sines = amplitude * np.sin(2.0 * np.pi * freq * t + phase)
+    np.add.reduce(sines, axis=0, initial=0.0, out=out)
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
 def smooth_track(rng: np.random.Generator, n_clips: int) -> np.ndarray:
     """Sum of 2-4 random low-frequency sinusoids, clamped to [-1, 1]."""
-    t = np.linspace(0.0, 1.0, n_clips)
-    track = np.zeros(n_clips)
-    for _ in range(int(rng.integers(2, 5))):
-        amplitude = rng.uniform(0.3, 1.0)
-        freq = rng.uniform(0.5, 3.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        track += amplitude * np.sin(2.0 * np.pi * freq * t + phase)
-    return np.clip(track, -1.0, 1.0)
+    return _smooth_into(rng, np.linspace(0.0, 1.0, n_clips), np.empty(n_clips))
 
 
-def _track_stack(rng: np.random.Generator, n_clips: int,
+def _track_stack(rng: np.random.Generator, t: np.ndarray,
                  signal: np.ndarray) -> np.ndarray:
-    rows = [signal]
-    rows += [smooth_track(rng, n_clips) for _ in range(_N_TRACKS - 1)]
-    return np.stack(rows)
+    stack = np.empty((_N_TRACKS, t.size))
+    stack[0] = signal
+    for row in stack[1:]:
+        _smooth_into(rng, t, row)
+    return stack
 
 
 def generate(regime: Regime, d: int = 32, n_clips: int = 64,
              n_sequences: int = 16, seed: int = 0) -> List[SyntheticSequence]:
     """Sequences drawn under one observation model; deterministic in seed."""
     regime.validate()
+    for label, value in (("d", d), ("n_clips", n_clips),
+                         ("n_sequences", n_sequences), ("seed", seed)):
+        check_field(label, int, value)
     if d < 2:
         raise ValueError(f"feature dimension must be >= 2, got {d}")
     if n_clips < 2:
@@ -109,24 +126,25 @@ def generate(regime: Regime, d: int = 32, n_clips: int = 64,
     scale = 1.0 / np.sqrt(_N_TRACKS)
     embed_a = embed_rng.normal(0.0, scale, size=(d, _N_TRACKS))
     embed_v = embed_rng.normal(0.0, scale, size=(d, _N_TRACKS))
+    t = np.linspace(0.0, 1.0, n_clips)
 
     out = []
     for i in range(n_sequences):
         seq_seed = derive_seed(seed, i + 1)
         rng = np.random.default_rng(seq_seed)
-        signal = smooth_track(rng, n_clips)
+        signal = _smooth_into(rng, t, np.empty(n_clips))
 
         sig_a, sig_v = signal, signal
         if regime.kind == "weak_conflicting":
-            conflict = smooth_track(rng, n_clips)
+            conflict = _smooth_into(rng, t, np.empty(n_clips))
             sig_v = conflict + regime.noise_sigma * rng.normal(size=n_clips)
         elif regime.kind == "dominating_audio":
             sig_v = regime.noise_sigma * rng.normal(size=n_clips)
         elif regime.kind == "dominating_visual":
             sig_a = regime.noise_sigma * rng.normal(size=n_clips)
 
-        xa = embed_a @ _track_stack(rng, n_clips, sig_a)
-        xv = embed_v @ _track_stack(rng, n_clips, sig_v)
+        xa = embed_a @ _track_stack(rng, t, sig_a)
+        xv = embed_v @ _track_stack(rng, t, sig_v)
         out.append(SyntheticSequence(xa=xa, xv=xv,
                                      target=signal.reshape(1, n_clips), seed=seq_seed))
     return out
@@ -135,8 +153,12 @@ def generate(regime: Regime, d: int = 32, n_clips: int = 64,
 def corrupt_missing(x: np.ndarray, fraction: float, seed: int = 0) -> np.ndarray:
     """Zero out one contiguous block of floor(fraction * L) clip columns of a
     copy of x (a dropped stream), placed at random by the seed."""
+    check_field("fraction", float, fraction)
+    check_field("seed", int, seed)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
+    if seed < 0:  # numpy rejects it too, but unnamed and only when a block is zeroed
+        raise ValueError(f"seed must be >= 0, got {seed}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"x must be a d x L matrix, got shape {x.shape}")

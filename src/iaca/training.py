@@ -154,6 +154,11 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
         losses, preds, golds = [], [], []
         for start in range(0, len(train), cfg.batch_size):
             batch = [train[i] for i in order[start:start + cfg.batch_size]]
+            # the spent graph of the last step lives until this returns: freed
+            # right after the step, it lowers fit_long's peak RSS (91.9 to
+            # 78.2 MB), but glibc then trims the heap and faults it back in
+            # every step (548k against 106k minor faults a run, plain epoch
+            # 0.046 to 0.059 s)
             loss, leaves, pred, gold = _batch_loss(model, batch)
             value = loss.item()
             if not np.isfinite(value):

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite.
 
-Besides the error metric, this holds the graph ops only tests need: the
+Besides the error metric and a bitwise fingerprint of arrays, this holds the graph ops only tests need: the
 scalar probes (sum_all, mean_all), sub and hadamard for building test
 graphs, and the finite-difference oracle. The ops are built on the public
 ``Tensor(value, op=..., parents=..., vjps=...)`` constructor, so they enter
@@ -14,6 +14,12 @@ import numpy as np
 
 from iaca import autodiff
 from iaca.autodiff import ShapeError, Tensor, scale
+
+
+def bits(*arrays):
+    """Dtype, shape and raw bytes of each array, for bitwise comparisons
+    that tell -0.0 from 0.0 and one NaN payload from another."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
 def relative_error(a, b, floor=1e-8):

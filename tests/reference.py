@@ -132,3 +132,81 @@ def ref_full_forward(xa, xv, p, variant, iaca, temperature=0.1):
         att_a, att_v = ref_variant_attention(xa, xv, p, variant)
         fused = ref_joint(att_a, att_v, p["joint.w"], p["joint.b"])
     return ref_predict(fused, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"])
+
+
+# ---------------------------------------------------------------- generator
+# A straight-line copy of the synthetic generator as a loop over the sines,
+# one scalar rng.uniform per amplitude, frequency and phase, with every
+# draw in the order the library promises. It pins the library's bits on
+# the machine that runs the test, whatever its CPU or BLAS.
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def ref_derive_seed(seed, index):
+    z = ((seed & _MASK) + index * _GOLDEN + _GOLDEN) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return (z ^ (z >> 31)) & _MASK
+
+
+def ref_smooth_track(rng, n_clips):
+    t = np.linspace(0.0, 1.0, n_clips)
+    track = np.zeros(n_clips)
+    for _ in range(int(rng.integers(2, 5))):
+        amplitude = rng.uniform(0.3, 1.0)
+        freq = rng.uniform(0.5, 3.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        track += amplitude * np.sin(2.0 * np.pi * freq * t + phase)
+    return np.clip(track, -1.0, 1.0)
+
+
+def ref_generate(kind, noise_sigma, d, n_clips, n_sequences, seed):
+    """(xa, xv, target, sequence seed) per sequence."""
+    embed_rng = np.random.default_rng(ref_derive_seed(seed, 0))
+    embed_a = embed_rng.normal(0.0, 0.5, size=(d, 4))
+    embed_v = embed_rng.normal(0.0, 0.5, size=(d, 4))
+    out = []
+    for i in range(n_sequences):
+        seq_seed = ref_derive_seed(seed, i + 1)
+        rng = np.random.default_rng(seq_seed)
+        signal = ref_smooth_track(rng, n_clips)
+        sig_a = sig_v = signal
+        if kind == "weak_conflicting":
+            conflict = ref_smooth_track(rng, n_clips)
+            sig_v = conflict + noise_sigma * rng.normal(size=n_clips)
+        elif kind == "dominating_audio":
+            sig_v = noise_sigma * rng.normal(size=n_clips)
+        elif kind == "dominating_visual":
+            sig_a = noise_sigma * rng.normal(size=n_clips)
+        nuisance_a = [ref_smooth_track(rng, n_clips) for _ in range(3)]
+        nuisance_v = [ref_smooth_track(rng, n_clips) for _ in range(3)]
+        xa = embed_a @ np.stack([sig_a] + nuisance_a)
+        xv = embed_v @ np.stack([sig_v] + nuisance_v)
+        out.append((xa, xv, signal.reshape(1, n_clips), seq_seed))
+    return out
+
+
+def ref_corrupt_missing(x, fraction, seed):
+    out = x.copy()
+    n_clips = x.shape[1]
+    n_zero = int(np.floor(fraction * n_clips))
+    if n_zero:
+        start = int(np.random.default_rng(seed).integers(0, n_clips - n_zero + 1))
+        out[:, start:start + n_zero] = 0.0
+    return out
+
+
+def ref_prepare_splits(kind, noise_sigma, corrupt_fraction, d, n_clips,
+                       n_train, n_val, seed, dim_index):
+    """Train and val (xa, xv, target, seed) tuples for output dimension
+    dim_index (0 valence, 1 arousal): data stream 1000 + dim_index, and
+    each training sequence's audio masked by stream 77 of its own seed."""
+    seqs = ref_generate(kind, noise_sigma, d, n_clips, n_train + n_val,
+                        ref_derive_seed(seed, 1000 + dim_index))
+    train, val = seqs[:n_train], seqs[n_train:]
+    if corrupt_fraction > 0:
+        train = [(ref_corrupt_missing(xa, corrupt_fraction, ref_derive_seed(s, 77)),
+                  xv, target, s) for xa, xv, target, s in train]
+    return train, val

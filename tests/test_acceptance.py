@@ -2,8 +2,8 @@
 
 Each numbered criterion below is a single test function, so the verbose
 run prints exactly one PASSED/FAILED line per criterion. Criteria 5 and 6
-retrain small models end to end and dominate the runtime (about a minute
-together); everything else finishes in seconds.
+retrain small models end to end and dominate the runtime (the README's
+"Tests" section gives their timings); everything else finishes in seconds.
 
 The experiment protocols in criteria 5 and 6 are pinned regressions: the
 regime, split sizes, training budget, gate temperature, and seeds were

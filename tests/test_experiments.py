@@ -11,6 +11,7 @@ import pytest
 
 from iaca import autodiff, experiments
 from iaca.experiments import (
+    OUTPUT_DIMS,
     ExperimentConfig,
     dump_attention,
     missing_modality_sweep,
@@ -25,6 +26,9 @@ from iaca.experiments import (
 from iaca.gating import FusionModel, ModelFlags
 from iaca.synth import Regime, generate
 from iaca.training import TrainConfig, evaluate
+
+import reference as ref
+from helpers import bits
 
 
 def _tiny_cfg(**overrides):
@@ -130,6 +134,24 @@ def test_every_scalar_config_field_rejects_a_value_of_another_type(path, noun, v
 
 
 # ------------------------------------------------------------------- splits
+
+@pytest.mark.parametrize("dim", OUTPUT_DIMS)
+def test_prepare_splits_is_bitwise_the_reference(dim):
+    # the generator, the data stream labels and the per-sequence audio
+    # masks against tests/reference.py, computed on the same machine
+    cfg = ExperimentConfig(regime=Regime("weak_conflicting", noise_sigma=2.0,
+                                         corrupt_fraction=0.2),
+                           d=16, n_clips=40, n_train=5, n_val=3, seed=9)
+    splits = prepare_splits(cfg, dim)
+    expected = ref.ref_prepare_splits("weak_conflicting", 2.0, 0.2, 16, 40, 5, 3, 9,
+                                      OUTPUT_DIMS.index(dim))
+    for split, ref_split in zip(splits, expected):
+        assert len(split) == len(ref_split)
+        for s, (xa, xv, target, seq_seed) in zip(split, ref_split):
+            assert bits(s.xa, s.xv, s.target) == bits(xa, xv, target)
+            assert s.seed == seq_seed
+    assert any((s.xa == 0).all(axis=0).any() for s in splits[0])  # masks applied
+
 
 def test_prepare_splits_deterministic_and_dimension_specific():
     cfg = _tiny_cfg()

@@ -3,6 +3,7 @@ import pytest
 
 from iaca.metrics import ccc
 from iaca.synth import (
+    REGIME_KINDS,
     Regime,
     corrupt_missing,
     derive_seed,
@@ -10,6 +11,9 @@ from iaca.synth import (
     smooth_track,
     splitmix64,
 )
+
+import reference as ref
+from helpers import bits
 
 
 def _probe_ccc(seqs, which):
@@ -89,6 +93,27 @@ def test_generation_validates_arguments():
         generate(Regime(), d=4, n_clips=8, n_sequences=0)
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    ({"d": 32.5}, "d"),
+    ({"n_clips": 64.0}, "n_clips"),
+    ({"n_sequences": 2.5}, "n_sequences"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": "3"}, "seed"),
+    ({"d": True}, "d"),
+])
+def test_generation_rejects_an_argument_that_is_not_an_int(kwargs, name):
+    args = {"d": 4, "n_clips": 8, "n_sequences": 2, "seed": 0} | kwargs
+    with pytest.raises(ValueError, match=rf"^{name} must be an int, got "):
+        generate(Regime(), **args)
+
+
+def test_generation_takes_numpy_ints():
+    a = generate(Regime(), d=np.int64(4), n_clips=np.int32(8),
+                 n_sequences=np.uint8(2), seed=np.int64(3))
+    b = generate(Regime(), d=4, n_clips=8, n_sequences=2, seed=3)
+    assert all(np.array_equal(s.xa, t.xa) and s.seed == t.seed for s, t in zip(a, b))
+
+
 def test_strong_regime_is_linearly_decodable_from_either_modality():
     seqs = _gen("strong_complementary")
     assert _probe_ccc(seqs, "xa") > 0.9
@@ -158,8 +183,46 @@ def test_missing_is_seeded_and_validated():
         corrupt_missing(x, 1.1)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"fraction": True}, "fraction must be a number"),
+    ({"fraction": float("nan")}, "fraction must be finite"),
+    ({"fraction": "0.5"}, "fraction must be a number"),
+    ({"seed": 1.5}, "seed must be an int"),
+    ({"seed": False}, "seed must be an int"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"fraction": 0.0, "seed": -1}, "seed must be >= 0"),
+])
+def test_missing_rejects_a_bad_argument(kwargs, message):
+    with pytest.raises(ValueError, match=rf"^{message}, got "):
+        corrupt_missing(np.ones((2, 12)), **({"fraction": 0.5} | kwargs))
+
+
 @pytest.mark.parametrize("shape", [(12,), (2, 3, 12)])
 def test_missing_rejects_input_that_is_not_a_matrix(shape):
     with pytest.raises(ValueError, match=rf"d x L matrix, got shape \({shape[0]},"):
         corrupt_missing(np.ones(shape), 0.5)
 
+
+# ------------------------------------------------------------ bitwise pin
+# The library must draw the same bits as the straight-line loop in
+# tests/reference.py, computed here on the same machine.
+
+@pytest.mark.parametrize("n_clips", [2, 3, 7, 8, 9, 63, 64, 65, 255, 256, 257])
+def test_smooth_track_is_bitwise_the_per_sine_loop(n_clips):
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert bits(smooth_track(rng, n_clips)) == bits(ref.ref_smooth_track(ref_rng, n_clips))
+        # and it leaves the stream where the loop does
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.0])
+@pytest.mark.parametrize("kind", REGIME_KINDS)
+def test_generation_is_bitwise_the_reference_draw_order(kind, sigma):
+    seqs = generate(Regime(kind, noise_sigma=sigma), d=32, n_clips=64,
+                    n_sequences=6, seed=5)
+    expected = ref.ref_generate(kind, sigma, 32, 64, 6, 5)
+    assert len(seqs) == len(expected)
+    for s, (xa, xv, target, seq_seed) in zip(seqs, expected):
+        assert bits(s.xa, s.xv, s.target) == bits(xa, xv, target)
+        assert s.seed == seq_seed
