@@ -16,9 +16,11 @@ Only the last three kinds read noise_sigma; strong_complementary ignores it.
 Embeddings are drawn once per generate() call, so every sequence of a
 call (and any split carved out of it) shares the same observation model.
 Sequence-level randomness comes from a splitmix-style derivation of the
-master seed, making each sequence reproducible in isolation. The README's
-"Data regimes" lists the order of a sequence's draws, which a test pins; a
-new kind adds its draws after them, so the existing kinds keep their bits.
+master seed, making each sequence reproducible in isolation. A sequence
+first makes all its draws, in the order the README's "Data regimes" lists
+and a test pins, and then evaluates all its tracks together in one step. A
+new kind appends its draws after these and shares that evaluation, so the
+existing kinds keep their bits.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ REGIME_KINDS = ("strong_complementary", "weak_conflicting",
                 "dominating_audio", "dominating_visual")
 
 _N_TRACKS = 4  # signal slot + 3 nuisance tracks
+_MAX_SINES = 4  # a track sums 2 to 4 sines
 # where each sine's amplitude, frequency and phase start and how wide their
 # ranges are: rng.uniform(low, high) returns low + (high - low) * u
 _SINE_LOW = (0.3, 0.5, 0.0)
@@ -82,43 +85,47 @@ class SyntheticSequence:
     seed: int
 
 
-def _smooth_into(rng: np.random.Generator, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # one track into `out` on the times t: the same doubles and arithmetic as
-    # one rng.uniform per amplitude, frequency and phase of each sine in turn,
-    # and the sines added to 0.0 in draw order, so the bits are those of a
-    # loop over the sines
-    n = int(rng.integers(2, 5))
-    amplitude, freq, phase = (rng.random((n, 3)) * _SINE_SPAN + _SINE_LOW).T[:, :, None]
-    sines = amplitude * np.sin(2.0 * np.pi * freq * t + phase)
-    np.add.reduce(sines, axis=0, initial=0.0, out=out)
-    return np.clip(out, -1.0, 1.0, out=out)
+def _draw_sines(rng: np.random.Generator) -> np.ndarray:
+    # one track's draws: its sine count, then each sine's amplitude,
+    # frequency and phase uniforms in turn, as one (n, 3) array
+    return rng.random((int(rng.integers(2, _MAX_SINES + 1)), 3))
+
+
+def _tracks(draws: List[np.ndarray], t: np.ndarray) -> np.ndarray:
+    # every track of `draws` on the times t, one row each, in one np.sin: the
+    # doubles and arithmetic of one rng.uniform per parameter, and each
+    # track's sines added to 0.0 in draw order, so each row has the bits of a
+    # loop over its sines. A track's rows past its count stay +0.0; a sum that
+    # starts at 0.0 is never -0.0, so adding +0.0 to it changes no bit.
+    amplitude, freq, phase = (np.concatenate(draws) * _SINE_SPAN + _SINE_LOW).T[:, :, None]
+    sines = np.zeros((len(draws), _MAX_SINES, t.size))
+    drawn = np.arange(_MAX_SINES) < np.array([[len(u)] for u in draws])
+    sines[drawn] = amplitude * np.sin(2.0 * np.pi * freq * t + phase)
+    tracks = np.add.reduce(sines, axis=1, initial=0.0)
+    return np.clip(tracks, -1.0, 1.0, out=tracks)
+
+
+def _check_length(n_clips: int) -> None:
+    check_field("n_clips", int, n_clips)
+    if n_clips < 2:
+        raise ValueError(f"sequence length must be >= 2, got {n_clips}")
 
 
 def smooth_track(rng: np.random.Generator, n_clips: int) -> np.ndarray:
     """Sum of 2-4 random low-frequency sinusoids, clamped to [-1, 1]."""
-    return _smooth_into(rng, np.linspace(0.0, 1.0, n_clips), np.empty(n_clips))
-
-
-def _track_stack(rng: np.random.Generator, t: np.ndarray,
-                 signal: np.ndarray) -> np.ndarray:
-    stack = np.empty((_N_TRACKS, t.size))
-    stack[0] = signal
-    for row in stack[1:]:
-        _smooth_into(rng, t, row)
-    return stack
+    _check_length(n_clips)
+    return _tracks([_draw_sines(rng)], np.linspace(0.0, 1.0, n_clips))[0]
 
 
 def generate(regime: Regime, d: int = 32, n_clips: int = 64,
              n_sequences: int = 16, seed: int = 0) -> List[SyntheticSequence]:
     """Sequences drawn under one observation model; deterministic in seed."""
     regime.validate()
-    for label, value in (("d", d), ("n_clips", n_clips),
-                         ("n_sequences", n_sequences), ("seed", seed)):
+    for label, value in (("d", d), ("n_sequences", n_sequences), ("seed", seed)):
         check_field(label, int, value)
     if d < 2:
         raise ValueError(f"feature dimension must be >= 2, got {d}")
-    if n_clips < 2:
-        raise ValueError(f"sequence length must be >= 2, got {n_clips}")
+    _check_length(n_clips)
     if n_sequences < 1:
         raise ValueError(f"need at least one sequence, got {n_sequences}")
 
@@ -128,25 +135,36 @@ def generate(regime: Regime, d: int = 32, n_clips: int = 64,
     embed_v = embed_rng.normal(0.0, scale, size=(d, _N_TRACKS))
     t = np.linspace(0.0, 1.0, n_clips)
 
+    # whether a conflict track is drawn after the signal, and which stack's
+    # signal slot (0 audio, 1 visual) takes the noise drawn next: added to
+    # the conflict track, or in place of the signal
+    conflicting, noisy = {"strong_complementary": (False, None),
+                          "weak_conflicting": (True, 1),
+                          "dominating_audio": (False, 1),
+                          "dominating_visual": (False, 0)}[regime.kind]
+    n_first = 1 + conflicting
+    # the rows of a sequence's evaluated tracks that fill the audio and the
+    # visual stack: signal (visual: conflict, if drawn), then 3 nuisance
+    rows = [[0, n_first, n_first + 1, n_first + 2],
+            [n_first - 1, n_first + 3, n_first + 4, n_first + 5]]
+
     out = []
     for i in range(n_sequences):
         seq_seed = derive_seed(seed, i + 1)
         rng = np.random.default_rng(seq_seed)
-        signal = _smooth_into(rng, t, np.empty(n_clips))
+        draws = [_draw_sines(rng) for _ in range(n_first)]
+        if noisy is not None:
+            noise = regime.noise_sigma * rng.normal(size=n_clips)
+        draws += [_draw_sines(rng) for _ in range(2 * (_N_TRACKS - 1))]
 
-        sig_a, sig_v = signal, signal
-        if regime.kind == "weak_conflicting":
-            conflict = _smooth_into(rng, t, np.empty(n_clips))
-            sig_v = conflict + regime.noise_sigma * rng.normal(size=n_clips)
-        elif regime.kind == "dominating_audio":
-            sig_v = regime.noise_sigma * rng.normal(size=n_clips)
-        elif regime.kind == "dominating_visual":
-            sig_a = regime.noise_sigma * rng.normal(size=n_clips)
-
-        xa = embed_a @ _track_stack(rng, t, sig_a)
-        xv = embed_v @ _track_stack(rng, t, sig_v)
-        out.append(SyntheticSequence(xa=xa, xv=xv,
-                                     target=signal.reshape(1, n_clips), seed=seq_seed))
+        tracks = _tracks(draws, t)
+        stacks = tracks[rows]
+        if conflicting:
+            stacks[noisy, 0] += noise
+        elif noisy is not None:
+            stacks[noisy, 0] = noise
+        out.append(SyntheticSequence(xa=embed_a @ stacks[0], xv=embed_v @ stacks[1],
+                                     target=tracks[:1].copy(), seed=seq_seed))
     return out
 
 

@@ -78,6 +78,17 @@ def test_smooth_track_is_bounded_and_seeded():
     assert np.array_equal(t1, t2)
 
 
+@pytest.mark.parametrize("n_clips,message", [
+    (2.5, "n_clips must be an int"),
+    (True, "n_clips must be an int"),
+    (0, "sequence length must be >= 2"),
+    (1, "sequence length must be >= 2"),
+])
+def test_smooth_track_rejects_a_bad_length(n_clips, message):
+    with pytest.raises(ValueError, match=rf"^{message}, got "):
+        smooth_track(np.random.default_rng(0), n_clips)
+
+
 def test_generation_validates_arguments():
     with pytest.raises(ValueError):
         generate(Regime("sideways"), d=4, n_clips=8)
@@ -216,12 +227,24 @@ def test_smooth_track_is_bitwise_the_per_sine_loop(n_clips):
         assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("sigma", [0.0, 2.0])
-@pytest.mark.parametrize("kind", REGIME_KINDS)
-def test_generation_is_bitwise_the_reference_draw_order(kind, sigma):
-    seqs = generate(Regime(kind, noise_sigma=sigma), d=32, n_clips=64,
-                    n_sequences=6, seed=5)
-    expected = ref.ref_generate(kind, sigma, 32, 64, 6, 5)
+def _pin_cases():
+    # the pinned protocols' L=64 with 6 sequences keeps the plain kind-sigma
+    # id; the other lengths and counts change how many tracks and sines one
+    # sequence evaluates together, and where each one's values fall
+    for n_clips, n_sequences in [(64, 6), (2, 6), (3, 6), (65, 6), (256, 6),
+                                 (257, 6), (64, 1), (64, 17)]:
+        shape = "" if (n_clips, n_sequences) == (64, 6) else f"-L{n_clips}-n{n_sequences}"
+        for kind in REGIME_KINDS:
+            for sigma in (0.0, 2.0):
+                yield pytest.param(kind, sigma, n_clips, n_sequences,
+                                   id=f"{kind}-{sigma}{shape}")
+
+
+@pytest.mark.parametrize("kind,sigma,n_clips,n_sequences", _pin_cases())
+def test_generation_is_bitwise_the_reference_draw_order(kind, sigma, n_clips, n_sequences):
+    seqs = generate(Regime(kind, noise_sigma=sigma), d=32, n_clips=n_clips,
+                    n_sequences=n_sequences, seed=5)
+    expected = ref.ref_generate(kind, sigma, 32, n_clips, n_sequences, 5)
     assert len(seqs) == len(expected)
     for s, (xa, xv, target, seq_seed) in zip(seqs, expected):
         assert bits(s.xa, s.xv, s.target) == bits(xa, xv, target)
