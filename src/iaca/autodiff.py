@@ -23,7 +23,11 @@ Otherwise it links only the inputs that have a node, so backward never
 reaches a constant, and ``backward()`` on a constant does nothing.
 Backward allocates grads only for the nodes it reaches and frees each
 interior node's grad once it has passed it on, so only leaves keep
-theirs; everywhere else ``grad`` is None.
+theirs; everywhere else ``grad`` is None. At the model's sizes a node's
+fixed Python cost is a visible share of its op, so the bookkeeping stays
+lean: linking a node is one pass over its inputs, the topological walk
+hashes nodes themselves, and ops call numpy's ufunc reductions directly
+rather than the ndarray method wrappers.
 
 Values are treated as immutable once wrapped, but for one exception:
 attention's ``softmax(z, out=z.value)`` normalizes each L x L product z
@@ -87,16 +91,16 @@ class _Node:
 
 def _link(op: str, shape: tuple, parents, vjps) -> _Node | None:
     # the node over the input Tensors `parents`, linking only those that have
-    # a node; None when some are given but none has one (no parents: a leaf)
-    for p in parents:
-        if p._node is None:
-            for q in parents:
-                if q._node is not None:
-                    kept = [(r._node, f) for r, f in zip(parents, vjps) if r._node is not None]
-                    return _Node(op, shape, tuple([n for n, _ in kept]),
-                                 tuple([f for _, f in kept]))
-            return None
-    return _Node(op, shape, tuple([p._node for p in parents]), tuple(vjps))
+    # a node, in one pass; None when some are given but none has one (no
+    # parents: a leaf)
+    nodes, kept = [], []
+    for p, f in zip(parents, vjps):
+        if p._node is not None:
+            nodes.append(p._node)
+            kept.append(f)
+    if parents and not nodes:
+        return None
+    return _Node(op, shape, tuple(nodes), tuple(kept))
 
 
 class Tensor:
@@ -211,19 +215,19 @@ def _coerce(x) -> Tensor:
 def _topo_order(root: _Node) -> list[_Node]:
     """Iterative post-order: every node appears after all of its parents."""
     order: list[_Node] = []
-    visited: set[int] = set()
+    visited: set[_Node] = set()  # nodes hash by identity
     stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node.parents:
-            if id(parent) not in visited:
+            if parent not in visited:
                 stack.append((parent, False))
     return order
 
@@ -304,17 +308,19 @@ def softmax(a, temperature: float = 1.0, out: np.ndarray | None = None) -> Tenso
     if temperature != 1.0:  # x / 1.0 == x exactly
         # into out, or one fresh buffer that the rest then normalizes in place
         z = out = np.divide(z, temperature, out=out)
-    y = np.subtract(z, z.max(axis=0, keepdims=True), out=out)
+    y = np.subtract(z, np.maximum.reduce(z, axis=0, keepdims=True), out=out)
     np.exp(y, out=y)
-    y /= y.sum(axis=0, keepdims=True)
+    y /= np.add.reduce(y, axis=0, keepdims=True)
     if a._node is None:
         return _constant(y)
 
     def vjp(g):
         gz = g * y
-        np.subtract(g, gz.sum(axis=0, keepdims=True), out=gz)
+        np.subtract(g, np.add.reduce(gz, axis=0, keepdims=True), out=gz)
         gz *= y
-        return gz / temperature if temperature != 1.0 else gz
+        if temperature != 1.0:
+            gz /= temperature
+        return gz
 
     return _result(y, "softmax", (a,), (vjp,))
 
@@ -357,7 +363,7 @@ def add_col(a, col) -> Tensor:
     if a._node is None and col._node is None:
         return _constant(value)
     return _result(value, "add_col", (a, col),
-                   (lambda g: g, lambda g: g.sum(axis=1, keepdims=True)))
+                   (lambda g: g, lambda g: np.add.reduce(g, axis=1, keepdims=True)))
 
 
 def gate_mix(gate, candidates: Sequence) -> Tensor:
@@ -385,7 +391,7 @@ def gate_mix(gate, candidates: Sequence) -> Tensor:
     def gate_vjp(g):
         out = np.empty((k, n_clips))
         for j, x in enumerate(xs):
-            out[j] = (g * x.value).sum(axis=0)
+            out[j] = np.add.reduce(g * x.value, axis=0)
         return out
 
     vjps = [lambda g, r=rows[j]: g * r for j in range(k)]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, is_dataclass
 from typing import NamedTuple, Optional, get_type_hints
 
@@ -220,9 +221,13 @@ def param_schema(d: int, variant: str, iaca: bool) -> dict[str, tuple[int, int, 
 class FusionModel:
     """Parameter bundle plus wiring for one output dimension.
 
-    Parameters live as named float64 arrays; bind() wraps them in fresh
-    graph leaves (or constants, for inference), one set per pass, so
-    training never reuses a spent graph.
+    Parameters live as named float64 arrays. Training binds fresh graph
+    leaves per pass (bind()), so it never reuses a spent graph. Inference
+    reuses one constant binding: forward() binds the arrays as constants
+    once and keeps that binding while every ``params`` entry is still the
+    array it was built from. An in-place update, such as the optimizer's,
+    shows through it; replacing an array (fit's best-epoch restore, a
+    checkpoint load, an assignment) rebinds.
     """
 
     d: int
@@ -243,9 +248,22 @@ class FusionModel:
                   for name, (rows, cols, std) in param_schema(d, variant, iaca).items()}
         return cls(d=d, variant=variant, iaca=iaca, flags=flags, params=params)
 
+    # forward's constant binding: (the params arrays it wraps, the leaves)
+    _constants = None
+
     def bind(self, requires_grad: bool = True) -> dict:
         return {name: Tensor(value, requires_grad=requires_grad)
                 for name, value in self.params.items()}
+
+    def _constant_leaves(self) -> dict:
+        # a leaf keeps its array's identity when bind need not convert it
+        # (float64, C-contiguous); one it converted never matches, so rebinds
+        bound, params = self._constants, self.params
+        if (bound is None or bound[1].keys() != params.keys()
+                or not all(map(operator.is_, bound[0], params.values()))):
+            leaves = self.bind(requires_grad=False)
+            bound = self._constants = (tuple(leaf.value for leaf in leaves.values()), leaves)
+        return bound[1]
 
     def _attend(self, xa: Tensor, xv: Tensor, blocks: dict) -> AttendedPair:
         if self.variant == "CA":
@@ -258,6 +276,8 @@ class FusionModel:
     def run(self, inputs, leaves: dict) -> Pass:
         """Attention per (xa, xv) sequence, then the per-clip tail once over all
         clips joined: the one graph builder, for training and inference."""
+        if not inputs:
+            raise ValueError("run needs at least one (xa, xv) sequence")
         blocks: dict = {}  # "<block>.<name>" leaves as blocks[block][name]
         for key, leaf in leaves.items():
             block, name = key.split(".")
@@ -291,7 +311,7 @@ class FusionModel:
     def forward(self, xa_value, xv_value) -> Pass:
         """forward_graph on plain arrays, all bound as constants: no graph kept."""
         xa, xv = (Tensor(x, requires_grad=False) for x in (xa_value, xv_value))
-        return self.forward_graph(xa, xv, self.bind(requires_grad=False))
+        return self.forward_graph(xa, xv, self._constant_leaves())
 
     def predict_values(self, xa_value, xv_value) -> np.ndarray:
         """The 1 x L prediction of :meth:`forward`."""

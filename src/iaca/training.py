@@ -5,7 +5,9 @@ Each step binds fresh parameter leaves, builds one graph for the batch
 scores it with one batch-level CCC. Validation CCC is tracked per epoch and
 the best-scoring parameters are restored when fitting ends. An epoch's
 train CCC is scored over the predictions each batch made before its
-optimizer step, not by a second pass of the end-of-epoch model.
+optimizer step, not by a second pass of the end-of-epoch model. One
+finiteness check covers all of a step's gradients, and Adam's state is
+one flat array per moment over them.
 """
 
 from __future__ import annotations
@@ -60,27 +62,42 @@ class Sgd:
 
 
 class Adam:
-    """Adaptive moment estimation with bias correction."""
+    """Adaptive moment estimation with bias correction.
+
+    The moments are one flat array each, over a step's gradients joined in
+    ``grads`` order; each parameter then subtracts its slice of the update.
+    The first step fixes that layout (names and shapes), and a step with
+    another raises ValueError, so a moment never meets another parameter.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
-        self.m: dict = {}
-        self.v: dict = {}
+        self.layout: tuple = ()  # (name, shape) per parameter, in grads order
+        self.m = self.v = None
 
     def step(self, params: dict, grads: dict) -> None:
+        layout = tuple([(name, g.shape) for name, g in grads.items()])
+        if self.m is None:
+            size = sum(g.size for g in grads.values())
+            self.layout, self.m, self.v = layout, np.zeros(size), np.zeros(size)
+        elif layout != self.layout:
+            raise ValueError(f"Adam moments were laid out for {self.layout}, "
+                             f"this step's gradients are {layout}")
         self.t += 1
+        flat = np.concatenate([g.reshape(-1) for g in grads.values()])
+        m, v = self.m, self.v
+        m += (1.0 - self.beta1) * (flat - m)
+        v += (1.0 - self.beta2) * (flat * flat - v)
+        m_hat = m / (1.0 - self.beta1 ** self.t)
+        v_hat = v / (1.0 - self.beta2 ** self.t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        start = 0
         for name, g in grads.items():
-            if name not in self.m:
-                self.m[name], self.v[name] = np.zeros_like(g), np.zeros_like(g)
-            m, v = self.m[name], self.v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            params[name] -= update[start:start + g.size].reshape(g.shape)
+            start += g.size
 
 
 # optimizer name -> class built from the learning rate
@@ -166,15 +183,14 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
                     f"non-finite loss {value} at epoch {epoch}, "
                     f"batch starting at {start}")
             loss.backward()
-            grads = {}
-            for name, leaf in leaves.items():
-                # a parameter the loss does not reach gets no grad buffer
-                g = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
-                if not np.isfinite(g).all():
-                    raise TrainingDivergence(
-                        f"non-finite gradient for {name} at epoch {epoch}, "
-                        f"batch starting at {start}")
-                grads[name] = g
+            # a parameter the loss does not reach gets no grad buffer
+            grads = {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
+                     for name, leaf in leaves.items()}
+            if not np.isfinite(np.concatenate([g.reshape(-1) for g in grads.values()])).all():
+                name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+                raise TrainingDivergence(
+                    f"non-finite gradient for {name} at epoch {epoch}, "
+                    f"batch starting at {start}")
             optimizer.step(model.params, grads)
             losses.append(value)
             preds.append(pred)

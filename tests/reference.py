@@ -210,3 +210,34 @@ def ref_prepare_splits(kind, noise_sigma, corrupt_fraction, d, n_clips,
         train = [(ref_corrupt_missing(xa, corrupt_fraction, ref_derive_seed(s, 77)),
                   xv, target, s) for xa, xv, target, s in train]
     return train, val
+
+
+# --------------------------------------------------------- training arithmetic
+# The per-parameter Adam step and the textbook np.mean/np.var CCC, written
+# with the exact expressions whose bits the library keeps: the library's flat
+# Adam and its once-per-call CCC terms must match these bit for bit.
+
+def ref_adam(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Copies of params after one Adam step per dict in grad_steps, each
+    parameter updated on its own moments."""
+    params = {name: value.copy() for name, value in params.items()}
+    m = {name: np.zeros_like(value) for name, value in params.items()}
+    v = {name: np.zeros_like(value) for name, value in params.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        for name, g in grads.items():
+            m[name] += (1.0 - beta1) * (g - m[name])
+            v[name] += (1.0 - beta2) * (g * g - v[name])
+            m_hat = m[name] / (1.0 - beta1 ** t)
+            v_hat = v[name] / (1.0 - beta2 ** t)
+            params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
+def ref_ccc(pred, gold):
+    """(ccc, d(1 - ccc)/dpred) of two flat tracks, population moments."""
+    p, g = np.ravel(pred), np.ravel(gold)
+    cov = np.mean((p - np.mean(p)) * (g - np.mean(g)))
+    denom = np.var(p) + np.var(g) + (np.mean(p) - np.mean(g)) ** 2
+    rho = float(2.0 * cov / denom)
+    grad = (-2.0 / (p.size * denom)) * ((g - np.mean(g)) - rho * (p - np.mean(g)))
+    return rho, grad

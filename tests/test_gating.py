@@ -381,6 +381,36 @@ def test_predict_values_is_bitwise_the_graph_forward(variant, iaca):
         assert a.value.tobytes() == b.value.tobytes()
 
 
+def test_predict_values_follows_every_parameter_edit():
+    rng = np.random.default_rng(44)
+    xa, xv = _features(rng, 4, 6)
+    model = FusionModel.create(4, "CA", iaca=True, seed=13)
+
+    def fresh():
+        copy = FusionModel(4, "CA", True, model.flags,
+                           {name: value.copy() for name, value in model.params.items()})
+        return copy.predict_values(xa, xv).tobytes()
+
+    first = model.predict_values(xa, xv).tobytes()
+    model.params["head.b2"] += 0.25  # in place, as the optimizer steps
+    assert model.predict_values(xa, xv).tobytes() == fresh() != first
+    model.params["head.w2"] = model.params["head.w2"] * -1.0  # a replaced array
+    assert model.predict_values(xa, xv).tobytes() == fresh()
+    model.params = {name: value + 0.01 for name, value in model.params.items()}
+    assert model.predict_values(xa, xv).tobytes() == fresh()
+    # an array bind converts is copied into its leaf, so its edits rebind too
+    model.params["cross.w"] = np.asfortranarray(model.params["cross.w"])
+    model.predict_values(xa, xv)
+    model.params["cross.w"] *= 0.5
+    assert model.predict_values(xa, xv).tobytes() == fresh()
+
+
+def test_run_needs_a_sequence():
+    model = FusionModel.create(3, "CA", iaca=True)
+    with pytest.raises(ValueError, match=r"^run needs at least one \(xa, xv\) sequence$"):
+        model.run([], model.bind())
+
+
 @pytest.mark.parametrize("iaca", [False, True])
 def test_forward_keeps_no_graph(monkeypatch, iaca):
     built = []

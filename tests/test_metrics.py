@@ -4,6 +4,7 @@ import pytest
 from iaca.autodiff import Tensor
 from iaca.metrics import ccc, ccc_loss
 
+import reference as ref
 from helpers import finite_diff, relative_error
 
 
@@ -36,6 +37,8 @@ def test_rejects_short_or_mismatched_tracks():
 def test_identical_constant_tracks_warn_and_score_zero():
     with pytest.warns(RuntimeWarning):
         assert ccc([3.0, 3.0, 3.0], [3.0, 3.0, 3.0]) == 0.0
+    with pytest.warns(RuntimeWarning):
+        assert ccc(np.full(3000, -0.25), np.full((1, 3000), -0.25)) == 0.0
 
 
 def test_symmetry_and_bounds_randomized():
@@ -125,6 +128,22 @@ def test_loss_rejects_bad_shapes():
         ccc_loss(Tensor(np.zeros((2, 3))), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         ccc_loss(Tensor([[1.0]]), [[1.0]])
+
+
+def test_ccc_value_loss_and_gradient_are_bitwise_the_textbook_formula():
+    # lengths 2 to 3000, half of them under 64, at varied scales and offsets
+    rng = np.random.default_rng(57)
+    lengths = [2, 3, 3000, *rng.integers(2, 64, 200), *rng.integers(64, 3001, 200)]
+    for n in lengths:
+        p = rng.normal(size=(1, n)) * rng.uniform(0.01, 5.0) + rng.normal()
+        g = rng.uniform(-1.0, 1.0, size=n) * rng.uniform(0.01, 1.0)
+        rho, grad = ref.ref_ccc(p, g)
+        assert ccc(p, g) == rho, n
+        t = Tensor(p)
+        loss = ccc_loss(t, g)
+        assert loss.item() == 1.0 - rho, n
+        loss.backward()
+        assert t.grad.tobytes() == grad.reshape(1, n).tobytes(), n
 
 
 def test_loss_constant_degenerate_case_warns():

@@ -6,7 +6,7 @@ import pytest
 from iaca import training
 from iaca.attention import VARIANTS
 from iaca.autodiff import Tensor
-from iaca.gating import FusionModel, ModelFlags
+from iaca.gating import FusionModel, ModelFlags, param_schema
 from iaca.metrics import ccc
 from iaca.synth import Regime, generate
 from iaca.training import (
@@ -20,6 +20,8 @@ from iaca.training import (
     fit,
     save_history,
 )
+
+import reference as ref
 
 
 def _small_data(seed=0, n=8, d=6, n_clips=10):
@@ -102,6 +104,40 @@ def test_adam_first_step_magnitude_is_lr():
     Adam(lr=0.01).step(params, {"w": np.array([[1.0]])})
     # bias correction makes m_hat = v_hat = 1 on step one
     assert params["w"][0, 0] == pytest.approx(-0.01, rel=1e-6)
+
+
+@pytest.mark.parametrize("iaca", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_flat_adam_is_bitwise_the_per_parameter_formula(variant, iaca):
+    rng = np.random.default_rng(60)
+    schema = param_schema(4, variant, iaca)
+    params = {name: rng.normal(size=(rows, cols)) for name, (rows, cols, _) in schema.items()}
+    # gradients over many magnitudes, some exactly zero
+    steps = [{name: rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 3, size=p.shape)
+              * (rng.random(p.shape) > 0.1) for name, p in params.items()} for _ in range(5)]
+    expected = ref.ref_adam(params, steps, lr=0.02)
+    opt = Adam(lr=0.02)
+    for grads in steps:
+        opt.step(params, grads)
+    assert list(params) == list(expected)
+    for name, value in params.items():
+        assert value.tobytes() == expected[name].tobytes(), name
+
+
+def test_adam_rejects_a_step_with_another_layout():
+    grads = {"a": np.ones((2, 3)), "b": np.ones((1, 1))}
+    params = {name: np.zeros_like(g) for name, g in grads.items()}
+    opt = Adam(lr=0.1)
+    opt.step(params, grads)
+    for other in ({"b": grads["b"], "a": grads["a"]},  # same sizes, another order
+                  {"a": np.ones((3, 2)), "b": grads["b"]},  # same size, another shape
+                  {"a": grads["a"]},
+                  {**grads, "c": np.ones((1, 1))}):
+        before = {name: value.copy() for name, value in params.items()}
+        with pytest.raises(ValueError, match="laid out"):
+            opt.step(params, other)
+        assert all(np.array_equal(params[k], before[k]) for k in params)
+    assert opt.t == 1
 
 
 def test_optimizer_factory():
@@ -222,6 +258,24 @@ def test_non_finite_gradient_names_epoch_batch_and_parameter(monkeypatch):
     assert "gradient" in message and "epoch 0" in message
     assert "batch starting at 0" in message and next(iter(model.params)) in message
 
+    # a NaN confined to the last parameter's gradient is named as that one
+    bound, real_bind = [], FusionModel.bind
+
+    def recording_bind(model, requires_grad=True):
+        bound.append(real_bind(model, requires_grad))
+        return bound[-1]
+
+    def poisoned_b2(pred, gold):
+        b2 = bound[-1]["head.b2"]
+        poison = Tensor([[0.0]], "poison", (b2,), (lambda g: np.full(b2.shape, np.nan),))
+        return real_loss(pred, gold) + poison
+
+    monkeypatch.setattr(FusionModel, "bind", recording_bind)
+    monkeypatch.setattr(training, "ccc_loss", poisoned_b2)
+    with pytest.raises(TrainingDivergence, match="^non-finite gradient for head.b2 at epoch 0, "
+                                                 "batch starting at 0$"):
+        fit(_small_model(), train, val, TrainConfig(epochs=1, batch_size=4))
+
 
 def test_non_finite_validation_ccc_names_the_epoch(monkeypatch):
     # a NaN never beats the best score, so fit would return the init as "best"
@@ -237,6 +291,21 @@ def test_training_improves_validation_ccc():
     before = evaluate(model, val)
     result = fit(model, train, val, TrainConfig(epochs=10, lr=0.02, patience=0))
     assert result.best_val_ccc > before
+
+
+def test_predict_values_after_fit_is_a_model_rebuilt_from_the_parameters():
+    # the best epoch is not the last, so fit's restore replaces every array
+    # after evaluate has bound the last epoch's
+    train, val = _small_data()
+    model = _small_model()
+    result = fit(model, train, val, TrainConfig(epochs=6, lr=0.2, patience=0))
+    assert result.best_epoch < len(result.history) - 1
+    rebuilt = FusionModel(model.d, model.variant, model.iaca, model.flags,
+                          {name: value.copy() for name, value in model.params.items()})
+    for s in val:
+        assert (model.predict_values(s.xa, s.xv).tobytes()
+                == rebuilt.predict_values(s.xa, s.xv).tobytes())
+    assert evaluate(model, val) == result.best_val_ccc
 
 
 def test_evaluate_concatenates_all_clips():
