@@ -74,7 +74,7 @@ def joint_representation(xa, xv, w, b) -> Tensor:
 
 def _normalize(z: Tensor) -> Tensor:
     """Column softmax of the L x L product z, written over z's value."""
-    return softmax(z, out=z.value)
+    return softmax(z, in_place=True)
 
 
 def _attend(x, weights) -> Tensor:

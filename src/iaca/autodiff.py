@@ -15,7 +15,8 @@ with the op functions below, call ``backward()`` once on a 1x1 output, read
 gradients off the leaves, then rebuild for the next pass. A function with a
 closed-form gradient can be one node, built as ``Tensor(value, op=...,
 parents=..., vjps=...)``, as ``metrics.ccc_loss`` is. A Tensor built with
-``requires_grad=False`` is a constant (input data) and has no node. Every
+``requires_grad=False`` is a constant (input data) and has no node, and so
+is a plain array passed to an op: only ``Tensor(x)`` makes a leaf. Every
 op computes its value first; if no input has a node, it returns a constant
 of that value and builds no vjp and no node, so a pass built only from
 constants costs no graph bookkeeping and keeps no graph behind its output.
@@ -30,8 +31,8 @@ hashes nodes themselves, and ops call numpy's ufunc reductions directly
 rather than the ndarray method wrappers.
 
 Values are treated as immutable once wrapped, but for one exception:
-attention's ``softmax(z, out=z.value)`` normalizes each L x L product z
-in its own buffer, which is safe only because the caller drops z and no
+attention's ``softmax(z, in_place=True)`` normalizes each L x L product
+z in its own buffer, which is safe only because the caller drops z and no
 vjp reads it. Sharing values across threads is safe. A graph itself
 belongs to one thread from construction through backward.
 """
@@ -209,7 +210,8 @@ def _constant(value: np.ndarray) -> Tensor:
 
 
 def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    # a plain array is input data: a constant, never a leaf
+    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
 
 
 def _topo_order(root: _Node) -> list[_Node]:
@@ -290,23 +292,21 @@ def relu(a) -> Tensor:
     return _result(value, "relu", (a,), (lambda g: g * mask,))
 
 
-def softmax(a, temperature: float = 1.0, out: np.ndarray | None = None) -> Tensor:
+def softmax(a, temperature: float = 1.0, in_place: bool = False) -> Tensor:
     """Temperature softmax of every column, max-subtracted for stability.
 
     Each column becomes a probability vector; a row softmax is
     ``transpose(softmax(transpose(x)))``. Logits are divided by the
     temperature first, so smaller temperatures sharpen toward each column's
-    argmax. The result goes into ``out`` if given, which may be ``a.value``.
+    argmax. With ``in_place`` the result is written over ``a.value``.
     """
     a = _coerce(a)
     if not temperature > 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
-                                and out.shape == a.value.shape and out.flags.c_contiguous):
-        raise ShapeError(f"softmax out must be a C-contiguous float64 {a.value.shape} array")
     z = a.value
+    out = z if in_place else None
     if temperature != 1.0:  # x / 1.0 == x exactly
-        # into out, or one fresh buffer that the rest then normalizes in place
+        # over z, or into one fresh buffer that the rest then normalizes in place
         z = out = np.divide(z, temperature, out=out)
     y = np.subtract(z, np.maximum.reduce(z, axis=0, keepdims=True), out=out)
     np.exp(y, out=y)

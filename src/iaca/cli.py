@@ -155,6 +155,9 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
     return 0
 
 
+_MODEL_FIELDS = ("variant", "iaca", "d", "flags")
+
+
 def _restore(path):
     try:
         ckpt = load_checkpoint(path)
@@ -164,6 +167,9 @@ def _restore(path):
         # stored whole by train; a missing field must not fall back to its default
         cfg = ExperimentConfig.from_dict(exp, complete=True)
         cfg.validate()
+        # each command rebuilds data from cfg for the model it loaded
+        _require_same("hold the model their config describes", cfg, ckpt.model,
+                      _MODEL_FIELDS)
     except (ValueError, CheckpointError) as exc:  # sweep restores two: say which
         raise type(exc)(f"{path}: {exc}") from exc
     return ckpt.model, cfg, ckpt.meta.get("output_dim")
@@ -186,7 +192,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if val_dim != "valence" or aro_dim != "arousal":
         raise ValueError("checkpoints must be a (valence, arousal) pair; got "
                          f"({val_dim}, {aro_dim})")
-    _require_same("be one model pair", val_model, aro_model, ("variant", "iaca", "d", "flags"))
+    _require_same("be one model pair", val_model, aro_model, _MODEL_FIELDS)
     # older checkpoints store where they were written, not how their data was made
     _require_same("share one experiment config", val_cfg, aro_cfg,
                   [f.name for f in fields(ExperimentConfig) if f.name != "out_dir"])

@@ -1,8 +1,9 @@
 """Synthetic bimodal sequences with controllable modality relationships.
 
-Each sequence carries a smooth latent emotion track in [-1, 1]. A
-modality observes a fixed random linear embedding of four stacked tracks:
-the signal track plus three nuisance tracks of the same smooth family.
+Each sequence carries a smooth latent emotion track: a sum of 2 to 4
+random low-frequency sinusoids, clamped to [-1, 1]. A modality observes
+a fixed random linear embedding of four stacked tracks: the signal track
+plus three nuisance tracks of the same smooth family.
 The regime decides what lands in each modality's signal slot:
 
   strong_complementary   both modalities embed the true track
@@ -18,9 +19,9 @@ call (and any split carved out of it) shares the same observation model.
 Sequence-level randomness comes from a splitmix-style derivation of the
 master seed, making each sequence reproducible in isolation. A sequence
 first makes all its draws, in the order the README's "Data regimes" lists
-and a test pins, and then evaluates all its tracks together in one step. A
-new kind appends its draws after these and shares that evaluation, so the
-existing kinds keep their bits.
+and a test pins, and then evaluates all its tracks together in one step,
+the module's one track evaluator. A new kind appends its draws after these
+and shares that evaluation, so the existing kinds keep their bits.
 """
 
 from __future__ import annotations
@@ -105,27 +106,17 @@ def _tracks(draws: List[np.ndarray], t: np.ndarray) -> np.ndarray:
     return np.clip(tracks, -1.0, 1.0, out=tracks)
 
 
-def _check_length(n_clips: int) -> None:
-    check_field("n_clips", int, n_clips)
-    if n_clips < 2:
-        raise ValueError(f"sequence length must be >= 2, got {n_clips}")
-
-
-def smooth_track(rng: np.random.Generator, n_clips: int) -> np.ndarray:
-    """Sum of 2-4 random low-frequency sinusoids, clamped to [-1, 1]."""
-    _check_length(n_clips)
-    return _tracks([_draw_sines(rng)], np.linspace(0.0, 1.0, n_clips))[0]
-
-
 def generate(regime: Regime, d: int = 32, n_clips: int = 64,
              n_sequences: int = 16, seed: int = 0) -> List[SyntheticSequence]:
     """Sequences drawn under one observation model; deterministic in seed."""
     regime.validate()
-    for label, value in (("d", d), ("n_sequences", n_sequences), ("seed", seed)):
+    for label, value in (("d", d), ("n_clips", n_clips), ("n_sequences", n_sequences),
+                         ("seed", seed)):
         check_field(label, int, value)
     if d < 2:
         raise ValueError(f"feature dimension must be >= 2, got {d}")
-    _check_length(n_clips)
+    if n_clips < 2:
+        raise ValueError(f"sequence length must be >= 2, got {n_clips}")
     if n_sequences < 1:
         raise ValueError(f"need at least one sequence, got {n_sequences}")
 

@@ -35,7 +35,8 @@ def relative_error(a, b, floor=1e-8):
 
 
 def _tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    # a plain array is a constant, as in the library's ops
+    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
 
 
 def _same_shape(op: str, a, b) -> tuple[Tensor, Tensor]:

@@ -8,7 +8,7 @@ from iaca import autodiff
 from iaca.autodiff import ShapeError, Tensor
 
 import reference as ref
-from helpers import ops as ad, relative_error
+from helpers import bits, ops as ad, relative_error
 
 
 def test_matmul_identity():
@@ -392,7 +392,8 @@ def test_constants_are_pruned_from_the_graph():
 
 
 # every op the model runs, over inputs of the given shapes: (shapes, call on
-# the input Tensors, whether the op may write its first input: softmax's out)
+# the input Tensors, whether the op writes over its first input: softmax's
+# in_place, whose cases keep the id suffix "out")
 _OP_CASES = {
     "matmul": ([(3, 4), (4, 2)], lambda t: autodiff.matmul(*t), False),
     "add": ([(3, 4), (3, 4)], lambda t: autodiff.add(*t), False),
@@ -410,7 +411,7 @@ for _t in (1.0, 0.5, 0.3):
     _OP_CASES[f"softmax-T{_t}"] = (
         [(4, 5)], lambda t, _t=_t: autodiff.softmax(t[0], temperature=_t), False)
     _OP_CASES[f"softmax-T{_t}-out"] = (
-        [(4, 5)], lambda t, _t=_t: autodiff.softmax(t[0], temperature=_t, out=t[0].value), True)
+        [(4, 5)], lambda t, _t=_t: autodiff.softmax(t[0], temperature=_t, in_place=True), True)
 
 
 def test_the_constant_cases_cover_every_op_the_model_runs():
@@ -428,17 +429,41 @@ def test_an_op_over_constants_returns_a_constant_and_builds_no_node(monkeypatch,
     def no_graph(*args):
         raise AssertionError("an op over constants built a node or linked its inputs")
 
-    inputs = [Tensor(v.copy(), requires_grad=False) for v in values]
     monkeypatch.setattr(autodiff._Node, "__init__", no_graph)
     monkeypatch.setattr(autodiff, "_result", no_graph)  # where vjps are handed over
-    out = call(inputs)
-    assert out.op == "constant" and out.parents == () and not out.requires_grad
-    assert out.value.shape == expected.shape and out.value.tobytes() == expected.tobytes()
-    if writes_first:
-        assert out.value is inputs[0].value
-    for i, (t, v) in enumerate(zip(inputs, values)):
-        if not (writes_first and i == 0):
-            assert t.value.tobytes() == v.tobytes(), f"input {i} was written"
+    # a plain array passed to an op is a constant too
+    for wrap in (lambda v: Tensor(v, requires_grad=False), lambda v: v):
+        inputs = [v.copy() for v in values]
+        out = call([wrap(v) for v in inputs])
+        assert out.op == "constant" and out.parents == () and not out.requires_grad
+        assert out.value.shape == expected.shape and out.value.tobytes() == expected.tobytes()
+        if writes_first:
+            assert out.value is inputs[0]
+        for i, (x, v) in enumerate(zip(inputs, values)):
+            if not (writes_first and i == 0):
+                assert x.tobytes() == v.tobytes(), f"input {i} was written"
+
+
+def test_plain_arrays_beside_a_leaf_enter_the_graph_as_constants():
+    rng = np.random.default_rng(14)
+    x_value = rng.normal(size=(3, 4))
+    w, col, gate, other, probe = (rng.normal(size=shape) for shape in
+                                  [(3, 3), (3, 1), (2, 4), (3, 4), (6, 4)])
+
+    def loss(wrap):
+        x = Tensor(x_value.copy())
+        h = ad.add_col(ad.matmul(wrap(w), x), wrap(col))
+        mixed = ad.gate_mix(wrap(gate), [ad.softmax(h, temperature=0.5), wrap(other)])
+        out = ad.sum_all(ad.hadamard(ad.concat_rows(ad.tanh(mixed), wrap(other)), wrap(probe)))
+        return x, out
+
+    x_raw, raw = loss(lambda v: v)
+    x_const, const = loss(lambda v: Tensor(v, requires_grad=False))
+    ops = [[node.op for node in autodiff._topo_order(t._node)] for t in (raw, const)]
+    assert ops[0] == ops[1] and ops[0].count("leaf") == 1
+    raw.backward()
+    const.backward()
+    assert bits(x_raw.grad) == bits(x_const.grad)
 
 
 # 0.5 divides exactly, 0.3 does not, so it also pins the order of operations
@@ -448,25 +473,15 @@ def test_softmax_and_its_vjp_bitwise_equal_the_out_of_place_formulas(temperature
     z, upstream = rng.normal(size=(5, 7)), rng.normal(size=(5, 7))
     expected = ref.ref_softmax(z, "columns", temperature)
     inner = (upstream * expected).sum(axis=0, keepdims=True)
-    # out= (attention's maps) writes the same result over the input's buffer
+    # in_place (attention's maps) writes the same result over the input's buffer
     for in_place in (False, True):
         x = Tensor(z.copy())
-        y = ad.softmax(x, temperature=temperature, out=x.value if in_place else None)
+        y = ad.softmax(x, temperature=temperature, in_place=in_place)
         assert (y.value is x.value) == in_place
         assert np.array_equal(y.value, expected)
         # sum(y * upstream) hands softmax's vjp exactly `upstream`
         ad.sum_all(ad.hadamard(y, upstream)).backward()
         assert np.array_equal(x.grad, expected * (upstream - inner) / temperature)
-
-
-@pytest.mark.parametrize("out", [np.zeros((4, 3)), np.zeros((3, 4), dtype=np.float32),
-                                 np.zeros((4, 3)).T, [[0.0] * 4] * 3],
-                         ids=["wrong-shape", "float32", "transposed-view", "list"])
-def test_softmax_rejects_a_bad_out_before_writing_it(out):
-    before = np.array(out, copy=True)
-    with pytest.raises(ShapeError, match="out"):
-        ad.softmax(np.ones((3, 4)), out=out)
-    assert np.array_equal(np.asarray(out), before)
 
 
 def test_tanh_vjp_bitwise_equals_the_out_of_place_formula():

@@ -89,6 +89,27 @@ def test_sweep_rejects_a_mixed_model_pair(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_and_dump_reject_a_model_its_own_config_does_not_describe(tmp_path, capsys):
+    # each file holds a gated TCA model but stores an ungated CA config, so
+    # every command would rebuild data for another model than it runs
+    experiment = asdict(ExperimentConfig(variant="CA", iaca=False, d=6, n_clips=8,
+                                         n_train=4, n_val=2))
+    paths = {}
+    for dim in ("valence", "arousal"):
+        paths[dim] = tmp_path / f"{dim}.ckpt"
+        save_checkpoint(FusionModel.create(6, "TCA", iaca=True, seed=1), paths[dim],
+                        extra_meta={"experiment": experiment, "output_dim": dim})
+    out = tmp_path / "out"
+    for argv, path in ((["sweep", "--checkpoint-valence", str(paths["valence"]),
+                         "--checkpoint-arousal", str(paths["arousal"])], paths["valence"]),
+                       (["dump-attn", "--checkpoint", str(paths["arousal"])], paths["arousal"])):
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: checkpoints must hold the model their config describes; "
+            "their variant differs ('CA' vs 'TCA')")
+    assert not out.exists()
+
+
 def test_sweep_rejects_a_pair_from_two_experiment_configs(tmp_path, capsys):
     model = FusionModel.create(6, "CA", iaca=True, seed=1)
     paths = {}

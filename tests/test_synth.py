@@ -8,7 +8,6 @@ from iaca.synth import (
     corrupt_missing,
     derive_seed,
     generate,
-    smooth_track,
     splitmix64,
 )
 
@@ -70,25 +69,6 @@ def test_generation_shapes_and_target_range():
         assert np.all(np.abs(s.target) <= 1.0)
 
 
-def test_smooth_track_is_bounded_and_seeded():
-    rng = np.random.default_rng(0)
-    t1 = smooth_track(rng, 50)
-    assert np.all(np.abs(t1) <= 1.0)
-    t2 = smooth_track(np.random.default_rng(0), 50)
-    assert np.array_equal(t1, t2)
-
-
-@pytest.mark.parametrize("n_clips,message", [
-    (2.5, "n_clips must be an int"),
-    (True, "n_clips must be an int"),
-    (0, "sequence length must be >= 2"),
-    (1, "sequence length must be >= 2"),
-])
-def test_smooth_track_rejects_a_bad_length(n_clips, message):
-    with pytest.raises(ValueError, match=rf"^{message}, got "):
-        smooth_track(np.random.default_rng(0), n_clips)
-
-
 def test_generation_validates_arguments():
     with pytest.raises(ValueError):
         generate(Regime("sideways"), d=4, n_clips=8)
@@ -111,11 +91,18 @@ def test_generation_validates_arguments():
     ({"seed": 1.5}, "seed"),
     ({"seed": "3"}, "seed"),
     ({"d": True}, "d"),
+    ({"n_clips": True}, "n_clips"),
 ])
 def test_generation_rejects_an_argument_that_is_not_an_int(kwargs, name):
     args = {"d": 4, "n_clips": 8, "n_sequences": 2, "seed": 0} | kwargs
     with pytest.raises(ValueError, match=rf"^{name} must be an int, got "):
         generate(Regime(), **args)
+
+
+@pytest.mark.parametrize("n_clips", [0, 1])
+def test_generation_rejects_a_sequence_shorter_than_two_clips(n_clips):
+    with pytest.raises(ValueError, match=rf"^sequence length must be >= 2, got {n_clips}$"):
+        generate(Regime(), d=4, n_clips=n_clips, n_sequences=2, seed=0)
 
 
 def test_generation_takes_numpy_ints():
@@ -218,21 +205,14 @@ def test_missing_rejects_input_that_is_not_a_matrix(shape):
 # The library must draw the same bits as the straight-line loop in
 # tests/reference.py, computed here on the same machine.
 
-@pytest.mark.parametrize("n_clips", [2, 3, 7, 8, 9, 63, 64, 65, 255, 256, 257])
-def test_smooth_track_is_bitwise_the_per_sine_loop(n_clips):
-    for seed in range(20):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert bits(smooth_track(rng, n_clips)) == bits(ref.ref_smooth_track(ref_rng, n_clips))
-        # and it leaves the stream where the loop does
-        assert rng.random() == ref_rng.random()
-
-
 def _pin_cases():
     # the pinned protocols' L=64 with 6 sequences keeps the plain kind-sigma
     # id; the other lengths and counts change how many tracks and sines one
-    # sequence evaluates together, and where each one's values fall
-    for n_clips, n_sequences in [(64, 6), (2, 6), (3, 6), (65, 6), (256, 6),
-                                 (257, 6), (64, 1), (64, 17)]:
+    # sequence evaluates together, and where each one's values fall. The
+    # lengths on either side of 8, 64 and 256 clips move where each track's
+    # values fall against np.sin's SIMD vectors and its loop's tail
+    for n_clips, n_sequences in [(64, 6), (2, 6), (3, 6), (7, 6), (8, 6), (9, 6), (63, 6),
+                                 (65, 6), (255, 6), (256, 6), (257, 6), (64, 1), (64, 17)]:
         shape = "" if (n_clips, n_sequences) == (64, 6) else f"-L{n_clips}-n{n_sequences}"
         for kind in REGIME_KINDS:
             for sigma in (0.0, 2.0):
