@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .autodiff import (
     ShapeError,
     Tensor,
+    add,
     add_col,
     concat_rows,
     matmul,
@@ -80,7 +81,7 @@ def _normalize(z: Tensor) -> Tensor:
 def _attend(x, weights) -> Tensor:
     """Query side of the cross block: x re-weights its own clips with the
     L x L map, around a residual: tanh(x + x . weights)."""
-    return tanh(x + matmul(x, weights))
+    return tanh(add(x, matmul(x, weights)))
 
 
 def cross_attention(xa, xv, w) -> AttendedPair:
@@ -118,10 +119,10 @@ def tca_block(xq, xkv, p: dict) -> tuple[Tensor, Tensor]:
     v = matmul(p["wv"], xkv)
     weights = _normalize(matmul(scale(transpose(k), 1.0 / d**0.5), q))
     attended = matmul(v, weights)
-    h = xq + attended
+    h = add(xq, attended)
     hidden = relu(add_col(matmul(p["ff1_w"], h), p["ff1_b"]))
     ff = add_col(matmul(p["ff2_w"], hidden), p["ff2_b"])
-    return tanh(h + ff), weights
+    return tanh(add(h, ff)), weights
 
 
 def tca_attention(xa, xv, p_audio: dict, p_visual: dict) -> AttendedPair:

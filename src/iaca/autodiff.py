@@ -1,6 +1,7 @@
 """Dense 2-D float64 tensors with reverse-mode automatic differentiation.
 
-Payloads are plain numpy arrays of shape (rows, cols), row-major, float64.
+Values enter 2-D, as float64 numpy arrays of shape (rows, cols), row-major;
+a scalar raises ShapeError. Every op, ``add`` too, is called by name.
 One rule shapes the engine: a graph node holds no value. A
 :class:`Tensor` is what a caller holds, one payload plus the node behind
 it; the node keeps the op's tag, the output shape, its inputs' nodes and
@@ -65,8 +66,6 @@ class ShapeError(ValueError):
 
 def _as_value(data) -> np.ndarray:
     v = np.asarray(data, dtype=np.float64)
-    if v.ndim == 0:
-        v = v.reshape(1, 1)
     if v.ndim != 2:
         raise ShapeError(f"expected a 2-D value, got shape {v.shape}")
     if v.shape[0] < 1 or v.shape[1] < 1:
@@ -184,10 +183,6 @@ class Tensor:
             if node.parents:
                 node.grad = None
             node._used = True
-
-    # + only; every other op is called by name
-    def __add__(self, other):
-        return add(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, op={self.op!r})"

@@ -63,7 +63,8 @@ def save_checkpoint(model: FusionModel, path, extra_meta: dict = None) -> None:
         if overlap:
             raise ValueError(f"extra_meta may not shadow core fields: {sorted(overlap)}")
         meta.update(extra_meta)
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    # numpy scalars, which configs and create accept, go in as the JSON values they equal
+    blob = json.dumps(meta, sort_keys=True, default=np.generic.item).encode("utf-8")
 
     # Write a sibling temp file and rename it over the target, so a crash
     # mid-write leaves any previous checkpoint at `path` intact.
@@ -115,8 +116,7 @@ def load_checkpoint(path) -> Checkpoint:
             # missing temperature is rejected, not coerced or defaulted
             model = from_json_object(FusionModel, {k: meta[k] for k in ("variant", "iaca", "d")})
             model.flags = from_json_object(ModelFlags, meta["flags"], "flags", complete=True)
-            model.flags.validate()
-            schema = param_schema(model.d, model.variant, model.iaca)
+            schema = param_schema(model.d, model.variant, model.iaca, model.flags)
         except KeyError as exc:
             raise CheckpointError(f"checkpoint metadata missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:

@@ -20,7 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .attention import VARIANTS
-from .gating import FusionModel, ModelFlags, check_types, from_json_object
+from .gating import FusionModel, ModelFlags, check_types, from_json_object, param_schema
 from .metrics import ccc  # noqa: F401  (unused here; perfbench wraps experiments.ccc)
 from .synth import Regime, SyntheticSequence, corrupt_missing, derive_seed, generate
 from .training import TrainConfig, TrainingDivergence, evaluate, fit
@@ -56,15 +56,13 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         check_types(self)
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (self.d >= 2 and self.n_clips >= 2):
             raise ValueError("d and n_clips must both be >= 2")
         if not (self.n_train >= 1 and self.n_val >= 1):
             raise ValueError("both splits need at least one sequence")
         self.regime.validate()
         self.train.validate()
-        self.flags.validate()
+        param_schema(self.d, self.variant, self.iaca, self.flags)
 
     @classmethod
     def from_dict(cls, data: dict, complete: bool = False) -> "ExperimentConfig":
@@ -232,4 +230,4 @@ def dump_attention(model: FusionModel, seq: SyntheticSequence) -> dict:
 
 def save_attention_dump(dump: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(dump, fh, indent=2, sort_keys=True)
+        json.dump(dump, fh, indent=2, sort_keys=True, default=np.generic.item)

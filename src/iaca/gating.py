@@ -12,9 +12,10 @@ scores are K x L, one column per clip on the simplex like every per-clip
 tensor, from the layer to a model's Pass. A small temperature sharpens the
 softmax so the gates act nearly as selectors while staying differentiable.
 Everything after attention acts clip by clip, so FusionModel.run, the one
-graph builder, runs it once over all its sequences' clips. param_schema
-lists a model's parameters, which depend on (d, variant, gating) alone, for
-creation and checkpoint loads; run groups their leaves by its
+graph builder, runs it once over all its sequences' clips. param_schema,
+the one check of a model's description (d, variant, gating, flags) for
+configs, creation and checkpoint loads, lists its parameters, which depend
+on (d, variant, gating) alone; run groups their leaves by its
 "<block>.<name>" names once per call, and every block reads its dict by
 those names.
 
@@ -176,9 +177,13 @@ class Pass(NamedTuple):
     gates: tuple  # stage-1 audio, stage-1 visual, stage-2: 2, 2, 3 x sum(L); () ungated
 
 
-def param_schema(d: int, variant: str, iaca: bool) -> dict[str, tuple[int, int, float]]:
-    """Every parameter of a model as name -> (rows, cols, init std), in
-    initialization order; std 0 marks a parameter initialized to zeros."""
+def param_schema(d: int, variant: str, iaca: bool,
+                 flags: ModelFlags) -> dict[str, tuple[int, int, float]]:
+    """Every parameter of a model as name -> (rows, cols, init std; 0: zeros),
+    in init order; the one check of a model's description, naming a bad field."""
+    for name, hint, value in (("d", int, d), ("iaca", bool, iaca), ("flags", ModelFlags, flags)):
+        check_field(name, hint, value)
+    flags.validate()
     if d < 1:
         raise ValueError(f"feature dimension must be >= 1, got {d}")
     if variant not in VARIANTS:
@@ -240,12 +245,11 @@ class FusionModel:
     def create(cls, d: int, variant: str, iaca: bool,
                flags: Optional[ModelFlags] = None, seed: int = 0) -> "FusionModel":
         flags = flags if flags is not None else ModelFlags()
-        flags.validate()
         rng = np.random.default_rng(seed)
         # zeros draw nothing, so every normal draw keeps its place in the stream
         params = {name: rng.normal(0.0, std, size=(rows, cols)) if std
                   else np.zeros((rows, cols))
-                  for name, (rows, cols, std) in param_schema(d, variant, iaca).items()}
+                  for name, (rows, cols, std) in param_schema(d, variant, iaca, flags).items()}
         return cls(d=d, variant=variant, iaca=iaca, flags=flags, params=params)
 
     # forward's constant binding: (the params arrays it wraps, the leaves)

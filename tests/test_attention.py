@@ -279,7 +279,7 @@ def test_variant_gradients_match_finite_differences(name):
     def run(xa_val):
         xa_t = Tensor(xa_val)
         pair = _variant_forward(name, xa_t, Tensor(xv), arrs)
-        loss = mean_all(pair.audio) + mean_all(pair.visual)
+        loss = ad.add(mean_all(pair.audio), mean_all(pair.visual))
         return xa_t, loss
 
     xa_t, loss = run(xa)
@@ -367,7 +367,7 @@ def test_variants_bitwise_equal_the_public_op_composition(variant):
         out = forward(variant, leaves["xa"], leaves["xv"], p)
         loss = sum_all(ad.hadamard(out[0][0], upstream[0]))
         for (attended, _), up in zip(out[1:], upstream[1:]):
-            loss = loss + sum_all(ad.hadamard(attended, up))
+            loss = ad.add(loss, sum_all(ad.hadamard(attended, up)))
         loss.backward()
         return [t.value for pair in out for t in pair if t is not None], leaves
 

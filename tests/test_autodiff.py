@@ -133,7 +133,7 @@ def test_backward_sum_tanh_at_zero_gives_ones():
 def test_backward_rejects_non_scalar_seed():
     x = Tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        (x + x).backward()
+        ad.add(x, x).backward()
 
 
 def test_backward_rejects_second_pass():
@@ -195,7 +195,7 @@ def test_shared_leaf_accumulates_every_use():
     rng = np.random.default_rng(7)
     x_val = rng.normal(size=(3, 4))
     x = Tensor(x_val)
-    out = ad.sum_all(x) + ad.sum_all(ad.hadamard(x, x)) + ad.sum_all(ad.tanh(x))
+    out = ad.add(ad.add(ad.sum_all(x), ad.sum_all(ad.hadamard(x, x))), ad.sum_all(ad.tanh(x)))
     out.backward()
     expected = 1.0 + 2.0 * x_val + (1.0 - np.tanh(x_val) ** 2)
     np.testing.assert_allclose(x.grad, expected, atol=1e-12)
@@ -249,6 +249,9 @@ def test_add_col_rejects_bad_column():
     for bad in (np.ones((2, 1)), np.ones((3, 2)), np.ones((1, 5))):
         with pytest.raises(ShapeError):
             ad.add_col(np.ones((3, 5)), bad)
+    # values enter 2-D: a scalar is not taken for a 1 x 1 column
+    with pytest.raises(ShapeError, match=r"expected a 2-D value, got shape \(\)"):
+        ad.add_col(np.ones((1, 5)), 1.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

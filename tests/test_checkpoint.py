@@ -14,6 +14,7 @@ from iaca.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from iaca.experiments import ExperimentConfig
 from iaca.gating import FusionModel, ModelFlags
 
 
@@ -39,6 +40,26 @@ def test_round_trip_is_bitwise(tmp_path):
         assert list(ckpt.model.params) == list(model.params)
         for k in model.params:
             assert np.array_equal(ckpt.model.params[k], model.params[k])
+
+
+@pytest.mark.parametrize("d, iaca, temperature, seed", [
+    (4, True, 0.3, 2), (np.int64(4), np.True_, np.float32(0.3), np.int64(2))],
+    ids=["python", "numpy"])
+def test_every_model_create_accepts_round_trips(tmp_path, d, iaca, temperature, seed):
+    # create takes numpy scalars as a config does; the metadata writes them as
+    # the JSON values they equal, and an experiment config in extra_meta too
+    model = FusionModel.create(d, "TCA", iaca, flags=ModelFlags(temperature), seed=3)
+    cfg = ExperimentConfig(variant="TCA", iaca=iaca, d=d, seed=seed, flags=model.flags)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path, extra_meta={"experiment": asdict(cfg)})
+    ckpt = load_checkpoint(path)
+    restored = ckpt.model
+    assert (restored.d, restored.variant, restored.iaca, restored.flags) == (
+        model.d, model.variant, model.iaca, model.flags)
+    assert ExperimentConfig.from_dict(ckpt.meta["experiment"]) == cfg
+    assert list(restored.params) == list(model.params)
+    for k in model.params:
+        assert np.array_equal(restored.params[k], model.params[k])
 
 
 def test_restored_model_predicts_identically(tmp_path):
@@ -325,3 +346,24 @@ def test_seeded_byte_mutations_raise_only_checkpoint_errors(tmp_path):
             load_checkpoint(path)
         except CheckpointError:
             pass
+
+
+@pytest.mark.parametrize("field, value", [("variant", "XCA"), ("flags", ModelFlags(-0.5))],
+                         ids=["variant", "temperature"])
+def test_one_check_rejects_a_bad_description_alike_everywhere(tmp_path, field, value):
+    # a config, create and a checkpoint load all ask param_schema, so a bad
+    # description reads the same from each
+    bad = {"d": 3, "variant": "CA", "iaca": True, "flags": ModelFlags(), field: value}
+    meta, params = _schema_params("CA", True, 3)
+    meta.update(variant=bad["variant"], flags=asdict(bad["flags"]))
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_handmade(meta, params))
+    messages = []
+    for reject in (ExperimentConfig(**bad).validate, lambda: FusionModel.create(**bad),
+                   lambda: load_checkpoint(path)):
+        with pytest.raises((ValueError, CheckpointError)) as exc:
+            reject()
+        messages.append(str(exc.value))
+    config, create, load = messages
+    assert config == create
+    assert load == f"invalid model metadata in checkpoint: {config}"

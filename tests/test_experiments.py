@@ -24,6 +24,7 @@ from iaca.experiments import (
     train_one,
 )
 from iaca.gating import FusionModel, ModelFlags
+from iaca.metrics import ccc
 from iaca.synth import Regime, generate
 from iaca.training import TrainConfig, evaluate
 
@@ -134,6 +135,42 @@ def test_every_scalar_config_field_rejects_a_value_of_another_type(path, noun, v
 
 
 # ------------------------------------------------------------------- splits
+
+def _ridge_ccc(train, val, modalities, lam=1e-3):
+    """Validation CCC of a ridge readout, bias included, from each clip's
+    stacked `modalities` features ("xa", "xv") to its target, fitted on
+    train and clipped to [-1, 1]: what a line scores with no fusion at all."""
+    def design(seqs):
+        x = np.hstack([np.vstack([getattr(s, m) for m in modalities]) for s in seqs]).T
+        return np.hstack([x, np.ones((len(x), 1))])
+
+    x, y = design(train), np.hstack([s.target for s in train]).ravel()
+    w = np.linalg.solve(x.T @ x + lam * np.eye(x.shape[1]), x.T @ y)
+    return ccc(np.clip(design(val) @ w, -1.0, 1.0), np.hstack([s.target for s in val]).ravel())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_linear_readout_solves_criterion_5s_splits_from_audio(seed):
+    # read a fusion gain against what a simple readout already scores
+    # (Hessel & Lee, EMNLP 2020): on criterion 5's splits audio alone and
+    # [xa; xv] read 1.0000, the conflicting visual stream alone -0.081..0.039
+    cfg = ExperimentConfig(regime=Regime("weak_conflicting", noise_sigma=2.0),
+                           d=32, n_clips=64, n_train=12, n_val=8, seed=seed)
+    for dim in OUTPUT_DIMS:
+        train, val = prepare_splits(cfg, dim)
+        assert _ridge_ccc(train, val, ("xa",)) >= 0.999
+        assert _ridge_ccc(train, val, ("xa", "xv")) >= 0.999
+        assert _ridge_ccc(train, val, ("xv",)) <= 0.1
+
+
+def test_a_linear_readout_solves_criterion_6s_splits():
+    # criterion 6's training audio is partly zeroed, yet [xa; xv] reads 1.0000
+    cfg = ExperimentConfig(regime=Regime("strong_complementary", noise_sigma=0.5,
+                                         corrupt_fraction=0.2),
+                           d=32, n_clips=64, n_train=12, n_val=8, seed=1)
+    for dim in OUTPUT_DIMS:
+        assert _ridge_ccc(*prepare_splits(cfg, dim), ("xa", "xv")) >= 0.999
+
 
 @pytest.mark.parametrize("dim", OUTPUT_DIMS)
 def test_prepare_splits_is_bitwise_the_reference(dim):
@@ -310,6 +347,10 @@ def test_dump_scores_normalized_and_simplex(tmp_path):
     save_attention_dump(dump, path)
     with open(path) as fh:
         assert json.load(fh) == dump
+    # a model create accepts may hold a numpy bool, written as the JSON one
+    gated = FusionModel.create(4, "CA", np.True_, seed=1)
+    save_attention_dump(dump_attention(gated, generate(Regime(), 4, 8, 1, 0)[0]), path)
+    assert json.loads(path.read_text())["iaca"] is True
 
 
 @pytest.mark.parametrize("variant", ["TCA", "CA"])

@@ -164,7 +164,7 @@ def test_gates_bitwise_equal_the_public_op_composition(stage):
             out, g = ad.relu(ad.gate_mix(scores, cands)), scores
         else:
             out, g = (stage1_gate if stage == 1 else stage2_gate)(*cands, w_t, 0.5)
-        (sum_all(hadamard(out, up_out)) + sum_all(hadamard(g, up_g))).backward()
+        ad.add(sum_all(hadamard(out, up_out)), sum_all(hadamard(g, up_g))).backward()
         return out, g, leaves
 
     (out, g, leaves), (ref_out, ref_g, ref_leaves) = run(False), run(True)
@@ -266,6 +266,11 @@ def test_create_validates_arguments():
     FusionModel.create(4, "CA", True, ModelFlags(temperature=1e-300))
     with pytest.raises(ValueError, match="temperature"):
         FusionModel.create(4, "CA", True, ModelFlags(temperature=10**400))
+    # typed as a config's fields are, so a model that builds also loads back
+    for args, name in (((4, "CA", 1), "iaca"), ((4.0, "CA", True), "d"), ((True, "CA", True), "d"),
+                       ((4, "CA", True, {"temperature": 0.5}), "flags")):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            FusionModel.create(*args)
 
 
 def test_param_inventory_tracks_configuration():

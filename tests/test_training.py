@@ -5,7 +5,7 @@ import pytest
 
 from iaca import training
 from iaca.attention import VARIANTS
-from iaca.autodiff import Tensor
+from iaca.autodiff import Tensor, add
 from iaca.gating import FusionModel, ModelFlags, param_schema
 from iaca.metrics import ccc
 from iaca.synth import Regime, generate
@@ -110,7 +110,7 @@ def test_adam_first_step_magnitude_is_lr():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_flat_adam_is_bitwise_the_per_parameter_formula(variant, iaca):
     rng = np.random.default_rng(60)
-    schema = param_schema(4, variant, iaca)
+    schema = param_schema(4, variant, iaca, ModelFlags())
     params = {name: rng.normal(size=(rows, cols)) for name, (rows, cols, _) in schema.items()}
     # gradients over many magnitudes, some exactly zero
     steps = [{name: rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 3, size=p.shape)
@@ -249,7 +249,7 @@ def test_non_finite_gradient_names_epoch_batch_and_parameter(monkeypatch):
     def poisoned_loss(pred, gold):
         # finite value, NaN gradient into every parameter
         poison = Tensor([[0.0]], "poison", (pred,), (lambda g: np.full(pred.shape, np.nan),))
-        return real_loss(pred, gold) + poison
+        return add(real_loss(pred, gold), poison)
 
     monkeypatch.setattr(training, "ccc_loss", poisoned_loss)
     with pytest.raises(TrainingDivergence) as exc:
@@ -268,7 +268,7 @@ def test_non_finite_gradient_names_epoch_batch_and_parameter(monkeypatch):
     def poisoned_b2(pred, gold):
         b2 = bound[-1]["head.b2"]
         poison = Tensor([[0.0]], "poison", (b2,), (lambda g: np.full(b2.shape, np.nan),))
-        return real_loss(pred, gold) + poison
+        return add(real_loss(pred, gold), poison)
 
     monkeypatch.setattr(FusionModel, "bind", recording_bind)
     monkeypatch.setattr(training, "ccc_loss", poisoned_b2)
