@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .autodiff import (
     ShapeError,
     Tensor,
@@ -47,7 +49,8 @@ RJCA_ITERATIONS = 2
 @dataclass
 class AttendedPair:
     """Attended features for both modalities plus the column-stochastic
-    weight maps that produced them (kept for interpretability dumps)."""
+    weight maps that produced them (kept for interpretability dumps):
+    Tensors on a graph, arrays when no input is a Tensor."""
 
     audio: Tensor  # d x L
     visual: Tensor  # d x L
@@ -55,9 +58,10 @@ class AttendedPair:
     visual_weights: Tensor  # L x L, applied to the visual features
 
 
-def _check_pair(xa: Tensor, xv: Tensor) -> None:
-    if xa.shape != xv.shape:
-        raise ShapeError(f"modality features must share d and L, got {xa.shape} vs {xv.shape}")
+def _check_pair(xa, xv) -> None:
+    if np.shape(xa) != np.shape(xv):
+        raise ShapeError(f"modality features must share d and L, "
+                         f"got {np.shape(xa)} vs {np.shape(xv)}")
 
 
 def cross_correlation(xa, xv, w) -> Tensor:
@@ -113,7 +117,7 @@ def tca_block(xq, xkv, p: dict) -> tuple[Tensor, Tensor]:
     blocks. Returns (attended features, L x L column-stochastic weights).
     """
     _check_pair(xq, xkv)
-    d = xq.shape[0]
+    d = np.shape(xq)[0]
     q = matmul(p["wq"], xq)
     k = matmul(p["wk"], xkv)
     v = matmul(p["wv"], xkv)

@@ -15,14 +15,13 @@ Graphs are acyclic by construction and single-use: build the forward pass
 with the op functions below, call ``backward()`` once on a 1x1 output, read
 gradients off the leaves, then rebuild for the next pass. A function with a
 closed-form gradient can be one node, built as ``Tensor(value, op=...,
-parents=..., vjps=...)``, as ``metrics.ccc_loss`` is. A Tensor built with
-``requires_grad=False`` is a constant (input data) and has no node, and so
-is a plain array passed to an op: only ``Tensor(x)`` makes a leaf. Every
-op computes its value first; if no input has a node, it returns a constant
-of that value and builds no vjp and no node, so a pass built only from
-constants costs no graph bookkeeping and keeps no graph behind its output.
-Otherwise it links only the inputs that have a node, so backward never
-reaches a constant, and ``backward()`` on a constant does nothing.
+parents=..., vjps=...)``, as ``metrics.ccc_loss`` is. A constant (input
+data) is a plain array: every op takes Tensors or arrays, checks and
+converts an array input as ``Tensor`` does its value, and links only the
+Tensors, so backward never reaches a constant. An op with no Tensor input
+returns its bare value and builds no vjp and no node, so a pass over arrays
+alone costs no graph bookkeeping and keeps no graph. Every Tensor has a
+node; only ``Tensor(x)`` makes a leaf.
 Backward allocates grads only for the nodes it reaches and frees each
 interior node's grad once it has passed it on, so only leaves keep
 theirs; everywhere else ``grad`` is None. At the model's sizes a node's
@@ -64,19 +63,29 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _as_value(data) -> np.ndarray:
-    v = np.asarray(data, dtype=np.float64)
+    # a float64 C-contiguous array, the data itself when it is one; every
+    # inference op runs this on each array input, so it is one numpy call
+    v = np.asarray(data, _FLOAT64, "C")
     if v.ndim != 2:
         raise ShapeError(f"expected a 2-D value, got shape {v.shape}")
-    if v.shape[0] < 1 or v.shape[1] < 1:
+    if not v.size:
         raise ShapeError(f"matrix dimensions must be positive, got shape {v.shape}")
-    return np.ascontiguousarray(v)
+    return v
+
+
+def _value(x) -> np.ndarray:
+    # an op input's value: a Tensor's own, or the array as _as_value checks it
+    return x.value if isinstance(x, Tensor) else _as_value(x)
 
 
 class _Node:
-    """What backward walks: an op's tag, output shape, input nodes (only
-    those that require a gradient) and their vjps, and the grad backward
-    leaves (on leaves only). No value."""
+    """What backward walks: an op's tag, output shape, the nodes of its
+    Tensor inputs and their vjps, and the grad backward leaves (on leaves
+    only). No value."""
 
     __slots__ = ("op", "shape", "parents", "_vjps", "grad", "_used")
 
@@ -89,52 +98,44 @@ class _Node:
         self._used = False
 
 
-def _link(op: str, shape: tuple, parents, vjps) -> _Node | None:
-    # the node over the input Tensors `parents`, linking only those that have
-    # a node, in one pass; None when some are given but none has one (no
-    # parents: a leaf)
+def _link(op: str, shape: tuple, parents, vjps) -> _Node:
+    # the node over the Tensors among the inputs `parents`, each with its vjp,
+    # in one pass; arrays are constants and are not linked
     nodes, kept = [], []
     for p, f in zip(parents, vjps):
-        if p._node is not None:
+        if isinstance(p, Tensor):
             nodes.append(p._node)
             kept.append(f)
-    if parents and not nodes:
-        return None
     return _Node(op, shape, tuple(nodes), tuple(kept))
 
 
 class Tensor:
     """A (rows, cols) payload, ``value``, and the graph node behind it.
 
-    ``op`` is the producing operation's tag ("constant" for a Tensor with
-    no node), ``requires_grad`` whether it has a node, ``grad`` the array
-    backward() leaves on a leaf it reaches (None elsewhere), and
-    ``parents`` the ordered input nodes that require a gradient (empty for
-    leaves and constants).
+    ``op`` is the producing operation's tag ("leaf" for a leaf), ``grad``
+    the array backward() leaves on a leaf it reaches (None elsewhere), and
+    ``parents`` the ordered nodes of the Tensor inputs (empty for a leaf).
+    The constructor's ``parents`` are the inputs, Tensors or arrays, one
+    vjp each; only the Tensors are linked.
     """
 
     __slots__ = ("value", "_node")
 
-    def __init__(self, value, op: str = "leaf", parents: tuple = (), vjps: tuple = (),
-                 requires_grad: bool = True):
+    def __init__(self, value, op: str = "leaf", parents: tuple = (), vjps: tuple = ()):
         self.value = _as_value(value)
-        self._node = _link(op, self.value.shape, parents, vjps) if requires_grad else None
+        self._node = _link(op, self.value.shape, parents, vjps)
 
     @property
     def op(self) -> str:
-        return "constant" if self._node is None else self._node.op
+        return self._node.op
 
     @property
     def grad(self) -> np.ndarray | None:
-        return None if self._node is None else self._node.grad
-
-    @property
-    def requires_grad(self) -> bool:
-        return self._node is not None
+        return self._node.grad
 
     @property
     def parents(self) -> tuple:
-        return () if self._node is None else self._node.parents
+        return self._node.parents
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -148,18 +149,15 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode accumulation from this node into every reachable leaf.
 
-        The seed must be 1x1; its grad is seeded with ones, and a constant
-        seed reaches nothing. A node's grad is its first contribution, and
-        later contributions are added to it in the order the reverse
-        topological walk produces them. An interior node's grad is set
-        back to None once passed to its parents, so only leaves keep
-        theirs. Each graph may be differentiated once, a second call on
-        any overlapping graph raises.
+        The seed must be 1x1; its grad is seeded with ones. A node's grad is
+        its first contribution, and later contributions are added to it in
+        the order the reverse topological walk produces them. An interior
+        node's grad is set back to None once passed to its parents, so only
+        leaves keep theirs. Each graph may be differentiated once, a second
+        call on any overlapping graph raises.
         """
         if self.value.shape != (1, 1):
             raise ValueError(f"backward needs a 1x1 scalar seed, got shape {self.value.shape}")
-        if self._node is None:
-            return
         order = _topo_order(self._node)
         if any(node._used for node in order):
             raise RuntimeError("graph already differentiated; rebuild it before calling backward again")
@@ -189,24 +187,12 @@ class Tensor:
 
 
 def _result(value: np.ndarray, op: str, parents: tuple, vjps: tuple) -> Tensor:
-    # an op's output is float64, 2-D and C-contiguous by construction: no check
+    # an op's output over at least one Tensor input; its value is float64,
+    # 2-D and C-contiguous by construction: no check
     t = object.__new__(Tensor)
     t.value = value
     t._node = _link(op, value.shape, parents, vjps)
     return t
-
-
-def _constant(value: np.ndarray) -> Tensor:
-    # an op's output when no input has a node: no vjps built, no node linked
-    t = object.__new__(Tensor)
-    t.value = value
-    t._node = None
-    return t
-
-
-def _coerce(x) -> Tensor:
-    # a plain array is input data: a constant, never a leaf
-    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
 
 
 def _topo_order(root: _Node) -> list[_Node]:
@@ -229,76 +215,71 @@ def _topo_order(root: _Node) -> list[_Node]:
     return order
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b) -> Tensor | np.ndarray:
     """Standard matrix product (m,k) @ (k,n) -> (m,n)."""
-    a, b = _coerce(a), _coerce(b)
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.value.shape} @ {b.value.shape}")
-    av, bv = a.value, b.value
+    av, bv = _value(a), _value(b)
+    if av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions differ, {av.shape} @ {bv.shape}")
     value = av @ bv
-    if a._node is None and b._node is None:
-        return _constant(value)
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return value
     return _result(value, "matmul", (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
-def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
-    value = a.value + b.value
-    if a._node is None and b._node is None:
-        return _constant(value)
+def add(a, b) -> Tensor | np.ndarray:
+    av, bv = _value(a), _value(b)
+    if av.shape != bv.shape:
+        raise ShapeError(f"add: shapes differ, {av.shape} vs {bv.shape}")
+    value = av + bv
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return value
     return _result(value, "add", (a, b), (lambda g: g, lambda g: g))
 
 
-def scale(a, c: float) -> Tensor:
+def scale(a, c: float) -> Tensor | np.ndarray:
     """Multiply by a compile-time constant (not differentiated through c)."""
-    a = _coerce(a)
     c = float(c)
-    value = a.value * c
-    if a._node is None:
-        return _constant(value)
+    value = _value(a) * c
+    if not isinstance(a, Tensor):
+        return value
     return _result(value, "scale", (a,), (lambda g: g * c,))
 
 
-def transpose(a) -> Tensor:
-    a = _coerce(a)
-    value = np.ascontiguousarray(a.value.T)
-    if a._node is None:
-        return _constant(value)
+def transpose(a) -> Tensor | np.ndarray:
+    value = np.ascontiguousarray(_value(a).T)
+    if not isinstance(a, Tensor):
+        return value
     return _result(value, "transpose", (a,), (lambda g: g.T,))
 
 
-def tanh(a) -> Tensor:
-    a = _coerce(a)
-    y = np.tanh(a.value)
-    if a._node is None:
-        return _constant(y)
+def tanh(a) -> Tensor | np.ndarray:
+    y = np.tanh(_value(a))
+    if not isinstance(a, Tensor):
+        return y
     return _result(y, "tanh", (a,), (lambda g: g * (1.0 - y * y),))
 
 
-def relu(a) -> Tensor:
+def relu(a) -> Tensor | np.ndarray:
     """Entrywise max(x, 0); the subgradient at exactly 0 is taken as 0."""
-    a = _coerce(a)
-    mask = a.value > 0.0
-    value = a.value * mask
-    if a._node is None:
-        return _constant(value)
+    av = _value(a)
+    mask = av > 0.0
+    value = av * mask
+    if not isinstance(a, Tensor):
+        return value
     return _result(value, "relu", (a,), (lambda g: g * mask,))
 
 
-def softmax(a, temperature: float = 1.0, in_place: bool = False) -> Tensor:
+def softmax(a, temperature: float = 1.0, in_place: bool = False) -> Tensor | np.ndarray:
     """Temperature softmax of every column, max-subtracted for stability.
 
     Each column becomes a probability vector; a row softmax is
     ``transpose(softmax(transpose(x)))``. Logits are divided by the
     temperature first, so smaller temperatures sharpen toward each column's
-    argmax. With ``in_place`` the result is written over ``a.value``.
+    argmax. With ``in_place`` the result is written over a's value.
     """
-    a = _coerce(a)
+    z = _value(a)
     if not temperature > 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    z = a.value
     out = z if in_place else None
     if temperature != 1.0:  # x / 1.0 == x exactly
         # over z, or into one fresh buffer that the rest then normalizes in place
@@ -306,8 +287,8 @@ def softmax(a, temperature: float = 1.0, in_place: bool = False) -> Tensor:
     y = np.subtract(z, np.maximum.reduce(z, axis=0, keepdims=True), out=out)
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=0, keepdims=True)
-    if a._node is None:
-        return _constant(y)
+    if not isinstance(a, Tensor):
+        return y
 
     def vjp(g):
         gz = g * y
@@ -320,74 +301,74 @@ def softmax(a, temperature: float = 1.0, in_place: bool = False) -> Tensor:
     return _result(y, "softmax", (a,), (vjp,))
 
 
-def _concat(op: str, parts, axis: int) -> Tensor:
+def _concat(op: str, parts: tuple, axis: int) -> Tensor | np.ndarray:
     if len(parts) < 2:
         raise ValueError(f"{op} needs at least two inputs")
-    ts = [_coerce(p) for p in parts]
-    if len({t.value.shape[1 - axis] for t in ts}) != 1:
+    values = [_value(p) for p in parts]
+    if len({v.shape[1 - axis] for v in values}) != 1:
         raise ShapeError(f"{op}: {('row', 'column')[1 - axis]} counts differ, "
-                         f"{[t.value.shape for t in ts]}")
-    value = np.concatenate([t.value for t in ts], axis=axis)
-    if all(t._node is None for t in ts):
-        return _constant(value)
+                         f"{[v.shape for v in values]}")
+    value = np.concatenate(values, axis=axis)
+    if not any(isinstance(p, Tensor) for p in parts):
+        return value
     vjps = []
     offset = 0
-    for t in ts:
-        n = t.value.shape[axis]
+    for v in values:
+        n = v.shape[axis]
         vjps.append(lambda g, i=(slice(None),) * axis + (slice(offset, offset + n),): g[i])
         offset += n
-    return _result(value, op, tuple(ts), tuple(vjps))
+    return _result(value, op, parts, tuple(vjps))
 
 
-def concat_rows(*parts) -> Tensor:
+def concat_rows(*parts) -> Tensor | np.ndarray:
     """Stack matrices vertically; every input must have the same column count."""
     return _concat("concat_rows", parts, 0)
 
 
-def concat_cols(*parts) -> Tensor:
+def concat_cols(*parts) -> Tensor | np.ndarray:
     """Stack matrices horizontally; every input must have the same row count."""
     return _concat("concat_cols", parts, 1)
 
 
-def add_col(a, col) -> Tensor:
+def add_col(a, col) -> Tensor | np.ndarray:
     """a + col, the rx1 column added to every column of the rxn matrix a."""
-    a, col = _coerce(a), _coerce(col)
-    if col.value.shape != (a.value.shape[0], 1):
-        raise ShapeError(f"add_col needs a {a.value.shape[0]}x1 column, got shape {col.value.shape}")
-    value = a.value + col.value
-    if a._node is None and col._node is None:
-        return _constant(value)
+    av, cv = _value(a), _value(col)
+    if cv.shape != (av.shape[0], 1):
+        raise ShapeError(f"add_col needs a {av.shape[0]}x1 column, got shape {cv.shape}")
+    value = av + cv
+    if not (isinstance(a, Tensor) or isinstance(col, Tensor)):
+        return value
     return _result(value, "add_col", (a, col),
                    (lambda g: g, lambda g: np.add.reduce(g, axis=1, keepdims=True)))
 
 
-def gate_mix(gate, candidates: Sequence) -> Tensor:
+def gate_mix(gate, candidates: Sequence) -> Tensor | np.ndarray:
     """Mix K candidates clip by clip: column l is sum_j gate[j, l] * candidates[j][:, l].
 
     gate is K x L, one column per clip, so row j scales candidate j; the K
     candidates share one d x L shape. Terms are added left to right, j = 0 first.
     """
-    gate = _coerce(gate)
-    xs = [_coerce(x) for x in candidates]
-    k, n_clips = gate.value.shape
+    parents = (*candidates, gate)
+    rows = _value(gate)
+    xs = [_value(x) for x in parents[:-1]]
+    k, n_clips = rows.shape
     if len(xs) != k:
         raise ShapeError(f"gate_mix: {k} gate rows for {len(xs)} candidates")
-    shape = xs[0].value.shape
-    if shape[1] != n_clips or any(x.value.shape != shape for x in xs):
+    shape = xs[0].shape
+    if shape[1] != n_clips or any(x.shape != shape for x in xs):
         raise ShapeError(f"gate_mix: candidates must share one shape with {n_clips} "
-                         f"columns, got {[x.value.shape for x in xs]}")
-    rows = gate.value
-    value = xs[0].value * rows[0]  # a fresh buffer, so the sum builds in place
+                         f"columns, got {[x.shape for x in xs]}")
+    value = xs[0] * rows[0]  # a fresh buffer, so the sum builds in place
     for j in range(1, k):
-        value += xs[j].value * rows[j]
-    if gate._node is None and all(x._node is None for x in xs):
-        return _constant(value)
+        value += xs[j] * rows[j]
+    if not any(isinstance(p, Tensor) for p in parents):
+        return value
 
     def gate_vjp(g):
         out = np.empty((k, n_clips))
         for j, x in enumerate(xs):
-            out[j] = np.add.reduce(g * x.value, axis=0)
+            out[j] = np.add.reduce(g * x, axis=0)
         return out
 
     vjps = [lambda g, r=rows[j]: g * r for j in range(k)]
-    return _result(value, "gate_mix", (*xs, gate), (*vjps, gate_vjp))
+    return _result(value, "gate_mix", parents, (*vjps, gate_vjp))

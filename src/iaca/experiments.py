@@ -218,13 +218,13 @@ def dump_attention(model: FusionModel, seq: SyntheticSequence) -> dict:
         "variant": model.variant,
         "iaca": model.iaca,
         "n_clips": int(seq.xa.shape[1]),
-        "audio_attention": _minmax(pair.audio_weights.value.sum(axis=1)).tolist(),
-        "visual_attention": _minmax(pair.visual_weights.value.sum(axis=1)).tolist(),
-        "prediction": pred.value.ravel().tolist(),
+        "audio_attention": _minmax(pair.audio_weights.sum(axis=1)).tolist(),
+        "visual_attention": _minmax(pair.visual_weights.sum(axis=1)).tolist(),
+        "prediction": pred.ravel().tolist(),
         "target": np.asarray(seq.target).ravel().tolist(),
     }
     for key, g in zip(("stage1_audio", "stage1_visual", "stage2"), gates):
-        dump[key] = g.value.T.tolist()
+        dump[key] = g.T.tolist()
     return dump
 
 

@@ -12,12 +12,13 @@ scores are K x L, one column per clip on the simplex like every per-clip
 tensor, from the layer to a model's Pass. A small temperature sharpens the
 softmax so the gates act nearly as selectors while staying differentiable.
 Everything after attention acts clip by clip, so FusionModel.run, the one
-graph builder, runs it once over all its sequences' clips. param_schema,
-the one check of a model's description (d, variant, gating, flags) for
-configs, creation and checkpoint loads, lists its parameters, which depend
-on (d, variant, gating) alone; run groups their leaves by its
-"<block>.<name>" names once per call, and every block reads its dict by
-those names.
+model pass, runs it once over all its sequences' clips: on bound leaves
+it builds a graph, and on the parameter arrays it computes values alone.
+param_schema, the one check of a model's description (d, variant, gating,
+flags) for configs, creation and checkpoint loads, lists its parameters,
+which depend on (d, variant, gating) alone; run groups their leaves by
+its "<block>.<name>" names once per call, and every block reads its dict
+by those names.
 
 Config fields are typed by their annotations alone, and one per-value check
 (check_field) serves configs built in Python (check_types), read from JSON
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field, is_dataclass
 from typing import NamedTuple, Optional, get_type_hints
 
@@ -47,6 +47,7 @@ from .attention import (
 )
 from .autodiff import (
     Tensor,
+    _as_value,
     add_col,
     concat_cols,
     concat_rows,
@@ -170,9 +171,10 @@ class ModelFlags:
 
 
 class Pass(NamedTuple):
-    """One model pass over a list of sequences, the prediction first."""
+    """One model pass over a list of sequences, the prediction first; each
+    entry is a Tensor on a graph, or an array when no input was a Tensor."""
 
-    prediction: Tensor  # 1 x sum(L)
+    prediction: Tensor | np.ndarray  # 1 x sum(L)
     pairs: list  # one AttendedPair per sequence
     gates: tuple  # stage-1 audio, stage-1 visual, stage-2: 2, 2, 3 x sum(L); () ungated
 
@@ -228,11 +230,8 @@ class FusionModel:
 
     Parameters live as named float64 arrays. Training binds fresh graph
     leaves per pass (bind()), so it never reuses a spent graph. Inference
-    reuses one constant binding: forward() binds the arrays as constants
-    once and keeps that binding while every ``params`` entry is still the
-    array it was built from. An in-place update, such as the optimizer's,
-    shows through it; replacing an array (fit's best-epoch restore, a
-    checkpoint load, an assignment) rebinds.
+    runs on ``params`` itself, so it reads whatever the arrays hold at the
+    call.
     """
 
     d: int
@@ -252,24 +251,11 @@ class FusionModel:
                   for name, (rows, cols, std) in param_schema(d, variant, iaca, flags).items()}
         return cls(d=d, variant=variant, iaca=iaca, flags=flags, params=params)
 
-    # forward's constant binding: (the params arrays it wraps, the leaves)
-    _constants = None
+    def bind(self) -> dict:
+        """A fresh graph leaf per parameter, by name."""
+        return {name: Tensor(value) for name, value in self.params.items()}
 
-    def bind(self, requires_grad: bool = True) -> dict:
-        return {name: Tensor(value, requires_grad=requires_grad)
-                for name, value in self.params.items()}
-
-    def _constant_leaves(self) -> dict:
-        # a leaf keeps its array's identity when bind need not convert it
-        # (float64, C-contiguous); one it converted never matches, so rebinds
-        bound, params = self._constants, self.params
-        if (bound is None or bound[1].keys() != params.keys()
-                or not all(map(operator.is_, bound[0], params.values()))):
-            leaves = self.bind(requires_grad=False)
-            bound = self._constants = (tuple(leaf.value for leaf in leaves.values()), leaves)
-        return bound[1]
-
-    def _attend(self, xa: Tensor, xv: Tensor, blocks: dict) -> AttendedPair:
+    def _attend(self, xa, xv, blocks: dict) -> AttendedPair:
         if self.variant == "CA":
             return cross_attention(xa, xv, blocks["cross"]["w"])
         if self.variant == "TCA":
@@ -279,7 +265,8 @@ class FusionModel:
 
     def run(self, inputs, leaves: dict) -> Pass:
         """Attention per (xa, xv) sequence, then the per-clip tail once over all
-        clips joined: the one graph builder, for training and inference."""
+        clips joined: the one pass, for training and inference. ``leaves`` maps
+        each parameter name to a Tensor (a graph is built) or an array."""
         if not inputs:
             raise ValueError("run needs at least one (xa, xv) sequence")
         blocks: dict = {}  # "<block>.<name>" leaves as blocks[block][name]
@@ -291,7 +278,7 @@ class FusionModel:
             try:
                 pairs.append(self._attend(xa, xv, blocks))
             except MemoryError as exc:
-                n = xa.shape[1]
+                n = np.shape(xa)[1]
                 raise MemoryError(f"sequence length {n} is too long: its {n} x {n} "
                                   f"attention maps do not fit in memory ({exc})") from exc
             columns.append((pairs[-1].audio, pairs[-1].visual) + ((xa, xv) if self.iaca else ()))
@@ -308,15 +295,15 @@ class FusionModel:
         fused, g_av = stage2_gate(x_ga, x_gv, x_gav, blocks["gate_av"]["w"], temperature)
         return Pass(predict(fused, head), pairs, (g_a, g_v, g_av))
 
-    def forward_graph(self, xa: Tensor, xv: Tensor, leaves: dict) -> Pass:
+    def forward_graph(self, xa, xv, leaves: dict) -> Pass:
         """The pass of one sequence."""
         return self.run([(xa, xv)], leaves)
 
     def forward(self, xa_value, xv_value) -> Pass:
-        """forward_graph on plain arrays, all bound as constants: no graph kept."""
-        xa, xv = (Tensor(x, requires_grad=False) for x in (xa_value, xv_value))
-        return self.forward_graph(xa, xv, self._constant_leaves())
+        """The pass of one sequence on the parameter arrays: a Pass of arrays,
+        no graph built."""
+        return self.run([(_as_value(xa_value), _as_value(xv_value))], self.params)
 
     def predict_values(self, xa_value, xv_value) -> np.ndarray:
         """The 1 x L prediction of :meth:`forward`."""
-        return self.forward(xa_value, xv_value).prediction.value
+        return self.forward(xa_value, xv_value).prediction

@@ -63,14 +63,14 @@ def ccc_loss(pred: Tensor, gold) -> Tensor:
 
     Its vjp is d(1 - rho)/dp = -2 / (N D) * ((g - mean g) - rho * (p - mean g)),
     D being ccc's denominator; the gold mean and deviations are ccc's own.
-    Where ccc scores the degenerate 0 the loss is a constant 1 that backward
-    passes nothing through.
+    Where ccc scores the degenerate 0 the loss is 1 on a node with no path
+    to a leaf, so backward passes nothing on.
     """
     if pred.shape[0] != 1:
         raise ValueError(f"pred must be a 1-row track, got {pred.shape}")
     rho, p, dg, mean_g, denom = _ccc_terms(pred.value, gold)
     if denom == 0.0:
-        return Tensor([[1.0]], requires_grad=False)
+        return Tensor([[1.0]], op="ccc_loss")
     dp = (-2.0 / (p.size * denom)) * (dg - rho * (p - mean_g))
     return Tensor([[1.0 - rho]], op="ccc_loss", parents=(pred,),
                   vjps=(lambda grad: grad * dp,))

@@ -1,13 +1,14 @@
 """Mini-batch training of fusion models on the concordance loss.
 
 Each step binds fresh parameter leaves, builds one graph for the batch
-(attention per sequence, the per-clip tail once over all its clips) and
-scores it with one batch-level CCC. Validation CCC is tracked per epoch and
-the best-scoring parameters are restored when fitting ends. An epoch's
-train CCC is scored over the predictions each batch made before its
-optimizer step, not by a second pass of the end-of-epoch model. One
-finiteness check covers all of a step's gradients, and Adam's state is
-one flat array per moment over them.
+over its sequences' arrays (attention per sequence, the per-clip tail
+once over all its clips) and scores it with one batch-level CCC.
+Validation CCC, scored on the parameter arrays with no graph, is tracked
+per epoch and the best-scoring parameters are restored when fitting ends.
+An epoch's train CCC is scored over the predictions each batch made
+before its optimizer step, not by a second pass of the end-of-epoch
+model. One finiteness check covers all of a step's gradients, and Adam's
+state is one flat array per moment over them.
 """
 
 from __future__ import annotations
@@ -134,8 +135,7 @@ def _batch_loss(model: FusionModel, batch: Sequence
     """Loss graph of one batch, its parameter leaves, and the batch's
     concatenated prediction values and gold track."""
     leaves = model.bind()
-    pred = model.run([(Tensor(s.xa, requires_grad=False),
-                       Tensor(s.xv, requires_grad=False)) for s in batch], leaves).prediction
+    pred = model.run([(s.xa, s.xv) for s in batch], leaves).prediction
     gold = np.hstack([np.asarray(s.target).reshape(1, -1) for s in batch])
     return ccc_loss(pred, gold), leaves, pred.value, gold
 
@@ -171,11 +171,7 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
         losses, preds, golds = [], [], []
         for start in range(0, len(train), cfg.batch_size):
             batch = [train[i] for i in order[start:start + cfg.batch_size]]
-            # the spent graph of the last step lives until this returns: freed
-            # right after the step, it lowers fit_long's peak RSS (91.9 to
-            # 78.2 MB), but glibc then trims the heap and faults it back in
-            # every step (548k against 106k minor faults a run, plain epoch
-            # 0.046 to 0.059 s)
+            # the last step's graph lives until here: glibc would trim the heap every step
             loss, leaves, pred, gold = _batch_loss(model, batch)
             value = loss.item()
             if not np.isfinite(value):

@@ -4,8 +4,10 @@ Besides the error metric and a bitwise fingerprint of arrays, this holds the gra
 scalar probes (sum_all, mean_all), sub and hadamard for building test
 graphs, and the finite-difference oracle. The ops are built on the public
 ``Tensor(value, op=..., parents=..., vjps=...)`` constructor, so they enter
-a graph the way any library op does; ``ops`` gathers them with the
-library's ops for tests that call every op as ``ad.<name>``.
+a graph the way any library op does, and they keep the library's contract:
+they take Tensors or arrays, and with no Tensor input they return the bare
+value. ``ops`` gathers them with the library's ops for tests that call
+every op as ``ad.<name>``.
 """
 
 from types import SimpleNamespace
@@ -13,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from iaca import autodiff
-from iaca.autodiff import ShapeError, Tensor, scale
+from iaca.autodiff import ShapeError, Tensor, _value, scale
 
 
 def bits(*arrays):
@@ -34,43 +36,41 @@ def relative_error(a, b, floor=1e-8):
     return np.linalg.norm(a - b) / denom
 
 
-def _tensor(x) -> Tensor:
-    # a plain array is a constant, as in the library's ops
-    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
+def _result(value, op: str, parents: tuple, vjps: tuple):
+    # a node over the Tensor inputs, or the bare value when there is none
+    if any(isinstance(p, Tensor) for p in parents):
+        return Tensor(value, op=op, parents=parents, vjps=vjps)
+    return value
 
 
-def _same_shape(op: str, a, b) -> tuple[Tensor, Tensor]:
-    a, b = _tensor(a), _tensor(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"{op}: shapes differ, {a.value.shape} vs {b.value.shape}")
-    return a, b
+def _same_shape(op: str, a, b) -> tuple[np.ndarray, np.ndarray]:
+    av, bv = _value(a), _value(b)
+    if av.shape != bv.shape:
+        raise ShapeError(f"{op}: shapes differ, {av.shape} vs {bv.shape}")
+    return av, bv
 
 
-def sub(a, b) -> Tensor:
-    a, b = _same_shape("sub", a, b)
-    return Tensor(a.value - b.value, op="sub", parents=(a, b),
-                  vjps=(lambda g: g, lambda g: -g))
+def sub(a, b):
+    av, bv = _same_shape("sub", a, b)
+    return _result(av - bv, "sub", (a, b), (lambda g: g, lambda g: -g))
 
 
-def hadamard(a, b) -> Tensor:
+def hadamard(a, b):
     """Entrywise product of two same-shaped matrices (no broadcasting)."""
-    a, b = _same_shape("hadamard", a, b)
-    av, bv = a.value, b.value
-    return Tensor(av * bv, op="hadamard", parents=(a, b),
-                  vjps=(lambda g: g * bv, lambda g: g * av))
+    av, bv = _same_shape("hadamard", a, b)
+    return _result(av * bv, "hadamard", (a, b), (lambda g: g * bv, lambda g: g * av))
 
 
-def sum_all(a) -> Tensor:
+def sum_all(a):
     """Sum every entry into a 1x1 matrix."""
-    a = _tensor(a)
-    shape = a.value.shape
-    return Tensor(np.array([[a.value.sum()]]), op="sum_all", parents=(a,),
-                  vjps=(lambda g: np.full(shape, g[0, 0]),))
+    av = _value(a)
+    shape = av.shape
+    return _result(np.array([[av.sum()]]), "sum_all", (a,),
+                   (lambda g: np.full(shape, g[0, 0]),))
 
 
-def mean_all(a) -> Tensor:
-    a = _tensor(a)
-    return scale(sum_all(a), 1.0 / a.value.size)
+def mean_all(a):
+    return scale(sum_all(a), 1.0 / _value(a).size)
 
 
 def finite_diff(f, x, eps: float = 1e-5) -> np.ndarray:

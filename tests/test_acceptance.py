@@ -133,7 +133,7 @@ def test_criterion_3_straight_line_equivalence():
         xa = rng.normal(size=(d, n_clips))
         xv = rng.normal(size=(d, n_clips))
         model = FusionModel.create(d, variant, iaca, flags=flags, seed=seed)
-        pred = model.forward(xa, xv).prediction.value
+        pred = model.forward(xa, xv).prediction
         expected = ref.ref_full_forward(xa, xv, model.params, variant, iaca,
                                         temperature=flags.temperature)
         assert np.max(np.abs(pred - expected)) < 1e-12, (variant, iaca, seed)

@@ -52,9 +52,10 @@ def _jca_params(rng, d):
     }
 
 
-def _as_block(arrs, requires_grad=True):
-    """A block as the attention functions read it: leaves by name."""
-    return {k: Tensor(v, requires_grad=requires_grad) for k, v in arrs.items()}
+def _as_block(arrs, leaves=True):
+    """A block as the attention functions read it, by name: leaves, or the
+    arrays themselves."""
+    return {k: Tensor(v) for k, v in arrs.items()} if leaves else dict(arrs)
 
 
 # ---------------------------------------------------------------- correlation
@@ -228,14 +229,14 @@ def test_rjca_three_steps_match_unrolled_oracle():
 
 # ------------------------------------------------------- shared invariants
 
-def _variant_forward(name, xa, xv, arrs, requires_grad=True):
+def _variant_forward(name, xa, xv, arrs, leaves=True):
     if name == "CA":
-        return cross_attention(xa, xv, Tensor(arrs["w"], requires_grad=requires_grad))
+        return cross_attention(xa, xv, Tensor(arrs["w"]) if leaves else arrs["w"])
     if name == "TCA":
-        return tca_attention(xa, xv, _as_block(arrs["a"], requires_grad),
-                             _as_block(arrs["v"], requires_grad))
+        return tca_attention(xa, xv, _as_block(arrs["a"], leaves),
+                             _as_block(arrs["v"], leaves))
     attend = joint_cross_attention if name == "JCA" else recursive_jca
-    return attend(xa, xv, _as_block(arrs["j"], requires_grad))
+    return attend(xa, xv, _as_block(arrs["j"], leaves))
 
 
 def _variant_arrays(name, rng, d):
@@ -383,15 +384,15 @@ def test_variants_bitwise_equal_the_public_op_composition(variant):
                                        ("RJCA", 2 * RJCA_ITERATIONS)])
 def test_an_attention_pass_allocates_one_lxl_buffer_per_map(name, maps):
     # each map is normalized in the buffer of the product it came from, so a
-    # pass on constants peaks at its maps plus arrays of d x L or smaller
+    # pass on arrays peaks at its maps plus arrays of d x L or smaller
     d, n_clips = 4, 256
     rng = np.random.default_rng(20)
-    xa, xv = (Tensor(x, requires_grad=False) for x in _pair(rng, d, n_clips))
+    xa, xv = _pair(rng, d, n_clips)
     arrs = _variant_arrays(name, rng, d)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pair = _variant_forward(name, xa, xv, arrs, requires_grad=False)
+        pair = _variant_forward(name, xa, xv, arrs, leaves=False)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

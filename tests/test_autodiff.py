@@ -14,12 +14,12 @@ from helpers import bits, ops as ad, relative_error
 def test_matmul_identity():
     b = np.arange(8.0).reshape(2, 4)
     out = ad.matmul(np.eye(2), b)
-    np.testing.assert_array_equal(out.value, b)
+    np.testing.assert_array_equal(out, b)
 
 
 def test_matmul_hand_case():
     out = ad.matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-    np.testing.assert_array_equal(out.value, [[3.0], [7.0]])
+    np.testing.assert_array_equal(out, [[3.0], [7.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -45,24 +45,24 @@ def test_matmul_grad_of_sum_is_ones_times_bt():
 def test_matmul_associativity():
     rng = np.random.default_rng(1)
     a, b, c = rng.normal(size=(5, 4)), rng.normal(size=(4, 6)), rng.normal(size=(6, 3))
-    left = ad.matmul(ad.matmul(a, b), c).value
-    right = ad.matmul(a, ad.matmul(b, c)).value
+    left = ad.matmul(ad.matmul(a, b), c)
+    right = ad.matmul(a, ad.matmul(b, c))
     np.testing.assert_allclose(left, right, atol=1e-9)
 
 
 def test_softmax_uniform_on_constant_column():
     out = ad.softmax(np.zeros((4, 1)))
-    np.testing.assert_allclose(out.value, np.full((4, 1), 0.25), atol=1e-15)
+    np.testing.assert_allclose(out, np.full((4, 1), 0.25), atol=1e-15)
 
 
 def test_softmax_hand_case():
     out = ad.softmax(np.array([[math.log(1.0)], [math.log(3.0)]]))
-    np.testing.assert_allclose(out.value, [[0.25], [0.75]], atol=1e-12)
+    np.testing.assert_allclose(out, [[0.25], [0.75]], atol=1e-12)
 
 
 def test_softmax_sharpening_limit():
     out = ad.softmax(np.array([[1.0], [2.0]]), temperature=0.01)
-    np.testing.assert_allclose(out.value, [[0.0], [1.0]], atol=1e-8)
+    np.testing.assert_allclose(out, [[0.0], [1.0]], atol=1e-8)
 
 
 def test_softmax_rejects_bad_temperature():
@@ -75,8 +75,8 @@ def test_softmax_slices_sum_to_one_over_wide_range():
     rng = np.random.default_rng(2)
     for _ in range(50):
         m = rng.uniform(-700.0, 700.0, size=rng.integers(1, 9, size=2))
-        cols = ad.softmax(m).value
-        rows = ad.transpose(ad.softmax(ad.transpose(m))).value
+        cols = ad.softmax(m)
+        rows = ad.transpose(ad.softmax(ad.transpose(m)))
         np.testing.assert_allclose(cols.sum(axis=0), 1.0, atol=1e-9)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(cols >= 0.0) and np.all(rows >= 0.0)
@@ -85,15 +85,15 @@ def test_softmax_slices_sum_to_one_over_wide_range():
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(6, 5))
-    base = ad.softmax(m).value
-    shifted = ad.softmax(m + 13.5).value
+    base = ad.softmax(m)
+    shifted = ad.softmax(m + 13.5)
     np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
 def test_tanh_and_relu_basic():
-    np.testing.assert_array_equal(ad.tanh(np.zeros((3, 3))).value, np.zeros((3, 3)))
-    np.testing.assert_array_equal(ad.relu(np.array([[-1.0, 2.0]])).value, [[0.0, 2.0]])
-    assert abs(ad.tanh(np.array([[1.0]])).value[0, 0] - 0.761594) < 1e-6
+    np.testing.assert_array_equal(ad.tanh(np.zeros((3, 3))), np.zeros((3, 3)))
+    np.testing.assert_array_equal(ad.relu(np.array([[-1.0, 2.0]])), [[0.0, 2.0]])
+    assert abs(ad.tanh(np.array([[1.0]]))[0, 0] - 0.761594) < 1e-6
 
 
 def test_relu_subgradient_at_zero_is_zero():
@@ -106,7 +106,7 @@ def test_relu_subgradient_at_zero_is_zero():
 def test_hadamard_identity_and_shape_error():
     rng = np.random.default_rng(4)
     m = rng.normal(size=(3, 4))
-    np.testing.assert_array_equal(ad.hadamard(m, np.ones((3, 4))).value, m)
+    np.testing.assert_array_equal(ad.hadamard(m, np.ones((3, 4))), m)
     with pytest.raises(ShapeError):
         ad.hadamard(np.ones((3, 4)), np.ones((4, 3)))
 
@@ -115,7 +115,7 @@ def test_concat_and_transpose_shapes():
     a, b = np.ones((3, 5)), np.zeros((3, 5))
     assert ad.concat_rows(a, b).shape == (6, 5)
     m = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_array_equal(ad.transpose(ad.transpose(m)).value, m)
+    np.testing.assert_array_equal(ad.transpose(ad.transpose(m)), m)
 
 
 def test_backward_sum_gives_ones():
@@ -145,12 +145,6 @@ def test_backward_rejects_second_pass():
     # a fresh graph over the same leaf is also rejected: grads would double up
     with pytest.raises(RuntimeError):
         ad.sum_all(x).backward()
-
-
-def test_backward_on_a_constant_seed_does_nothing():
-    c = ad.sum_all(Tensor(np.ones((2, 2)), requires_grad=False))
-    c.backward()
-    assert c.grad is None and not c.requires_grad
 
 
 def test_parents_are_nodes_without_values():
@@ -241,7 +235,7 @@ def test_add_col_broadcasts_and_matches_finite_diff():
     rng = np.random.default_rng(8)
     a, col = rng.normal(size=(3, 5)), rng.normal(size=(3, 1))
     out = ad.add_col(a, col)
-    np.testing.assert_array_equal(out.value, a + col)
+    np.testing.assert_array_equal(out, a + col)
     _check_grads(ad.add_col, [a, col])
 
 
@@ -264,7 +258,7 @@ def test_gate_mix_matches_loop_and_finite_diff(k):
     for l in range(5):
         for j in range(k):
             expected[:, l] += gate[j, l] * xs[j][:, l]
-    np.testing.assert_allclose(out.value, expected, atol=1e-14)
+    np.testing.assert_allclose(out, expected, atol=1e-14)
     _check_grads(lambda g, *cands: ad.gate_mix(g, cands), [gate, *xs])
 
 
@@ -382,20 +376,20 @@ def test_backward_matches_finite_diff_on_random_graphs(case_seed):
 
 
 def test_constants_are_pruned_from_the_graph():
-    c1, c2 = (Tensor(np.ones((2, 2)), requires_grad=False) for _ in range(2))
+    # a constant is a plain array: an op over arrays alone returns an array,
+    # and a node links only the nodes of its Tensor inputs
+    c1, c2 = np.ones((2, 2)), np.ones((2, 2))
     x = Tensor(np.ones((2, 2)))
     only_constants = ad.matmul(c1, c2)
-    assert only_constants.parents == () and not only_constants.requires_grad
-    assert only_constants.op == "constant"
+    assert type(only_constants) is np.ndarray
     mixed = ad.hadamard(only_constants, x)
-    assert mixed.parents == (x._node,) and mixed.requires_grad
+    assert mixed.parents == (x._node,)
     ad.sum_all(mixed).backward()
-    assert c1.grad is None and only_constants.grad is None
-    np.testing.assert_array_equal(x.grad, only_constants.value)
+    np.testing.assert_array_equal(x.grad, only_constants)
 
 
 # every op the model runs, over inputs of the given shapes: (shapes, call on
-# the input Tensors, whether the op writes over its first input: softmax's
+# the inputs, whether the op writes over its first input: softmax's
 # in_place, whose cases keep the id suffix "out")
 _OP_CASES = {
     "matmul": ([(3, 4), (4, 2)], lambda t: autodiff.matmul(*t), False),
@@ -424,6 +418,8 @@ def test_the_constant_cases_cover_every_op_the_model_runs():
 
 @pytest.mark.parametrize("case", sorted(_OP_CASES))
 def test_an_op_over_constants_returns_a_constant_and_builds_no_node(monkeypatch, case):
+    # a constant is a plain array: an op over float64 arrays alone returns a
+    # bare array, bitwise the value of the same op on leaves
     shapes, call, writes_first = _OP_CASES[case]
     rng = np.random.default_rng(8)
     values = [rng.normal(size=shape) for shape in shapes]
@@ -434,20 +430,56 @@ def test_an_op_over_constants_returns_a_constant_and_builds_no_node(monkeypatch,
 
     monkeypatch.setattr(autodiff._Node, "__init__", no_graph)
     monkeypatch.setattr(autodiff, "_result", no_graph)  # where vjps are handed over
-    # a plain array passed to an op is a constant too
-    for wrap in (lambda v: Tensor(v, requires_grad=False), lambda v: v):
-        inputs = [v.copy() for v in values]
-        out = call([wrap(v) for v in inputs])
-        assert out.op == "constant" and out.parents == () and not out.requires_grad
-        assert out.value.shape == expected.shape and out.value.tobytes() == expected.tobytes()
-        if writes_first:
-            assert out.value is inputs[0]
-        for i, (x, v) in enumerate(zip(inputs, values)):
-            if not (writes_first and i == 0):
-                assert x.tobytes() == v.tobytes(), f"input {i} was written"
+    inputs = [v.copy() for v in values]
+    out = call(inputs)
+    assert type(out) is np.ndarray
+    assert bits(out) == bits(expected)
+    if writes_first:
+        assert out is inputs[0]
+    for i, (x, v) in enumerate(zip(inputs, values)):
+        if not (writes_first and i == 0):
+            assert x.tobytes() == v.tobytes(), f"input {i} was written"
+
+
+_CONVERSIONS = {
+    "float32": lambda v: v.astype(np.float32),
+    "fortran": np.asfortranarray,
+    "nested-list": lambda v: v.tolist(),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_CONVERSIONS))
+@pytest.mark.parametrize("case", sorted(_OP_CASES))
+def test_an_op_reads_a_converted_input_as_its_float64_copy(case, form):
+    # an array that is not float64 and C-contiguous is converted as Tensor
+    # converts its value; the caller's array is never written
+    shapes, call, _ = _OP_CASES[case]
+    rng = np.random.default_rng(9)
+    values = [rng.normal(size=shape) for shape in shapes]
+    for i in range(len(values)):
+        given = _CONVERSIONS[form](values[i])
+        copy = np.ascontiguousarray(given, dtype=np.float64)
+        before = bits(np.asarray(given))
+        out = call([given if j == i else v.copy() for j, v in enumerate(values)])
+        expected = call([copy if j == i else v.copy() for j, v in enumerate(values)])
+        assert bits(out) == bits(expected), f"input {i}"
+        assert bits(np.asarray(given)) == before, f"input {i} was written"
+
+
+@pytest.mark.parametrize("bad", [np.ones(4), np.float64(1.0)], ids=["1-D", "0-d"])
+@pytest.mark.parametrize("case", sorted(_OP_CASES))
+def test_an_op_rejects_an_input_that_is_not_2d(case, bad):
+    shapes, call, _ = _OP_CASES[case]
+    for i in range(len(shapes)):
+        inputs = [np.ones(shape) for shape in shapes]
+        inputs[i] = bad
+        with pytest.raises(ShapeError, match="expected a 2-D value"):
+            call(inputs)
 
 
 def test_plain_arrays_beside_a_leaf_enter_the_graph_as_constants():
+    # the arrays are linked nowhere, and an array the op converts first
+    # (Fortran-ordered here) leaves the same graph and the same grads
     rng = np.random.default_rng(14)
     x_value = rng.normal(size=(3, 4))
     w, col, gate, other, probe = (rng.normal(size=shape) for shape in
@@ -461,12 +493,12 @@ def test_plain_arrays_beside_a_leaf_enter_the_graph_as_constants():
         return x, out
 
     x_raw, raw = loss(lambda v: v)
-    x_const, const = loss(lambda v: Tensor(v, requires_grad=False))
-    ops = [[node.op for node in autodiff._topo_order(t._node)] for t in (raw, const)]
+    x_conv, conv = loss(np.asfortranarray)
+    ops = [[node.op for node in autodiff._topo_order(t._node)] for t in (raw, conv)]
     assert ops[0] == ops[1] and ops[0].count("leaf") == 1
     raw.backward()
-    const.backward()
-    assert bits(x_raw.grad) == bits(x_const.grad)
+    conv.backward()
+    assert bits(x_raw.grad) == bits(x_conv.grad)
 
 
 # 0.5 divides exactly, 0.3 does not, so it also pins the order of operations

@@ -366,7 +366,7 @@ def test_dump_uses_each_maps_normalization_axis(variant):
     _, (pair,), _ = model.forward(seq.xa, seq.xv)
     for key, weights in (("audio_attention", pair.audio_weights),
                          ("visual_attention", pair.visual_weights)):
-        pull = weights.value.sum(axis=1)
+        pull = weights.sum(axis=1)
         expected = (pull - pull.min()) / (pull.max() - pull.min())
         assert np.allclose(dump_attention(model, seq)[key], expected, atol=1e-6)
 
@@ -383,7 +383,7 @@ def test_inference_builds_no_graph_node(monkeypatch, variant, iaca):
     monkeypatch.setattr(autodiff._Node, "__init__", no_graph)
     monkeypatch.setattr(autodiff, "_result", no_graph)
     model.predict_values(seqs[0].xa, seqs[0].xv)
-    assert model.forward(seqs[0].xa, seqs[0].xv).prediction.op == "constant"
+    assert type(model.forward(seqs[0].xa, seqs[0].xv).prediction) is np.ndarray
     dump_attention(model, seqs[0])
     evaluate(model, seqs)
 

@@ -14,7 +14,7 @@ from iaca.gating import (
 from iaca.metrics import ccc_loss
 
 import reference as ref
-from helpers import finite_diff, hadamard, mean_all, relative_error, sub, sum_all
+from helpers import bits, finite_diff, hadamard, mean_all, relative_error, sub, sum_all
 
 ALL_VARIANTS = ["CA", "TCA", "JCA", "RJCA"]
 
@@ -304,7 +304,7 @@ def test_forward_shape_and_diagnostics(variant, iaca):
     model = FusionModel.create(4, variant, iaca=iaca, seed=2)
     pred, (pair,), gates = model.forward(xa, xv)
     assert pred.shape == (1, 6)
-    assert np.all(np.abs(pred.value) <= 1.0)
+    assert np.all(np.abs(pred) <= 1.0)
     assert pair.audio_weights.shape == (6, 6)
     assert pair.visual_weights.shape == (6, 6)
     assert [g.shape for g in gates] == ([(2, 6), (2, 6), (3, 6)] if iaca else [])
@@ -316,7 +316,7 @@ def test_forward_matches_straight_line_oracle(variant, iaca):
     rng = np.random.default_rng(35)
     xa, xv = _features(rng, 4, 6)
     model = FusionModel.create(4, variant, iaca=iaca, seed=3)
-    pred = model.forward(xa, xv).prediction.value
+    pred = model.forward(xa, xv).prediction
     r = ref.ref_full_forward(xa, xv, model.params, variant, iaca)
     assert relative_error(pred, r) < 1e-12
 
@@ -333,7 +333,7 @@ def test_pass_gate_scores_match_straight_line_oracle(variant, temperature):
     expected = ref.ref_gate_scores(xa, xv, model.params, variant, temperature)
     assert len(gates) == len(expected) == 3
     for g, r in zip(gates, expected):
-        assert relative_error(g.value.T, r) < 1e-12
+        assert relative_error(g.T, r) < 1e-12
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -342,8 +342,8 @@ def test_prediction_permutation_equivariance(variant):
     xa, xv = _features(rng, 4, 6)
     model = FusionModel.create(4, variant, iaca=True, seed=6)
     perm = rng.permutation(6)
-    base = model.forward(xa, xv).prediction.value
-    shuffled = model.forward(xa[:, perm], xv[:, perm]).prediction.value
+    base = model.forward(xa, xv).prediction
+    shuffled = model.forward(xa[:, perm], xv[:, perm]).prediction
     assert np.allclose(shuffled, base[:, perm], atol=1e-12)
 
 
@@ -353,7 +353,7 @@ def test_zeroed_modality_keeps_forward_finite(variant):
     xa, xv = _features(rng, 4, 6)
     model = FusionModel.create(4, variant, iaca=True, seed=7)
     for pair in ((np.zeros_like(xa), xv), (xa, np.zeros_like(xv))):
-        pred = model.forward(*pair).prediction.value
+        pred = model.forward(*pair).prediction
         assert np.all(np.isfinite(pred))
 
 
@@ -371,19 +371,23 @@ def test_forward_graph_builds_on_given_leaves():
 @pytest.mark.parametrize("iaca", [False, True])
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_predict_values_is_bitwise_the_graph_forward(variant, iaca):
+    # forward runs on the parameter arrays and returns a Pass of arrays,
+    # bitwise the values of the graph run builds on bound leaves
     rng = np.random.default_rng(42)
     xa, xv = _features(rng, 5, 7)
     model = FusionModel.create(5, variant, iaca=iaca, seed=10)
-    graph = model.forward_graph(Tensor(xa), Tensor(xv), model.bind())
+    graph = model.run([(xa, xv)], model.bind())
     assert graph.prediction.parents
-    values = model.predict_values(xa, xv)
-    assert values.tobytes() == graph.prediction.value.tobytes()
-    constant = model.forward(xa, xv)
-    (pair,), (value_pair,) = graph.pairs, constant.pairs
-    for a, b in [(pair.audio_weights, value_pair.audio_weights),
-                 (pair.visual_weights, value_pair.visual_weights),
-                 *zip(graph.gates, constant.gates, strict=True)]:
-        assert a.value.tobytes() == b.value.tobytes()
+    values = model.forward(xa, xv)
+    (pair,), (value_pair,) = graph.pairs, values.pairs
+    tensors = [graph.prediction, pair.audio, pair.visual, pair.audio_weights,
+               pair.visual_weights, *graph.gates]
+    arrays = [values.prediction, value_pair.audio, value_pair.visual,
+              value_pair.audio_weights, value_pair.visual_weights, *values.gates]
+    assert len(arrays) == (8 if iaca else 5)
+    for t, a in zip(tensors, arrays, strict=True):
+        assert type(a) is np.ndarray and bits(a) == bits(t.value)
+    assert bits(model.predict_values(xa, xv)) == bits(graph.prediction.value)
 
 
 def test_predict_values_follows_every_parameter_edit():
@@ -418,20 +422,23 @@ def test_run_needs_a_sequence():
 
 @pytest.mark.parametrize("iaca", [False, True])
 def test_forward_keeps_no_graph(monkeypatch, iaca):
+    # inference runs on the parameter arrays themselves, with no binding
     built = []
-    forward_graph = FusionModel.forward_graph
+    run = FusionModel.run
 
-    def recording(model, xa, xv, leaves):
-        out = forward_graph(model, xa, xv, leaves)
-        built.append(out.prediction)
+    def recording(model, inputs, leaves):
+        out = run(model, inputs, leaves)
+        built.append((leaves, out.prediction))
         return out
 
-    monkeypatch.setattr(FusionModel, "forward_graph", recording)
+    monkeypatch.setattr(FusionModel, "run", recording)
     rng = np.random.default_rng(43)
     xa, xv = _features(rng, 4, 6)
-    FusionModel.create(4, "CA", iaca=iaca, seed=12).forward(xa, xv)
-    (pred,) = built
-    assert pred.parents == () and not pred.requires_grad
+    model = FusionModel.create(4, "CA", iaca=iaca, seed=12)
+    model.forward(xa, xv)
+    ((leaves, pred),) = built
+    assert leaves is model.params
+    assert type(pred) is np.ndarray
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)

@@ -147,9 +147,14 @@ def test_ccc_value_loss_and_gradient_are_bitwise_the_textbook_formula():
 
 
 def test_loss_constant_degenerate_case_warns():
+    pred = Tensor([[2.0, 2.0, 2.0]])
     with pytest.warns(RuntimeWarning):
-        loss = ccc_loss(Tensor([[2.0, 2.0, 2.0]]), [[2.0, 2.0, 2.0]])
+        loss = ccc_loss(pred, [[2.0, 2.0, 2.0]])
     assert loss.item() == 1.0
+    # a node with no path to a leaf: backward passes nothing on
+    assert loss.parents == ()
+    loss.backward()
+    assert pred.grad is None
 
 
 def test_loss_gradient_matches_finite_differences():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from iaca.training import (
 )
 
 import reference as ref
+from helpers import bits
 
 
 def _small_data(seed=0, n=8, d=6, n_clips=10):
@@ -261,8 +263,8 @@ def test_non_finite_gradient_names_epoch_batch_and_parameter(monkeypatch):
     # a NaN confined to the last parameter's gradient is named as that one
     bound, real_bind = [], FusionModel.bind
 
-    def recording_bind(model, requires_grad=True):
-        bound.append(real_bind(model, requires_grad))
+    def recording_bind(model):
+        bound.append(real_bind(model))
         return bound[-1]
 
     def poisoned_b2(pred, gold):
@@ -414,9 +416,9 @@ def test_train_loss_moving_average_decreases_early():
 @pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_constant_data_leaves_parameter_grads_bitwise_unchanged(monkeypatch, variant, gated):
-    # _batch_loss wraps the data as constants, which backward never
-    # reaches; with them as gradient-requiring leaves instead, every
-    # parameter grad must come out bit for bit the same
+    # _batch_loss passes the data as plain arrays, constants that backward
+    # never reaches; with them as leaves instead, every parameter grad must
+    # come out bit for bit the same
     seqs = generate(Regime("weak_conflicting", noise_sigma=2.0), d=8, n_clips=12,
                     n_sequences=3, seed=5)
     model = FusionModel.create(8, variant, iaca=gated, seed=1,
@@ -430,17 +432,37 @@ def test_constant_data_leaves_parameter_grads_bitwise_unchanged(monkeypatch, var
     constant = parameter_grads()
     made = []
 
-    def differentiable(value, requires_grad=True):
-        made.append(Tensor(value))
-        return made[-1]
+    real_run = FusionModel.run
 
-    monkeypatch.setattr(training, "Tensor", differentiable)
+    def on_leaves(model, inputs, leaves):
+        pairs = [(Tensor(xa), Tensor(xv)) for xa, xv in inputs]
+        made.extend(t for pair in pairs for t in pair)
+        return real_run(model, pairs, leaves)
+
+    monkeypatch.setattr(FusionModel, "run", on_leaves)
     full = parameter_grads()
     assert len(made) == 2 * len(seqs)  # xa, xv per sequence
     assert all(t.grad is not None for t in made)
     assert constant.keys() == full.keys()
     for name, g in constant.items():
         assert np.array_equal(g, full[name]), name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_reads_list_and_float32_features_as_their_float64_copies(variant):
+    # the data reaches the ops as given, and each op converts it as a
+    # Tensor converts its value
+    train, val = _small_data(n=4)
+    as_given = [dataclasses.replace(s, xa=s.xa.tolist(), xv=s.xv.astype(np.float32))
+                for s in train + val]
+    copies = [dataclasses.replace(s, xa=np.asarray(s.xa), xv=s.xv.astype(np.float64))
+              for s in as_given]
+    fits = []
+    for seqs in (as_given, copies):
+        model = FusionModel.create(6, variant, iaca=True, seed=0)
+        result = fit(model, seqs[:4], seqs[4:], TrainConfig(epochs=2, batch_size=3))
+        fits.append((result.history, bits(*model.params.values())))
+    assert fits[0] == fits[1]
 
 
 @pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
