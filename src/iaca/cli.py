@@ -30,12 +30,13 @@ from .experiments import (
     run_ablation,
     save_ablation,
     save_attention_dump,
+    save_history,
     save_sweep,
     train_one,
 )
 from .gating import _type_hints
 from .synth import REGIME_KINDS
-from .training import OPTIMIZERS, TrainingDivergence, save_history
+from .training import OPTIMIZERS, TrainingDivergence
 
 ENV_OUT_DIR = "IACA_RESULTS_DIR"
 

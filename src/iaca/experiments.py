@@ -1,4 +1,5 @@
-"""Reproducible experiment protocols: ablation, sweep, attention dumps.
+"""Reproducible experiment protocols (ablation, sweep, attention dumps) and
+the one CSV writer of the results tables: training history, ablation, sweep.
 
 "Valence" and "arousal" are two independently seeded instances of the
 same synthetic protocol (the generator produces one track per call), so
@@ -15,7 +16,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field, replace
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .attention import VARIANTS
 from .gating import FusionModel, ModelFlags, check_types, from_json_object, param_schema
 from .metrics import ccc  # noqa: F401  (unused here; perfbench wraps experiments.ccc)
 from .synth import Regime, SyntheticSequence, corrupt_missing, derive_seed, generate
-from .training import TrainConfig, TrainingDivergence, evaluate, fit
+from .training import EpochRecord, TrainConfig, TrainingDivergence, evaluate, fit
 
 OUTPUT_DIMS = ("valence", "arousal")
 DEFAULT_SWEEP_FRACTIONS = (0.0, 0.1, 0.2, 0.4, 0.6, 0.8)
@@ -107,6 +108,21 @@ def train_one(cfg: ExperimentConfig, output_dim: str):
     return model, result, val
 
 
+def _write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one CSV writer of the results tables: the csv module's default
+    dialect (CRLF line ends), cells as the caller formatted them."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_history(history: Iterable[EpochRecord], path) -> None:
+    _write_table(path, ("epoch", "train_ccc", "val_ccc", "loss"),
+                 ((r.epoch, f"{r.train_ccc:.6f}", f"{r.val_ccc:.6f}", f"{r.loss:.6f}")
+                  for r in history))
+
+
 # ----------------------------------------------------------------- ablation
 
 @dataclass
@@ -154,11 +170,8 @@ def run_ablation(cfg: ExperimentConfig,
 
 
 def save_ablation(rows: Sequence[AblationRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "iaca", "valence_ccc", "arousal_ccc"])
-        for r in rows:
-            writer.writerow([r.variant, r.iaca, *r.formatted()])
+    _write_table(path, ("variant", "iaca", "valence_ccc", "arousal_ccc"),
+                 ((r.variant, r.iaca, *r.formatted()) for r in rows))
 
 
 # -------------------------------------------------------------------- sweep
@@ -189,11 +202,8 @@ def missing_modality_sweep(valence_model: FusionModel, arousal_model: FusionMode
 
 
 def save_sweep(rows: Sequence[SweepRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "valence_ccc", "arousal_ccc"])
-        for r in rows:
-            writer.writerow([f"{r.fraction:g}", f"{r.valence:.3f}", f"{r.arousal:.3f}"])
+    _write_table(path, ("fraction", "valence_ccc", "arousal_ccc"),
+                 ((f"{r.fraction:g}", f"{r.valence:.3f}", f"{r.arousal:.3f}") for r in rows))
 
 
 # -------------------------------------------------------------- attn dumps

@@ -296,7 +296,7 @@ class FusionModel:
         return Pass(predict(fused, head), pairs, (g_a, g_v, g_av))
 
     def forward_graph(self, xa, xv, leaves: dict) -> Pass:
-        """The pass of one sequence."""
+        """The pass of one sequence; stays while perfbench wraps it (ROADMAP items 2 and 6)."""
         return self.run([(xa, xv)], leaves)
 
     def forward(self, xa_value, xv_value) -> Pass:

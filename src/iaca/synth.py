@@ -3,16 +3,10 @@
 Each sequence carries a smooth latent emotion track: a sum of 2 to 4
 random low-frequency sinusoids, clamped to [-1, 1]. A modality observes
 a fixed random linear embedding of four stacked tracks: the signal track
-plus three nuisance tracks of the same smooth family.
-The regime decides what lands in each modality's signal slot:
-
-  strong_complementary   both modalities embed the true track
-  weak_conflicting       visual's slot holds an independent track plus
-                         noise_sigma white noise; audio stays clean
-  dominating_audio       visual's slot holds only noise_sigma white noise
-  dominating_visual      audio's slot holds only noise_sigma white noise
-
-Only the last three kinds read noise_sigma; strong_complementary ignores it.
+plus three nuisance tracks of the same smooth family. The regime's kind
+decides what lands in each modality's signal slot. ``_KINDS`` is the one
+table of the kinds: what each draws, and which slot takes its noise_sigma
+white noise (a kind that draws no noise ignores noise_sigma).
 
 Embeddings are drawn once per generate() call, so every sequence of a
 call (and any split carved out of it) shares the same observation model.
@@ -34,8 +28,16 @@ import numpy as np
 
 from .gating import check_field, check_types
 
-REGIME_KINDS = ("strong_complementary", "weak_conflicting",
-                "dominating_audio", "dominating_visual")
+# kind -> whether a conflict track is drawn after the signal, and which
+# stack's signal slot (0 audio, 1 visual) takes the noise drawn next: added
+# to the conflict track, or in place of the signal (None: no noise)
+_KINDS = {
+    "strong_complementary": (False, None),  # both modalities embed the true track
+    "weak_conflicting": (True, 1),  # visual: an independent track plus noise; audio clean
+    "dominating_audio": (False, 1),  # visual: noise only; audio clean
+    "dominating_visual": (False, 0),  # audio: noise only; visual clean
+}
+REGIME_KINDS = tuple(_KINDS)
 
 _N_TRACKS = 4  # signal slot + 3 nuisance tracks
 _MAX_SINES = 4  # a track sums 2 to 4 sines
@@ -126,13 +128,7 @@ def generate(regime: Regime, d: int = 32, n_clips: int = 64,
     embed_v = embed_rng.normal(0.0, scale, size=(d, _N_TRACKS))
     t = np.linspace(0.0, 1.0, n_clips)
 
-    # whether a conflict track is drawn after the signal, and which stack's
-    # signal slot (0 audio, 1 visual) takes the noise drawn next: added to
-    # the conflict track, or in place of the signal
-    conflicting, noisy = {"strong_complementary": (False, None),
-                          "weak_conflicting": (True, 1),
-                          "dominating_audio": (False, 1),
-                          "dominating_visual": (False, 0)}[regime.kind]
+    conflicting, noisy = _KINDS[regime.kind]
     n_first = 1 + conflicting
     # the rows of a sequence's evaluated tracks that fill the audio and the
     # visual stack: signal (visual: conflict, if drawn), then 3 nuisance

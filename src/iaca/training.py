@@ -13,9 +13,8 @@ state is one flat array per moment over them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +52,7 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
 
 
-class Sgd:
+class Sgd:  # stays while perfbench wraps Sgd.step (ROADMAP items 2 and 6)
     def __init__(self, lr: float):
         self.lr = lr
 
@@ -208,12 +207,3 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
 
     model.params.update(best_params)
     return result
-
-
-def save_history(history: Iterable[EpochRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_ccc", "val_ccc", "loss"])
-        for r in history:
-            writer.writerow([r.epoch, f"{r.train_ccc:.6f}", f"{r.val_ccc:.6f}",
-                             f"{r.loss:.6f}"])

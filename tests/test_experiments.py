@@ -310,6 +310,28 @@ def test_sweep_anchor_row_equals_plain_evaluation(tmp_path):
     assert float(loaded[1]["valence_ccc"]) == pytest.approx(rows[1].valence, abs=5e-4)
 
 
+def test_ablation_and_sweep_csv_bytes_are_pinned(tmp_path):
+    # the exact bytes, which a parsed round trip cannot see: the headers,
+    # 3 decimals for a CCC and 1 for a delta, %g fractions, NaN as "nan",
+    # a negative that rounds to zero keeping its sign, and \r\n line ends
+    nan = float("nan")
+    ablation, sweep = tmp_path / "ablation.csv", tmp_path / "sweep.csv"
+    save_ablation([experiments.AblationRow("CA", "no", 0.4321, -0.0004),
+                   experiments.AblationRow("CA", "yes", 0.5, nan),
+                   experiments.AblationRow("CA", "delta_pct", 15.7137, nan)], ablation)
+    save_sweep([experiments.SweepRow(0.0, 0.81234, -0.1),
+                experiments.SweepRow(0.1, 0.8, 0.0005),
+                experiments.SweepRow(0.25, nan, 1.0)], sweep)
+    assert ablation.read_bytes() == (b"variant,iaca,valence_ccc,arousal_ccc\r\n"
+                                     b"CA,no,0.432,-0.000\r\n"
+                                     b"CA,yes,0.500,nan\r\n"
+                                     b"CA,delta_pct,15.7,nan\r\n")
+    assert sweep.read_bytes() == (b"fraction,valence_ccc,arousal_ccc\r\n"
+                                  b"0,0.812,-0.100\r\n"
+                                  b"0.1,0.800,0.001\r\n"
+                                  b"0.25,nan,1.000\r\n")
+
+
 @pytest.mark.parametrize("empty", ["valence", "arousal"])
 def test_sweep_rejects_an_empty_split_by_name(empty):
     model = FusionModel.create(4, "CA", iaca=True, seed=1)

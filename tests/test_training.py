@@ -7,6 +7,7 @@ import pytest
 from iaca import training
 from iaca.attention import VARIANTS
 from iaca.autodiff import Tensor, add
+from iaca.experiments import save_history
 from iaca.gating import FusionModel, ModelFlags, param_schema
 from iaca.metrics import ccc
 from iaca.synth import Regime, generate
@@ -19,7 +20,6 @@ from iaca.training import (
     TrainingDivergence,
     evaluate,
     fit,
-    save_history,
 )
 
 import reference as ref
@@ -387,6 +387,17 @@ def test_history_round_trips_through_csv(tmp_path):
         assert float(b["loss"]) == pytest.approx(a.loss, abs=1e-6)
     header = path.read_text().splitlines()[0]
     assert header == "epoch,train_ccc,val_ccc,loss"
+
+
+def test_history_csv_bytes_are_pinned(tmp_path):
+    # the exact bytes, which a parsed round trip cannot see: the header,
+    # 6 rounded decimals with the sign kept, and the csv module's \r\n ends
+    path = tmp_path / "history.csv"
+    save_history([EpochRecord(0, 0.1, -0.25, 0.9),
+                  EpochRecord(12, 0.30001, 0.1234565, 1.0000004)], path)
+    assert path.read_bytes() == (b"epoch,train_ccc,val_ccc,loss\r\n"
+                                 b"0,0.100000,-0.250000,0.900000\r\n"
+                                 b"12,0.300010,0.123456,1.000000\r\n")
 
 
 # --------------------------------------------------- pinned learning checks
