@@ -19,7 +19,8 @@ Every map is the softmax of an L x L correlation (TCA's: scaled key-query
 products), written into the correlation's own buffer: a graph node holds
 no value and the product's vjps read only its inputs, so nothing reads the
 correlation after its map is built, and each map costs one L x L buffer.
-A training graph keeps the maps, which the attended products' vjps read.
+A training graph keeps the maps, which the attended products' vjps read,
+until its backward drops them.
 """
 
 from __future__ import annotations

@@ -8,8 +8,12 @@ it; the node keeps the op's tag, the output shape, its inputs' nodes and
 the vjps mapping its grad to theirs, and each vjp closes over only the
 arrays its formula reads. So a value no vjp reads, such as a product that
 only feeds a softmax, is freed during the forward as soon as the last
-Tensor naming it goes. ``Tensor.parents`` yields nodes, which carry
-``op``, ``shape``, ``parents`` and ``grad``.
+Tensor naming it goes. ``matmul``'s vjps drop the operand each read, and
+``softmax``'s vjp its output, once run; so a spent graph no longer holds
+the L x L attention maps, only the per-clip arrays that the vjps of
+``tanh``, ``relu``, ``gate_mix`` and ``metrics.ccc_loss`` read.
+``Tensor.parents`` yields nodes, which carry ``op``, ``shape``,
+``parents`` and ``grad``.
 
 Graphs are acyclic by construction and single-use: build the forward pass
 with the op functions below, call ``backward()`` once on a 1x1 output, read
@@ -223,7 +227,18 @@ def matmul(a, b) -> Tensor | np.ndarray:
     value = av @ bv
     if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
         return value
-    return _result(value, "matmul", (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
+
+    def vjp_a(g):  # each vjp drops the operand it read once run: the graph is single-use
+        nonlocal bv
+        ga, bv = g @ bv.T, None
+        return ga
+
+    def vjp_b(g):
+        nonlocal av
+        gb, av = av.T @ g, None
+        return gb
+
+    return _result(value, "matmul", (a, b), (vjp_a, vjp_b))
 
 
 def add(a, b) -> Tensor | np.ndarray:
@@ -290,10 +305,12 @@ def softmax(a, temperature: float = 1.0, in_place: bool = False) -> Tensor | np.
     if not isinstance(a, Tensor):
         return y
 
-    def vjp(g):
+    def vjp(g):  # drops the map y once run: the graph is single-use
+        nonlocal y
         gz = g * y
         np.subtract(g, np.add.reduce(gz, axis=0, keepdims=True), out=gz)
         gz *= y
+        y = None
         if temperature != 1.0:
             gz /= temperature
         return gz

@@ -170,7 +170,8 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
         losses, preds, golds = [], [], []
         for start in range(0, len(train), cfg.batch_size):
             batch = [train[i] for i in order[start:start + cfg.batch_size]]
-            # the last step's graph lives until here: glibc would trim the heap every step
+            # the last step's spent graph, per-clip values only (backward dropped
+            # its maps), lives until here: glibc would trim the heap every step
             loss, leaves, pred, gold = _batch_loss(model, batch)
             value = loss.item()
             if not np.isfinite(value):

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite.
 
-Besides the error metric and a bitwise fingerprint of arrays, this holds the graph ops only tests need: the
-scalar probes (sum_all, mean_all), sub and hadamard for building test
-graphs, and the finite-difference oracle. The ops are built on the public
+Besides the error metric, a bitwise fingerprint of arrays and a walker
+that finds the arrays a set of objects keeps alive, this holds the graph
+ops only tests need: the scalar probes (sum_all, mean_all), sub and
+hadamard for building test graphs, and the finite-difference oracle. The
+ops are built on the public
 ``Tensor(value, op=..., parents=..., vjps=...)`` constructor, so they enter
 a graph the way any library op does, and they keep the library's contract:
 they take Tensors or arrays, and with no Tensor input they return the bare
@@ -10,7 +12,7 @@ value. ``ops`` gathers them with the library's ops for tests that call
 every op as ``ad.<name>``.
 """
 
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import numpy as np
 
@@ -34,6 +36,33 @@ def relative_error(a, b, floor=1e-8):
     b = np.asarray(b, dtype=np.float64)
     denom = max(np.linalg.norm(a), np.linalg.norm(b), floor)
     return np.linalg.norm(a - b) / denom
+
+
+def live_arrays(*roots):
+    """The arrays kept alive by roots: through containers, every slot of a
+    Tensor or graph node, and the closure cells and defaults of a vjp. A
+    view counts as the array it views."""
+    found, seen, stack = {}, set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            found[id(obj)] = obj
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif isinstance(obj, dict):
+            stack += obj.values()
+        elif isinstance(obj, FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+            stack += obj.__defaults__ or ()
+        else:
+            stack += [getattr(obj, name, None) for cls in type(obj).__mro__
+                      for name in getattr(cls, "__slots__", ())]
+    return list(found.values())
 
 
 def _result(value, op: str, parents: tuple, vjps: tuple):

@@ -1,5 +1,4 @@
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from iaca.synth import SyntheticSequence
 from iaca.training import _batch_loss
 
 import reference as ref
-from helpers import finite_diff, mean_all, ops as ad, relative_error, sum_all
+from helpers import finite_diff, live_arrays, mean_all, ops as ad, relative_error, sum_all
 
 
 def _pair(rng, d=4, n_clips=6):
@@ -400,33 +399,6 @@ def test_an_attention_pass_allocates_one_lxl_buffer_per_map(name, maps):
     assert peak / (n_clips * n_clips * 8) < maps + 0.5
 
 
-def _live_arrays(*roots):
-    """The arrays kept alive by roots: through containers, every slot of a
-    Tensor or graph node, and the closure cells and defaults of a vjp. A
-    view counts as the array it views."""
-    found, seen, stack = {}, set(), list(roots)
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            while isinstance(obj.base, np.ndarray):
-                obj = obj.base
-            found[id(obj)] = obj
-        elif isinstance(obj, (tuple, list)):
-            stack += obj
-        elif isinstance(obj, dict):
-            stack += obj.values()
-        elif isinstance(obj, types.FunctionType):
-            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
-            stack += obj.__defaults__ or ()
-        else:
-            stack += [getattr(obj, name, None) for cls in type(obj).__mro__
-                      for name in getattr(cls, "__slots__", ())]
-    return list(found.values())
-
-
 @pytest.mark.parametrize("variant,iaca", [
     (variant, iaca) for variant in ("CA", "TCA", "JCA", "RJCA") for iaca in (False, True)
 ])
@@ -442,7 +414,7 @@ def test_training_graph_holds_no_lxl_value_but_the_weight_maps(variant, iaca):
                                rng.uniform(-1.0, 1.0, size=(1, n_clips)), 0)
              for _ in range(n_seqs)]
     held = _batch_loss(model, batch)
-    square = [a for a in _live_arrays(held) if a.shape == (n_clips, n_clips)]
+    square = [a for a in live_arrays(held) if a.shape == (n_clips, n_clips)]
     # two maps per CA, TCA or JCA pass
     maps = 2 * (RJCA_ITERATIONS if variant == "RJCA" else 1)
     assert len(square) == n_seqs * maps

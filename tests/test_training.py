@@ -10,7 +10,7 @@ from iaca.autodiff import Tensor, add
 from iaca.experiments import save_history
 from iaca.gating import FusionModel, ModelFlags, param_schema
 from iaca.metrics import ccc
-from iaca.synth import Regime, generate
+from iaca.synth import Regime, SyntheticSequence, generate
 from iaca.training import (
     OPTIMIZERS,
     Adam,
@@ -23,7 +23,7 @@ from iaca.training import (
 )
 
 import reference as ref
-from helpers import bits
+from helpers import bits, live_arrays
 
 
 def _small_data(seed=0, n=8, d=6, n_clips=10):
@@ -487,3 +487,23 @@ def test_one_batch_backward_reaches_every_parameter(variant, gated):
     loss.backward()
     assert leaves.keys() == model.params.keys()
     assert [name for name, leaf in leaves.items() if leaf.grad is None] == []
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_spent_training_graph_holds_no_lxl_array(variant, gated):
+    # the matmul and softmax vjps drop what they read once run, so after
+    # backward nothing the caller holds keeps a weight map alive; fit holds
+    # a spent graph until the next one is built
+    d, n_clips, n_seqs = 3, 5, 2
+    rng = np.random.default_rng(19)
+    model = FusionModel.create(d, variant, gated)
+    batch = [SyntheticSequence(rng.normal(size=(d, n_clips)), rng.normal(size=(d, n_clips)),
+                               rng.uniform(-1.0, 1.0, size=(1, n_clips)), 0)
+             for _ in range(n_seqs)]
+    held = training._batch_loss(model, batch)
+    loss = held[0]
+    loss.backward()
+    assert [a for a in live_arrays(held) if a.shape == (n_clips, n_clips)] == []
+    with pytest.raises(RuntimeError):
+        loss.backward()
