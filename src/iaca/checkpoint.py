@@ -16,8 +16,8 @@ Loads rebuild the exact float64 arrays, so save/load round-trips are
 bitwise. A load checks the metadata, then the shape table against the
 parameter schema of the model the metadata describes and the declared
 payload size against the bytes left in the file, all before reading any
-payload. Anything structurally off raises a CheckpointError subclass
-rather than propagating struct/JSON internals.
+payload. Anything structurally off or non-finite raises a CheckpointError
+subclass rather than propagating struct/JSON internals or NaN scores.
 """
 
 from __future__ import annotations
@@ -144,4 +144,7 @@ def load_checkpoint(path) -> Checkpoint:
         model.params = {name: np.frombuffer(read(8 * rows * cols, f"payload of {name}"),
                                             dtype="<f8").reshape(rows, cols).copy()
                         for name, (rows, cols) in shapes.items()}
+    for name, value in model.params.items():  # fit never saves one; a damaged file may hold it
+        if not np.isfinite(value).all():
+            raise CheckpointError(f"parameter {name} holds a non-finite value")
     return Checkpoint(model=model, meta=meta)

@@ -18,6 +18,8 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .attention import VARIANTS
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .experiments import (
@@ -34,7 +36,7 @@ from .experiments import (
     save_sweep,
     train_one,
 )
-from .gating import _type_hints
+from .gating import _type_hints, check_field
 from .synth import REGIME_KINDS
 from .training import OPTIMIZERS, TrainingDivergence
 
@@ -185,8 +187,14 @@ def _require_same(what: str, valence, arousal, names) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    fractions = ([float(f) for f in args.fractions.split(",")]
-                 if args.fractions is not None else list(DEFAULT_SWEEP_FRACTIONS))
+    fractions = (args.fractions.split(",") if args.fractions is not None
+                 else list(DEFAULT_SWEEP_FRACTIONS))
+    for i, text in enumerate(fractions):
+        try:
+            fractions[i] = float(text)
+        except ValueError:  # check_field names the flag, not float()
+            pass
+        check_field("--fractions", float, fractions[i], lo=0, hi=1)
     _reject_repeats("--fractions", fractions)
     val_model, val_cfg, val_dim = _restore(args.checkpoint_valence)
     aro_model, aro_cfg, aro_dim = _restore(args.checkpoint_arousal)
@@ -214,9 +222,7 @@ def _cmd_dump_attn(args: argparse.Namespace) -> int:
     model, cfg, dim = _restore(args.checkpoint)
     train, val = prepare_splits(cfg, dim)  # rejects a missing or unknown output_dim
     seqs = val if args.split == "val" else train
-    if not 0 <= args.index < len(seqs):
-        raise ValueError(f"sequence index {args.index} out of range "
-                         f"(split has {len(seqs)})")
+    check_field("--index", int, args.index, lo=0, hi=len(seqs) - 1)
     dump = dump_attention(model, seqs[args.index])
     path = _out_root(args.out_dir or Path(args.checkpoint).parent) / args.out
     save_attention_dump(dump, path)
@@ -268,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # fit names a non-finite value
+            return args.func(args)
     except (ValueError, OSError, CheckpointError, TrainingDivergence, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from typing import Iterable, List, Sequence
 import numpy as np
 
 from .attention import VARIANTS
-from .gating import FusionModel, ModelFlags, check_types, from_json_object, param_schema
+from .gating import FusionModel, ModelFlags, check_field, check_types, from_json_object, limited
 from .metrics import ccc  # noqa: F401  (unused here; perfbench wraps experiments.ccc)
 from .synth import Regime, SyntheticSequence, corrupt_missing, derive_seed, generate
 from .training import EpochRecord, TrainConfig, TrainingDivergence, evaluate, fit
@@ -43,13 +43,13 @@ def relative_improvement(base: float, new: float) -> float:
 
 @dataclass
 class ExperimentConfig:
-    variant: str = "CA"
+    variant: str = limited("CA", choices=VARIANTS)
     iaca: bool = True
     regime: Regime = field(default_factory=Regime)
-    d: int = 32
-    n_clips: int = 64
-    n_train: int = 24
-    n_val: int = 8
+    d: int = limited(32, lo=2)
+    n_clips: int = limited(64, lo=2)
+    n_train: int = limited(24, lo=1)
+    n_val: int = limited(8, lo=1)
     seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
     flags: ModelFlags = field(default_factory=ModelFlags)
@@ -57,13 +57,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         check_types(self)
-        if not (self.d >= 2 and self.n_clips >= 2):
-            raise ValueError("d and n_clips must both be >= 2")
-        if not (self.n_train >= 1 and self.n_val >= 1):
-            raise ValueError("both splits need at least one sequence")
-        self.regime.validate()
-        self.train.validate()
-        param_schema(self.d, self.variant, self.iaca, self.flags)
+        for part in (self.regime, self.train, self.flags):
+            part.validate()
 
     @classmethod
     def from_dict(cls, data: dict, complete: bool = False) -> "ExperimentConfig":
@@ -86,8 +81,7 @@ def prepare_splits(cfg: ExperimentConfig, output_dim: str):
     each training sequence (a contiguous block, seeded per sequence) so
     models train under partially missing audio; validation stays clean.
     """
-    if output_dim not in OUTPUT_DIMS:
-        raise ValueError(f"output_dim must be one of {OUTPUT_DIMS}, got {output_dim!r}")
+    check_field("output_dim", str, output_dim, choices=OUTPUT_DIMS)
     ds_seed = derive_seed(cfg.seed, _DATA_STREAM + OUTPUT_DIMS.index(output_dim))
     seqs = generate(cfg.regime, cfg.d, cfg.n_clips, cfg.n_train + cfg.n_val, ds_seed)
     train, val = seqs[:cfg.n_train], seqs[cfg.n_train:]

@@ -15,22 +15,23 @@ Everything after attention acts clip by clip, so FusionModel.run, the one
 model pass, runs it once over all its sequences' clips: on bound leaves
 it builds a graph, and on the parameter arrays it computes values alone.
 param_schema, the one check of a model's description (d, variant, gating,
-flags) for configs, creation and checkpoint loads, lists its parameters,
+flags) for creation and checkpoint loads, lists its parameters,
 which depend on (d, variant, gating) alone; run groups their leaves by
 its "<block>.<name>" names once per call, and every block reads its dict
 by those names.
 
-Config fields are typed by their annotations alone, and one per-value check
-(check_field) serves configs built in Python (check_types), read from JSON
-files and restored from checkpoints (from_json_object), and the synthetic
-generator's arguments.
+Config fields are typed by their annotations and declare their own limits,
+a range or choices, on the field (limited). One per-value check
+(check_field) serves configs built in Python (check_types: types and
+limits), read from JSON files or restored from checkpoints
+(from_json_object: types), and the arguments of generate, create and kin.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
@@ -103,10 +104,16 @@ _FIELD_TYPES = {bool: ((bool, np.bool_), "a bool"), int: ((int, np.integer), "an
 _type_hints = functools.cache(get_type_hints)
 
 
-def check_field(label: str, hint: type, value) -> None:
+def limited(default, **limits):
+    """A config field whose value check_types also holds to its limits: lo
+    (at least), hi (at most) or choices (one of)."""
+    return field(default=default, metadata=limits)
+
+
+def check_field(label: str, hint: type, value, lo=None, hi=None, choices=None) -> None:
     """Raise ValueError naming `label` unless value has the annotated type
-    `hint` and, for a float field, is finite: not NaN, not infinite and not
-    an int past the float range (Python's json reads all three)."""
+    `hint`, is finite for a float field (json reads NaN, infinities and ints
+    past the float range), and lies in [lo, hi] and in `choices`, if given."""
     types, noun = _FIELD_TYPES.get(hint, (hint, f"a {hint.__name__}"))
     if isinstance(value, (bool, np.bool_)) != (hint is bool) or not isinstance(value, types):
         raise ValueError(f"{label} must be {noun}, got {value!r:.40}")
@@ -116,14 +123,20 @@ def check_field(label: str, hint: type, value) -> None:
         finite = False
     if not finite:
         raise ValueError(f"{label} must be finite, got {value!r:.40}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bound = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+        raise ValueError(f"{label} must {bound}, got {value}")
+    if choices is not None and value not in choices:
+        raise ValueError(f"{label} must be one of {tuple(choices)}, got {value!r:.40}")
 
 
 def check_types(config) -> None:
-    """Check each field of the dataclass `config` against its annotation, as
-    from_json_object checks a config file's; a nested config's own fields are
-    left to its own validate."""
-    for name, hint in _type_hints(type(config)).items():
-        check_field(name, hint, getattr(config, name))
+    """Check each field of the dataclass `config` against its annotation and
+    its declared limits; a nested config's own fields are left to its own
+    validate, and from_json_object checks a config file's types alone."""
+    hints = _type_hints(type(config))
+    for f in fields(config):
+        check_field(f.name, hints[f.name], getattr(config, f.name), **f.metadata)
 
 
 def from_json_object(kind, data, where: str = "", complete: bool = False):
@@ -183,13 +196,11 @@ def param_schema(d: int, variant: str, iaca: bool,
                  flags: ModelFlags) -> dict[str, tuple[int, int, float]]:
     """Every parameter of a model as name -> (rows, cols, init std; 0: zeros),
     in init order; the one check of a model's description, naming a bad field."""
-    for name, hint, value in (("d", int, d), ("iaca", bool, iaca), ("flags", ModelFlags, flags)):
-        check_field(name, hint, value)
+    check_field("d", int, d, lo=1)
+    check_field("variant", str, variant, choices=VARIANTS)
+    check_field("iaca", bool, iaca)
+    check_field("flags", ModelFlags, flags)
     flags.validate()
-    if d < 1:
-        raise ValueError(f"feature dimension must be >= 1, got {d}")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     schema: dict = {}
     if variant == "CA":
         schema["cross.w"] = (d, d, 1.0 / d)
@@ -244,6 +255,7 @@ class FusionModel:
     def create(cls, d: int, variant: str, iaca: bool,
                flags: Optional[ModelFlags] = None, seed: int = 0) -> "FusionModel":
         flags = flags if flags is not None else ModelFlags()
+        check_field("seed", int, seed, lo=0)
         rng = np.random.default_rng(seed)
         # zeros draw nothing, so every normal draw keeps its place in the stream
         params = {name: rng.normal(0.0, std, size=(rows, cols)) if std

@@ -26,7 +26,7 @@ from typing import List
 
 import numpy as np
 
-from .gating import check_field, check_types
+from .gating import check_field, check_types, limited
 
 # kind -> whether a conflict track is drawn after the signal, and which
 # stack's signal slot (0 audio, 1 visual) takes the noise drawn next: added
@@ -65,19 +65,12 @@ def derive_seed(seed: int, index: int) -> int:
 
 @dataclass
 class Regime:
-    kind: str = "strong_complementary"
-    noise_sigma: float = 0.0
-    corrupt_fraction: float = 0.0  # train-time audio masking, applied by the harness
+    kind: str = limited("strong_complementary", choices=REGIME_KINDS)
+    noise_sigma: float = limited(0.0, lo=0)
+    corrupt_fraction: float = limited(0.0, lo=0, hi=1)  # train-time audio masking, by the harness
 
     def validate(self) -> None:
         check_types(self)
-        if self.kind not in REGIME_KINDS:
-            raise ValueError(f"kind must be one of {REGIME_KINDS}, got {self.kind!r}")
-        if not self.noise_sigma >= 0:
-            raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
-        if not 0.0 <= self.corrupt_fraction <= 1.0:
-            raise ValueError(
-                f"corrupt_fraction must lie in [0, 1], got {self.corrupt_fraction}")
 
 
 @dataclass
@@ -112,15 +105,10 @@ def generate(regime: Regime, d: int = 32, n_clips: int = 64,
              n_sequences: int = 16, seed: int = 0) -> List[SyntheticSequence]:
     """Sequences drawn under one observation model; deterministic in seed."""
     regime.validate()
-    for label, value in (("d", d), ("n_clips", n_clips), ("n_sequences", n_sequences),
-                         ("seed", seed)):
-        check_field(label, int, value)
-    if d < 2:
-        raise ValueError(f"feature dimension must be >= 2, got {d}")
-    if n_clips < 2:
-        raise ValueError(f"sequence length must be >= 2, got {n_clips}")
-    if n_sequences < 1:
-        raise ValueError(f"need at least one sequence, got {n_sequences}")
+    check_field("d", int, d, lo=2)
+    check_field("n_clips", int, n_clips, lo=2)
+    check_field("n_sequences", int, n_sequences, lo=1)
+    check_field("seed", int, seed)
 
     embed_rng = np.random.default_rng(derive_seed(seed, 0))
     scale = 1.0 / np.sqrt(_N_TRACKS)
@@ -158,12 +146,8 @@ def generate(regime: Regime, d: int = 32, n_clips: int = 64,
 def corrupt_missing(x: np.ndarray, fraction: float, seed: int = 0) -> np.ndarray:
     """Zero out one contiguous block of floor(fraction * L) clip columns of a
     copy of x (a dropped stream), placed at random by the seed."""
-    check_field("fraction", float, fraction)
-    check_field("seed", int, seed)
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-    if seed < 0:  # numpy rejects it too, but unnamed and only when a block is zeroed
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_field("fraction", float, fraction, lo=0, hi=1)
+    check_field("seed", int, seed, lo=0)  # numpy rejects it unnamed, and only if a block is zeroed
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"x must be a d x L matrix, got shape {x.shape}")

@@ -19,37 +19,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .gating import FusionModel, check_types
+from .gating import FusionModel, check_types, limited
 from .metrics import ccc, ccc_loss
 
 
 class TrainingDivergence(RuntimeError):
     """Loss or a gradient became non-finite; training state is not trustworthy."""
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 40
-    batch_size: int = 8
-    lr: float = 0.02
-    optimizer: str = "adaptive-moment"
-    seed: int = 0
-    patience: int = 10  # epochs without val improvement; 0 disables
-
-    def validate(self) -> None:
-        check_types(self)
-        if not self.epochs >= 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.batch_size >= 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        # lr = 0 is allowed so a no-op fit stays expressible
-        if not self.lr >= 0:
-            raise ValueError(f"lr must be non-negative and finite, got {self.lr}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(
-                f"optimizer must be one of {tuple(OPTIMIZERS)}, got {self.optimizer!r}")
-        if not self.patience >= 0:
-            raise ValueError(f"patience must be >= 0, got {self.patience}")
 
 
 class Sgd:  # stays while perfbench wraps Sgd.step (ROADMAP items 2 and 6)
@@ -102,6 +77,19 @@ class Adam:
 
 # optimizer name -> class built from the learning rate
 OPTIMIZERS = {"sgd": Sgd, "adaptive-moment": Adam}
+
+
+@dataclass
+class TrainConfig:
+    epochs: int = limited(40, lo=1)
+    batch_size: int = limited(8, lo=1)
+    lr: float = limited(0.02, lo=0)  # 0 is allowed so a no-op fit stays expressible
+    optimizer: str = limited("adaptive-moment", choices=tuple(OPTIMIZERS))
+    seed: int = limited(0, lo=0)
+    patience: int = limited(10, lo=0)  # epochs without val improvement; 0 disables
+
+    def validate(self) -> None:
+        check_types(self)
 
 
 @dataclass

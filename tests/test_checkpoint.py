@@ -62,6 +62,18 @@ def test_every_model_create_accepts_round_trips(tmp_path, d, iaca, temperature, 
         assert np.array_equal(restored.params[k], model.params[k])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_rejected_by_name(tmp_path, bad):
+    # fit never saves one, but a file from elsewhere may hold one: loaded, it
+    # would score every clip NaN and a sweep would write nan rows
+    model = FusionModel.create(4, "CA", iaca=True, seed=1)
+    model.params["head.b2"][0, 0] = bad
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match="^parameter head.b2 holds a non-finite value$"):
+        load_checkpoint(path)
+
+
 def test_restored_model_predicts_identically(tmp_path):
     rng = np.random.default_rng(71)
     model = FusionModel.create(5, "RJCA", iaca=True, seed=11)
@@ -351,8 +363,8 @@ def test_seeded_byte_mutations_raise_only_checkpoint_errors(tmp_path):
 @pytest.mark.parametrize("field, value", [("variant", "XCA"), ("flags", ModelFlags(-0.5))],
                          ids=["variant", "temperature"])
 def test_one_check_rejects_a_bad_description_alike_everywhere(tmp_path, field, value):
-    # a config, create and a checkpoint load all ask param_schema, so a bad
-    # description reads the same from each
+    # create and a checkpoint load ask param_schema, and a config's fields
+    # declare the same limits, so a bad description reads the same from each
     bad = {"d": 3, "variant": "CA", "iaca": True, "flags": ModelFlags(), field: value}
     meta, params = _schema_params("CA", True, 3)
     meta.update(variant=bad["variant"], flags=asdict(bad["flags"]))

@@ -240,7 +240,7 @@ def test_invalid_stored_experiment_exits_with_error(tmp_path, capsys, command):
     else:
         argv = ["dump-attn", "--checkpoint", str(paths["valence"])]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {paths['valence']}: both splits")
+    assert capsys.readouterr().err == f"error: {paths['valence']}: n_train must be >= 1, got -3\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -389,8 +389,6 @@ def test_repeated_dim_rejected_before_training(tmp_path, capsys):
 
 
 # the overflow that --lr 1e300 provokes on purpose, and nothing else
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("epochs", ["1", "2"])
 def test_diverging_train_exits_with_error(epochs, tmp_path, capsys):
     # one epoch diverges only in its validation CCC, which must stop the fit
@@ -430,6 +428,45 @@ def test_repeated_fraction_rejected_before_loading(tmp_path, capsys, monkeypatch
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: --fractions repeats 0.2")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "-0.1", "nan", "x"])
+def test_bad_fraction_rejected_before_loading(tmp_path, capsys, monkeypatch, fraction):
+    monkeypatch.setattr("iaca.cli.load_checkpoint", lambda *a: pytest.fail("loaded"))
+    rc = main(["sweep", "--checkpoint-valence", "v.ckpt", "--checkpoint-arousal", "a.ckpt",
+               "--fractions", f"0,{fraction}", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --fractions must ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_train_seed_rejected_before_data(tmp_path, capsys, monkeypatch):
+    # it used to pass validate and fail inside fit with numpy's unnamed error
+    monkeypatch.setattr("iaca.experiments.generate", lambda *a: pytest.fail("generated"))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"train": {"seed": -1}}))
+    rc = main(["train", *TINY, "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_of_a_non_finite_checkpoint_names_its_file(tmp_path, capsys):
+    experiment = asdict(ExperimentConfig(d=4, n_clips=8, n_train=2, n_val=2))
+    paths = {}
+    for dim in ("valence", "arousal"):
+        model = FusionModel.create(4, "CA", iaca=True, seed=1)
+        if dim == "arousal":
+            model.params["head.b2"][0, 0] = np.nan
+        paths[dim] = tmp_path / f"{dim}.ckpt"
+        save_checkpoint(model, paths[dim], extra_meta={"experiment": experiment,
+                                                       "output_dim": dim})
+    rc = main(["sweep", "--checkpoint-valence", str(paths["valence"]),
+               "--checkpoint-arousal", str(paths["arousal"]), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {paths['arousal']}: parameter head.b2 holds a non-finite value\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_empty_variant_list_rejected_before_training(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import csv
 import json
 import re
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from functools import reduce
 from types import SimpleNamespace
 from typing import get_type_hints
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from iaca import autodiff, experiments
+from iaca.attention import VARIANTS
 from iaca.experiments import (
     OUTPUT_DIMS,
     ExperimentConfig,
@@ -25,7 +26,7 @@ from iaca.experiments import (
 )
 from iaca.gating import FusionModel, ModelFlags
 from iaca.metrics import ccc
-from iaca.synth import Regime, generate
+from iaca.synth import REGIME_KINDS, Regime, generate
 from iaca.training import TrainConfig, evaluate
 
 import reference as ref
@@ -132,6 +133,70 @@ def test_every_scalar_config_field_rejects_a_value_of_another_type(path, noun, v
     setattr(reduce(getattr, sections, cfg), name, value)
     with pytest.raises(ValueError, match=f"^{name} must be {noun}, got "):
         cfg.validate()
+
+
+# every range or choice a config field declares; ExperimentConfig.seed takes
+# every int (derive_seed defines them all), and the temperature keeps its own check
+_LIMITS = {
+    "variant": {"choices": VARIANTS}, "d": {"lo": 2}, "n_clips": {"lo": 2},
+    "n_train": {"lo": 1}, "n_val": {"lo": 1},
+    "regime.kind": {"choices": REGIME_KINDS}, "regime.noise_sigma": {"lo": 0},
+    "regime.corrupt_fraction": {"lo": 0, "hi": 1},
+    "train.epochs": {"lo": 1}, "train.batch_size": {"lo": 1}, "train.lr": {"lo": 0},
+    "train.optimizer": {"choices": ("sgd", "adaptive-moment")}, "train.seed": {"lo": 0},
+    "train.patience": {"lo": 0},
+}
+
+
+def _declared_limits(kind=ExperimentConfig, prefix=""):
+    # (dotted path, limits) of every field of the config tree that declares some
+    hints = get_type_hints(kind)
+    for f in fields(kind):
+        if is_dataclass(hints[f.name]):
+            yield from _declared_limits(hints[f.name], f"{prefix}{f.name}.")
+        elif f.metadata:
+            yield f"{prefix}{f.name}", dict(f.metadata)
+
+
+def test_every_config_limit_is_declared_on_its_field():
+    assert dict(_declared_limits()) == _LIMITS
+
+
+def _limit_cases():
+    # (dotted field, value, its message, or None where the value is taken)
+    hints = dict(_scalar_fields())
+    for path, limits in _LIMITS.items():
+        name = path.rpartition(".")[2]
+        if "choices" in limits:
+            yield from ((path, choice, None) for choice in limits["choices"])
+            yield path, "nope", f"{name} must be one of {limits['choices']}, got 'nope'"
+            continue
+        is_int = hints[tuple(path.split("."))] is int
+        lo, hi = limits["lo"], limits.get("hi")
+        bound = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+        for edge, step in ((lo, -1), (hi, 1)):
+            if edge is not None:
+                past = edge + step if is_int else float(np.nextafter(edge, edge + step))
+                yield path, edge, None
+                yield path, past, f"{name} must {bound}, got {past}"
+
+
+@pytest.mark.parametrize("path,value,message", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _limit_cases()])
+def test_every_declared_limit_rejects_a_value_past_it_and_takes_the_bound(path, value, message):
+    # a config built in Python and one read from JSON meet the one check
+    *sections, name = path.split(".")
+    built = ExperimentConfig()
+    setattr(reduce(getattr, sections, built), name, value)
+    data = value
+    for section in reversed(path.split(".")):
+        data = {section: data}
+    for cfg in (built, ExperimentConfig.from_dict(json.loads(json.dumps(data)))):
+        if message is None:
+            cfg.validate()
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cfg.validate()
 
 
 # ------------------------------------------------------------------- splits

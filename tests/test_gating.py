@@ -273,6 +273,15 @@ def test_create_validates_arguments():
             FusionModel.create(*args)
 
 
+@pytest.mark.parametrize("seed, message", [(-1, "must be >= 0, got -1"),
+                                           (1.5, "must be an int, got 1.5")],
+                         ids=["negative", "float"])
+def test_create_names_a_bad_seed(seed, message):
+    # numpy's own errors for these name no argument
+    with pytest.raises(ValueError, match=f"^seed {message}$"):
+        FusionModel.create(4, "CA", True, seed=seed)
+
+
 def test_param_inventory_tracks_configuration():
     base = FusionModel.create(4, "CA", iaca=False, seed=0)
     gated = FusionModel.create(4, "CA", iaca=True, seed=0)

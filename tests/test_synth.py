@@ -101,7 +101,7 @@ def test_generation_rejects_an_argument_that_is_not_an_int(kwargs, name):
 
 @pytest.mark.parametrize("n_clips", [0, 1])
 def test_generation_rejects_a_sequence_shorter_than_two_clips(n_clips):
-    with pytest.raises(ValueError, match=rf"^sequence length must be >= 2, got {n_clips}$"):
+    with pytest.raises(ValueError, match=rf"^n_clips must be >= 2, got {n_clips}$"):
         generate(Regime(), d=4, n_clips=n_clips, n_sequences=2, seed=0)
 
 
