@@ -93,7 +93,9 @@ def cross_attention(xa, xv, w) -> AttendedPair:
     """Bidirectional cross-attention with residual tanh squashing.
 
     The audio weight map is the column-wise softmax of the correlation
-    matrix, the visual map the column-wise softmax of its transpose.
+    matrix, the visual map the column-wise softmax of its transpose. That
+    transpose's recipe reads the correlation, which is then normalized in
+    place: safe, as the transpose feeds only a softmax, which keeps no recipe.
     """
     z = cross_correlation(xa, xv, w)
     zt = transpose(z)  # taken before z is normalized in place

@@ -8,10 +8,15 @@ it; the node keeps the op's tag, the output shape, its inputs' nodes and
 the vjps mapping its grad to theirs, and each vjp closes over only the
 arrays its formula reads. So a value no vjp reads, such as a product that
 only feeds a softmax, is freed during the forward as soon as the last
-Tensor naming it goes. ``matmul``'s vjps drop the operand each read, and
-``softmax``'s vjp its output, once run; so a spent graph no longer holds
-the L x L attention maps, only the per-clip arrays that the vjps of
-``tanh``, ``relu``, ``gate_mix`` and ``metrics.ccc_loss`` read.
+Tensor naming it goes. No vjp keeps a layout copy either: a Tensor made by
+``transpose`` or a concat carries a recipe that rebuilds its value bit for
+bit from its inputs' values, or from an input copy's own recipe, and the
+vjps of ``matmul`` and ``gate_mix`` keep the recipe instead of the copy and
+run it when they run. A copy of a constant is a plain array and stays.
+``matmul``'s vjps drop the operand each read, and ``softmax``'s vjp its
+output, once run; so a spent graph no longer holds the L x L attention
+maps, only the per-clip arrays that the vjps of ``tanh``, ``relu``,
+``gate_mix`` and ``metrics.ccc_loss`` read.
 ``Tensor.parents`` yields nodes, which carry ``op``, ``shape``,
 ``parents`` and ``grad``.
 
@@ -37,8 +42,9 @@ rather than the ndarray method wrappers.
 Values are treated as immutable once wrapped, but for one exception:
 attention's ``softmax(z, in_place=True)`` normalizes each L x L product
 z in its own buffer, which is safe only because the caller drops z and no
-vjp reads it. Sharing values across threads is safe. A graph itself
-belongs to one thread from construction through backward.
+vjp reads it, not even through a kept recipe. Sharing values across
+threads is safe. A graph itself belongs to one thread from construction
+through backward.
 """
 
 from __future__ import annotations
@@ -123,11 +129,12 @@ class Tensor:
     vjp each; only the Tensors are linked.
     """
 
-    __slots__ = ("value", "_node")
+    __slots__ = ("value", "_node", "_recipe")
 
     def __init__(self, value, op: str = "leaf", parents: tuple = (), vjps: tuple = ()):
         self.value = _as_value(value)
         self._node = _link(op, self.value.shape, parents, vjps)
+        self._recipe = None
 
     @property
     def op(self) -> str:
@@ -190,13 +197,20 @@ class Tensor:
         return f"Tensor(shape={self.value.shape}, op={self.op!r})"
 
 
-def _result(value: np.ndarray, op: str, parents: tuple, vjps: tuple) -> Tensor:
-    # an op's output over at least one Tensor input; its value is float64,
-    # 2-D and C-contiguous by construction: no check
+def _result(value: np.ndarray, op: str, parents: tuple, vjps: tuple, recipe=None) -> Tensor:
+    # an op's output over at least one Tensor input, and a layout copy's recipe;
+    # its value is float64, 2-D and C-contiguous by construction: no check
     t = object.__new__(Tensor)
     t.value = value
     t._node = _link(op, value.shape, parents, vjps)
+    t._recipe = recipe
     return t
+
+
+def _keep(x, v):
+    # what a vjp keeps of input x, whose value is v: a layout copy's recipe, so
+    # that the copy goes with its last Tensor, else a function returning v
+    return (isinstance(x, Tensor) and x._recipe) or (lambda: v)
 
 
 def _topo_order(root: _Node) -> list[_Node]:
@@ -227,15 +241,16 @@ def matmul(a, b) -> Tensor | np.ndarray:
     value = av @ bv
     if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
         return value
+    keep_a, keep_b = _keep(a, av), _keep(b, bv)
 
     def vjp_a(g):  # each vjp drops the operand it read once run: the graph is single-use
-        nonlocal bv
-        ga, bv = g @ bv.T, None
+        nonlocal keep_b
+        ga, keep_b = g @ keep_b().T, None
         return ga
 
     def vjp_b(g):
-        nonlocal av
-        gb, av = av.T @ g, None
+        nonlocal keep_a
+        gb, keep_a = keep_a().T @ g, None
         return gb
 
     return _result(value, "matmul", (a, b), (vjp_a, vjp_b))
@@ -261,10 +276,13 @@ def scale(a, c: float) -> Tensor | np.ndarray:
 
 
 def transpose(a) -> Tensor | np.ndarray:
-    value = np.ascontiguousarray(_value(a).T)
+    av = _value(a)
+    value = np.ascontiguousarray(av.T)
     if not isinstance(a, Tensor):
         return value
-    return _result(value, "transpose", (a,), (lambda g: g.T,))
+    keep = _keep(a, av)
+    return _result(value, "transpose", (a,), (lambda g: g.T,),
+                   lambda: np.ascontiguousarray(keep().T))
 
 
 def tanh(a) -> Tensor | np.ndarray:
@@ -290,7 +308,8 @@ def softmax(a, temperature: float = 1.0, in_place: bool = False) -> Tensor | np.
     Each column becomes a probability vector; a row softmax is
     ``transpose(softmax(transpose(x)))``. Logits are divided by the
     temperature first, so smaller temperatures sharpen toward each column's
-    argmax. With ``in_place`` the result is written over a's value.
+    argmax. With ``in_place`` the result is written over a's value, which
+    no vjp may then read, directly or through a kept copy's recipe.
     """
     z = _value(a)
     if not temperature > 0:
@@ -334,7 +353,9 @@ def _concat(op: str, parts: tuple, axis: int) -> Tensor | np.ndarray:
         n = v.shape[axis]
         vjps.append(lambda g, i=(slice(None),) * axis + (slice(offset, offset + n),): g[i])
         offset += n
-    return _result(value, op, parts, tuple(vjps))
+    keeps = [_keep(p, v) for p, v in zip(parts, values)]
+    return _result(value, op, parts, tuple(vjps),
+                   lambda: np.concatenate([keep() for keep in keeps], axis=axis))
 
 
 def concat_rows(*parts) -> Tensor | np.ndarray:
@@ -380,11 +401,12 @@ def gate_mix(gate, candidates: Sequence) -> Tensor | np.ndarray:
         value += xs[j] * rows[j]
     if not any(isinstance(p, Tensor) for p in parents):
         return value
+    keeps = [_keep(x, v) for x, v in zip(parents, xs)]
 
     def gate_vjp(g):
         out = np.empty((k, n_clips))
-        for j, x in enumerate(xs):
-            out[j] = np.add.reduce(g * x, axis=0)
+        for j, keep in enumerate(keeps):
+            out[j] = np.add.reduce(g * keep(), axis=0)
         return out
 
     vjps = [lambda g, r=rows[j]: g * r for j in range(k)]

@@ -121,12 +121,13 @@ def _reject_repeats(flag: str, values) -> None:
 def _cmd_train(args: argparse.Namespace) -> int:
     _reject_repeats("--dims", args.dims)
     cfg = _load_config(args)
-    root = _out_root(cfg.out_dir or os.environ.get(ENV_OUT_DIR) or ".")
     for dim in args.dims:
         model, result, _ = train_one(cfg, dim)
         stem = args.name or _ckpt_name(cfg, dim)
         if len(args.dims) > 1 and args.name:
             stem = f"{args.name}_{dim}"
+        # made only once a fit has something to write: a failed one leaves no directory
+        root = _out_root(cfg.out_dir or os.environ.get(ENV_OUT_DIR) or ".")
         ckpt_path = root / f"{stem}.ckpt"
         save_checkpoint(model, ckpt_path, extra_meta={
             "experiment": asdict(replace(cfg, out_dir="")),

@@ -174,6 +174,66 @@ def test_a_value_no_vjp_reads_goes_with_its_last_tensor():
     np.testing.assert_array_equal(a.grad, (y.value * (upstream - inner)) @ b.value.T)
 
 
+# each layout op as (its inputs' shapes, the op, its value from the input
+# values, and the input grads from the copy's grad); every copy is 4 x 6
+LAYOUT_OPS = {
+    "transpose": ([(6, 4)], ad.transpose, lambda x: np.ascontiguousarray(x.T),
+                  lambda g: [g.T]),
+    "concat_rows": ([(1, 6), (3, 6)], ad.concat_rows, lambda x, y: np.concatenate([x, y]),
+                    lambda g: [g[:1], g[1:]]),
+    "concat_cols": ([(4, 2), (4, 4)], ad.concat_cols, lambda x, y: np.concatenate([x, y], 1),
+                    lambda g: [g[:, :2], g[:, 2:]]),
+}
+
+# each consumer that keeps a layout copy's recipe, as (the other operand's
+# shape, the op over (copy, other), and the grads of copy and other from the
+# copy's value c, the other's value o and the output's grad u)
+CONSUMERS = {
+    "matmul_a": ((6, 5), ad.matmul, lambda c, o, u: (u @ o.T, c.T @ u)),
+    "matmul_b": ((5, 4), lambda c, o: ad.matmul(o, c), lambda c, o, u: (o.T @ u, u @ c.T)),
+    "gate_mix": ((2, 6), lambda c, o: ad.gate_mix(o, (c, np.ones((4, 6)))),
+                 lambda c, o, u: (u * o[0], np.stack([(u * c).sum(axis=0), u.sum(axis=0)]))),
+}
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+@pytest.mark.parametrize("layout", LAYOUT_OPS)
+def test_a_layout_copy_goes_with_its_last_tensor(layout, consumer):
+    # the consumer's vjp keeps the copy's recipe, not the copy: the copy is
+    # freed once the caller drops it, and backward rebuilds it bit for bit
+    rng = np.random.default_rng(17)
+    shapes, op, copy_of, split = LAYOUT_OPS[layout]
+    other_shape, consume, grads_of = CONSUMERS[consumer]
+    inputs = [Tensor(rng.normal(size=shape)) for shape in shapes]
+    other = Tensor(rng.normal(size=other_shape))
+    c = op(*inputs)
+    copy = weakref.ref(c.value)
+    out = consume(c, other)
+    del c
+    assert copy() is None
+    upstream = rng.normal(size=out.shape)
+    ad.sum_all(ad.hadamard(out, upstream)).backward()
+    grad_c, grad_other = grads_of(copy_of(*(x.value for x in inputs)), other.value, upstream)
+    assert bits(*(x.grad for x in inputs), other.grad) == bits(*split(grad_c), grad_other)
+
+
+def test_a_copy_of_a_copy_keeps_its_input_as_a_recipe():
+    rng = np.random.default_rng(23)
+    x, w = Tensor(rng.normal(size=(4, 4))), Tensor(rng.normal(size=(5, 16)))
+    inner = ad.concat_cols(x, x)
+    outer = ad.transpose(inner)
+    stack = ad.concat_rows(x, x, outer)
+    copies = [weakref.ref(c.value) for c in (inner, outer, stack)]
+    out = ad.matmul(w, stack)
+    del inner, outer, stack
+    assert [copy() is None for copy in copies] == [True, True, True]
+    upstream = rng.normal(size=out.shape)
+    ad.sum_all(ad.hadamard(out, upstream)).backward()
+    stack = np.concatenate([x.value, x.value, np.ascontiguousarray(
+        np.concatenate([x.value, x.value], axis=1).T)])
+    assert bits(w.grad) == bits(upstream @ stack.T)
+
+
 def test_grads_are_allocated_by_backward_for_reached_nodes_only():
     x, unused = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))
     hidden = ad.tanh(x)

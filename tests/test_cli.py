@@ -403,6 +403,15 @@ def test_diverging_train_exits_with_error(epochs, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_diverging_train_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["train", "--lr", "1e300", "--optimizer", "sgd", "--d", "4", "--clips", "8",
+               "--n-train", "4", "--n-val", "2", "--epochs", "2", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: non-finite")
+    assert not out.exists()
+
+
 def test_subnormal_temperature_rejected_before_data(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("iaca.experiments.generate", lambda *a: pytest.fail("generated"))
     rc = main(["train", *TINY, "--variant", "CA", "--iaca", "--temperature", "1e-320",

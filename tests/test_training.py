@@ -507,3 +507,20 @@ def test_a_spent_training_graph_holds_no_lxl_array(variant, gated):
     assert [a for a in live_arrays(held) if a.shape == (n_clips, n_clips)] == []
     with pytest.raises(RuntimeError):
         loss.backward()
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_training_graph_holds_no_stack_copy(variant, gated):
+    # the joint layer's and the stage-2 gate's stacks over all clips are
+    # layout copies: their consumers keep recipes, so the graph waiting for
+    # backward holds the stacked candidates but not the stacks
+    d, n_clips, n_seqs = 3, 5, 2
+    rng = np.random.default_rng(19)
+    model = FusionModel.create(d, variant, gated)
+    batch = [SyntheticSequence(rng.normal(size=(d, n_clips)), rng.normal(size=(d, n_clips)),
+                               rng.uniform(-1.0, 1.0, size=(1, n_clips)), 0)
+             for _ in range(n_seqs)]
+    held = training._batch_loss(model, batch)
+    stacks = [(k * d, n_clips * n_seqs) for k in (2, 3)]
+    assert [a.shape for a in live_arrays(held) if a.shape in stacks] == []
