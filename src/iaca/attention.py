@@ -33,7 +33,6 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
-    add_col,
     concat_rows,
     matmul,
     relu,
@@ -75,7 +74,7 @@ def cross_correlation(xa, xv, w) -> Tensor:
 def joint_representation(xa, xv, w, b) -> Tensor:
     """Concatenate the two modalities and project back to d rows: w . [xa; xv] + b."""
     _check_pair(xa, xv)
-    return add_col(matmul(w, concat_rows(xa, xv)), b)
+    return add(matmul(w, concat_rows(xa, xv)), b)
 
 
 def _normalize(z: Tensor) -> Tensor:
@@ -127,8 +126,8 @@ def tca_block(xq, xkv, p: dict) -> tuple[Tensor, Tensor]:
     weights = _normalize(matmul(scale(transpose(k), 1.0 / d**0.5), q))
     attended = matmul(v, weights)
     h = add(xq, attended)
-    hidden = relu(add_col(matmul(p["ff1_w"], h), p["ff1_b"]))
-    ff = add_col(matmul(p["ff2_w"], hidden), p["ff2_b"])
+    hidden = relu(add(matmul(p["ff1_w"], h), p["ff1_b"]))
+    ff = add(matmul(p["ff2_w"], hidden), p["ff2_b"])
     return tanh(add(h, ff)), weights
 
 

@@ -65,7 +65,6 @@ __all__ = [
     "softmax",
     "concat_rows",
     "concat_cols",
-    "add_col",
     "gate_mix",
 ]
 
@@ -257,13 +256,16 @@ def matmul(a, b) -> Tensor | np.ndarray:
 
 
 def add(a, b) -> Tensor | np.ndarray:
+    """a + b, for b of a's shape or an rx1 column added to every column of a."""
     av, bv = _value(a), _value(b)
-    if av.shape != bv.shape:
-        raise ShapeError(f"add: shapes differ, {av.shape} vs {bv.shape}")
+    same = av.shape == bv.shape
+    if not same and bv.shape != (av.shape[0], 1):
+        raise ShapeError(f"add needs b of shape {av.shape} or {av.shape[0]}x1, got {bv.shape}")
     value = av + bv
     if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
         return value
-    return _result(value, "add", (a, b), (lambda g: g, lambda g: g))
+    return _result(value, "add", (a, b), (lambda g: g, (lambda g: g) if same
+                                          else lambda g: np.add.reduce(g, axis=1, keepdims=True)))
 
 
 def scale(a, c: float) -> Tensor | np.ndarray:
@@ -366,18 +368,6 @@ def concat_rows(*parts) -> Tensor | np.ndarray:
 def concat_cols(*parts) -> Tensor | np.ndarray:
     """Stack matrices horizontally; every input must have the same row count."""
     return _concat("concat_cols", parts, 1)
-
-
-def add_col(a, col) -> Tensor | np.ndarray:
-    """a + col, the rx1 column added to every column of the rxn matrix a."""
-    av, cv = _value(a), _value(col)
-    if cv.shape != (av.shape[0], 1):
-        raise ShapeError(f"add_col needs a {av.shape[0]}x1 column, got shape {cv.shape}")
-    value = av + cv
-    if not (isinstance(a, Tensor) or isinstance(col, Tensor)):
-        return value
-    return _result(value, "add_col", (a, col),
-                   (lambda g: g, lambda g: np.add.reduce(g, axis=1, keepdims=True)))
 
 
 def gate_mix(gate, candidates: Sequence) -> Tensor | np.ndarray:

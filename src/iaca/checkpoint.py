@@ -112,8 +112,8 @@ def load_checkpoint(path) -> Checkpoint:
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointError(f"unreadable checkpoint metadata: {exc}") from exc
         try:
-            # typed like a config, with every flag: a float d, a string iaca or a
-            # missing temperature is rejected, not coerced or defaulted
+            # built like a config, with every flag, and checked by param_schema: a float
+            # d, a string iaca or a missing temperature is rejected, not coerced or defaulted
             model = from_json_object(FusionModel, {k: meta[k] for k in ("variant", "iaca", "d")})
             model.flags = from_json_object(ModelFlags, meta["flags"], "flags", complete=True)
             schema = param_schema(model.d, model.variant, model.iaca, model.flags)

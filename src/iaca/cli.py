@@ -37,19 +37,19 @@ from .experiments import (
     train_one,
 )
 from .gating import _type_hints, check_field
-from .synth import REGIME_KINDS
-from .training import OPTIMIZERS, TrainingDivergence
+from .training import TrainingDivergence
 
 ENV_OUT_DIR = "IACA_RESULTS_DIR"
 
 
 # Every config flag: (flag, dotted ExperimentConfig field, argparse keywords).
-# It parses to the field's annotated type (a bool gets a --no- twin), and its
-# value is read back from argparse's default destination (--n-train -> n_train).
+# It parses to the field's annotated type (a bool gets a --no- twin) and takes
+# the field's declared choices, and its value is read back from argparse's
+# default destination (--n-train -> n_train).
 _CONFIG_FLAGS = (
-    ("--variant", "variant", {"choices": VARIANTS}),
+    ("--variant", "variant", {}),
     ("--iaca", "iaca", {"help": "attach the two-stage gating (default from config)"}),
-    ("--regime", "regime.kind", {"choices": REGIME_KINDS}),
+    ("--regime", "regime.kind", {}),
     ("--noise-sigma", "regime.noise_sigma", {}),
     ("--corrupt-fraction", "regime.corrupt_fraction",
      {"help": "fraction of audio clips zeroed in training sequences"}),
@@ -61,7 +61,7 @@ _CONFIG_FLAGS = (
     ("--epochs", "train.epochs", {}),
     ("--batch-size", "train.batch_size", {}),
     ("--lr", "train.lr", {}),
-    ("--optimizer", "train.optimizer", {"choices": OPTIMIZERS}),
+    ("--optimizer", "train.optimizer", {}),
     ("--patience", "train.patience", {}),
     ("--temperature", "flags.temperature", {}),
     ("--out-dir", "out_dir", {}),
@@ -73,13 +73,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for flag, dotted, kwargs in _CONFIG_FLAGS:
         kind = ExperimentConfig
         for name in dotted.split("."):
+            limits = next(f.metadata for f in fields(kind) if f.name == name)
             kind = _type_hints(kind)[name]
         if kind is bool:
             pair = parser.add_mutually_exclusive_group()
             pair.add_argument(flag, action="store_true", default=None, **kwargs)
             pair.add_argument(f"--no-{flag[2:]}", dest=flag[2:], action="store_false")
         else:
-            parser.add_argument(flag, type=kind, **kwargs)
+            parser.add_argument(flag, type=kind, choices=limits.get("choices"), **kwargs)
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -146,8 +147,7 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     variants = args.variants.split(",") if args.variants is not None else list(VARIANTS)
     for v in variants:
-        if v not in VARIANTS:
-            raise ValueError(f"unknown variant {v!r}; choose from {','.join(VARIANTS)}")
+        check_field("--variants", str, v, choices=VARIANTS)
     _reject_repeats("--variants", variants)
     rows = run_ablation(cfg, variants)
     path = _out_root(cfg.out_dir or os.environ.get(ENV_OUT_DIR) or ".") / args.out

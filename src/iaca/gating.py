@@ -21,16 +21,17 @@ its "<block>.<name>" names once per call, and every block reads its dict
 by those names.
 
 Config fields are typed by their annotations and declare their own limits,
-a range or choices, on the field (limited). One per-value check
-(check_field) serves configs built in Python (check_types: types and
-limits), read from JSON files or restored from checkpoints
-(from_json_object: types), and the arguments of generate, create and kin.
+a range or choices, on the field (limited). One walk (check_types) checks
+every field, nested configs' too, by its dotted path (train.seed), whether
+built in Python or read from JSON (from_json_object: keys and nesting
+alone); its per-value check (check_field) also serves generate, create and kin.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple, Optional, get_type_hints
 
@@ -49,7 +50,7 @@ from .attention import (
 from .autodiff import (
     Tensor,
     _as_value,
-    add_col,
+    add,
     concat_cols,
     concat_rows,
     gate_mix,
@@ -92,8 +93,8 @@ def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, T
 
 def predict(x_fused, head: dict) -> Tensor:
     """MLP head: ReLU hidden layer, linear output, tanh into [-1, 1]."""
-    hidden = relu(add_col(matmul(head["w1"], x_fused), head["b1"]))
-    return tanh(add_col(matmul(head["w2"], hidden), head["b2"]))
+    hidden = relu(add(matmul(head["w1"], x_fused), head["b1"]))
+    return tanh(add(matmul(head["w2"], hidden), head["b2"]))
 
 
 # what a scalar config field of each annotated type takes from JSON, Python or
@@ -117,37 +118,38 @@ def check_field(label: str, hint: type, value, lo=None, hi=None, choices=None) -
     types, noun = _FIELD_TYPES.get(hint, (hint, f"a {hint.__name__}"))
     if isinstance(value, (bool, np.bool_)) != (hint is bool) or not isinstance(value, types):
         raise ValueError(f"{label} must be {noun}, got {value!r:.40}")
-    try:
-        finite = hint is not float or math.isfinite(value)
+    try:  # a float field compares as a double: numpy casts a bound to a float32's type
+        number = float(value) if hint is float else value
     except OverflowError:  # an int past the float range
-        finite = False
-    if not finite:
+        number = math.inf
+    if hint is float and not math.isfinite(number):
         raise ValueError(f"{label} must be finite, got {value!r:.40}")
-    if (lo is not None and value < lo) or (hi is not None and value > hi):
+    if (lo is not None and number < lo) or (hi is not None and number > hi):
         bound = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi}]"
         raise ValueError(f"{label} must {bound}, got {value}")
     if choices is not None and value not in choices:
         raise ValueError(f"{label} must be one of {tuple(choices)}, got {value!r:.40}")
 
 
-def check_types(config) -> None:
+def check_types(config, where: str = "") -> None:
     """Check each field of the dataclass `config` against its annotation and
-    its declared limits; a nested config's own fields are left to its own
-    validate, and from_json_object checks a config file's types alone."""
+    its declared limits, naming it by its dotted path after `where`; a nested
+    config's fields are checked the same way."""
     hints = _type_hints(type(config))
     for f in fields(config):
-        check_field(f.name, hints[f.name], getattr(config, f.name), **f.metadata)
+        value = getattr(config, f.name)
+        check_field(where + f.name, hints[f.name], value, **f.metadata)
+        if is_dataclass(value):
+            check_types(value, f"{where}{f.name}.")
 
 
 def from_json_object(kind, data, where: str = "", complete: bool = False):
-    """Build the dataclass `kind` from a parsed JSON object, checking that
-    every key names a field and every value has its field's annotated type
-    (see check_types); dataclass-typed fields recurse. With `complete` (for
-    metadata, which is written whole) a missing field is an error too.
-    Problems raise ValueError naming the dotted field."""
+    """Build the dataclass `kind` from a parsed JSON object, checking that every
+    key names a field (values are left to check_types); dataclass-typed fields
+    recurse. With `complete` (for metadata, which is written whole) a missing
+    field is an error too. Problems raise ValueError naming the dotted field."""
     if not isinstance(data, dict):
-        raise ValueError(f"config field {where!r} must be an object" if where
-                         else f"config must be an object, got {type(data).__name__}")
+        raise ValueError(f"{where or 'config'} must be an object, got {type(data).__name__}")
     prefix = f"{where}." if where else ""
     hints = _type_hints(kind)
     unknown = sorted(prefix + key for key in set(data) - set(hints))
@@ -156,15 +158,8 @@ def from_json_object(kind, data, where: str = "", complete: bool = False):
     missing = sorted(prefix + key for key in set(hints) - set(data)) if complete else []
     if missing:
         raise ValueError(f"missing config fields: {missing}")
-    values = {}
-    for key, value in data.items():
-        hint = hints[key]
-        if is_dataclass(hint):
-            value = from_json_object(hint, value, prefix + key, complete)
-        else:
-            check_field(f"config field {prefix + key!r}", hint, value)
-        values[key] = value
-    return kind(**values)
+    return kind(**{key: from_json_object(hints[key], value, prefix + key, complete)
+                   if is_dataclass(hints[key]) else value for key, value in data.items()})
 
 
 @dataclass
@@ -172,15 +167,10 @@ class ModelFlags:
     """The one switch a config varies: the gate temperature. RJCA depth and
     head width are constants, not flags."""
 
-    temperature: float = 0.1
+    temperature: float = limited(0.1, lo=sys.float_info.min)  # the least normal: 1/T is finite
 
     def validate(self) -> None:
         check_types(self)
-        # the gates divide their logits by the temperature, and a subnormal one
-        # overflows; a Python float, so a float32 temperature is not cast back
-        if not (0 < self.temperature and 1.0 / float(self.temperature) < math.inf):
-            raise ValueError("temperature must be positive and finite, with a finite "
-                             f"reciprocal, got {self.temperature}")
 
 
 class Pass(NamedTuple):
@@ -200,7 +190,7 @@ def param_schema(d: int, variant: str, iaca: bool,
     check_field("variant", str, variant, choices=VARIANTS)
     check_field("iaca", bool, iaca)
     check_field("flags", ModelFlags, flags)
-    flags.validate()
+    check_types(flags, "flags.")
     schema: dict = {}
     if variant == "CA":
         schema["cross.w"] = (d, d, 1.0 / d)

@@ -299,8 +299,8 @@ def _tca_block_from_public_ops(xq, xkv, p):
     q, k, v = ad.matmul(p["wq"], xq), ad.matmul(p["wk"], xkv), ad.matmul(p["wv"], xkv)
     weights = ad.softmax(ad.matmul(ad.scale(ad.transpose(k), 1.0 / d**0.5), q))
     h = ad.add(xq, ad.matmul(v, weights))
-    hidden = ad.relu(ad.add_col(ad.matmul(p["ff1_w"], h), p["ff1_b"]))
-    return ad.tanh(ad.add(h, ad.add_col(ad.matmul(p["ff2_w"], hidden), p["ff2_b"]))), weights
+    hidden = ad.relu(ad.add(ad.matmul(p["ff1_w"], h), p["ff1_b"]))
+    return ad.tanh(ad.add(h, ad.add(ad.matmul(p["ff2_w"], hidden), p["ff2_b"]))), weights
 
 
 def _from_public_ops(variant, xa, xv, p):
@@ -317,7 +317,7 @@ def _from_public_ops(variant, xa, xv, p):
         weights = ad.softmax(cross_correlation(xa, xa, p))
         return [(_attend_from_public_ops(xa, weights), weights)]
     for _ in range(1 if variant == "JCA" else RJCA_ITERATIONS):
-        joint = ad.add_col(ad.matmul(p["joint_w"], ad.concat_rows(xa, xv)), p["joint_b"])
+        joint = ad.add(ad.matmul(p["joint_w"], ad.concat_rows(xa, xv)), p["joint_b"])
         out = []
         for x, w in ((xa, p["cross_a"]), (xv, p["cross_v"])):
             weights = ad.softmax(cross_correlation(x, joint, w))

@@ -291,21 +291,26 @@ def _check_grads(build, values):
         assert relative_error(leaves[k].grad, ad.finite_diff(f, v)) < 1e-7
 
 
-def test_add_col_broadcasts_and_matches_finite_diff():
+def test_add_broadcasts_a_column_and_matches_finite_diff():
     rng = np.random.default_rng(8)
     a, col = rng.normal(size=(3, 5)), rng.normal(size=(3, 1))
-    out = ad.add_col(a, col)
+    out = ad.add(a, col)
     np.testing.assert_array_equal(out, a + col)
-    _check_grads(ad.add_col, [a, col])
+    _check_grads(ad.add, [a, col])
 
 
-def test_add_col_rejects_bad_column():
+def test_add_rejects_a_b_of_neither_shape():
     for bad in (np.ones((2, 1)), np.ones((3, 2)), np.ones((1, 5))):
         with pytest.raises(ShapeError):
-            ad.add_col(np.ones((3, 5)), bad)
+            ad.add(np.ones((3, 5)), bad)
+    with pytest.raises(ShapeError, match=r"^add needs b of shape \(3, 5\) or 3x1, got \(1, 5\)$"):
+        ad.add(np.ones((3, 5)), np.ones((1, 5)))
+    # only b broadcasts: a column is not added to a matrix b
+    with pytest.raises(ShapeError, match=r"^add needs b of shape \(3, 1\) or 3x1, got \(3, 5\)$"):
+        ad.add(np.ones((3, 1)), np.ones((3, 5)))
     # values enter 2-D: a scalar is not taken for a 1 x 1 column
     with pytest.raises(ShapeError, match=r"expected a 2-D value, got shape \(\)"):
-        ad.add_col(np.ones((1, 5)), 1.0)
+        ad.add(np.ones((1, 5)), 1.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -460,7 +465,7 @@ _OP_CASES = {
     "relu": ([(3, 4)], lambda t: autodiff.relu(t[0]), False),
     "concat_rows": ([(2, 4), (3, 4), (1, 4)], lambda t: autodiff.concat_rows(*t), False),
     "concat_cols": ([(3, 2), (3, 4)], lambda t: autodiff.concat_cols(*t), False),
-    "add_col": ([(3, 4), (3, 1)], lambda t: autodiff.add_col(*t), False),
+    "add-col": ([(3, 4), (3, 1)], lambda t: autodiff.add(*t), False),
     "gate_mix": ([(3, 4), (2, 4), (2, 4), (2, 4)],
                  lambda t: autodiff.gate_mix(t[0], t[1:]), False),
 }
@@ -547,7 +552,7 @@ def test_plain_arrays_beside_a_leaf_enter_the_graph_as_constants():
 
     def loss(wrap):
         x = Tensor(x_value.copy())
-        h = ad.add_col(ad.matmul(wrap(w), x), wrap(col))
+        h = ad.add(ad.matmul(wrap(w), x), wrap(col))
         mixed = ad.gate_mix(wrap(gate), [ad.softmax(h, temperature=0.5), wrap(other)])
         out = ad.sum_all(ad.hadamard(ad.concat_rows(ad.tanh(mixed), wrap(other)), wrap(probe)))
         return x, out

@@ -337,7 +337,8 @@ def test_model_metadata_types_checked_at_load(tmp_path, field, value):
     meta[field] = value
     path = tmp_path / "mistyped.ckpt"
     path.write_bytes(_handmade(meta, params))
-    with pytest.raises(CheckpointError, match=f"'{field}'"):
+    with pytest.raises(CheckpointError,
+                       match=f"^invalid model metadata in checkpoint: {field} must be "):
         load_checkpoint(path)
 
 

@@ -4,7 +4,7 @@ import json
 import pkgutil
 import re
 import shlex
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -338,12 +338,14 @@ def test_sweep_and_dump_write_next_to_checkpoints_from_any_directory(tmp_path, m
 @pytest.mark.parametrize("flag, dotted, kwargs", _CONFIG_FLAGS,
                          ids=[row[0] for row in _CONFIG_FLAGS])
 def test_each_config_flag_parses_to_its_field_type(flag, dotted, kwargs):
-    # the annotation types the flag; no row restates it
-    assert "type" not in kwargs
-    kind = ExperimentConfig
+    # the annotation types the flag and the field declares its choices; no
+    # row restates either
+    assert "type" not in kwargs and "choices" not in kwargs
+    kind, limits = ExperimentConfig, {}
     for name in dotted.split("."):
+        limits = {f.name: f.metadata for f in fields(kind)}[name]
         kind = get_type_hints(kind)[name]
-    choice = next(iter(kwargs.get("choices", ["runs"])))
+    choice = next(iter(limits.get("choices", ["runs"])))
     argv, expected = {bool: ([], True), int: (["3"], 3), float: (["0.5"], 0.5),
                       str: ([choice], choice)}[kind]
     cfg = _load_config(build_parser().parse_args(["train", flag, *argv]))
@@ -417,8 +419,8 @@ def test_subnormal_temperature_rejected_before_data(tmp_path, capsys, monkeypatc
     rc = main(["train", *TINY, "--variant", "CA", "--iaca", "--temperature", "1e-320",
                "--out-dir", str(tmp_path)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: temperature")
+    assert capsys.readouterr().err == (
+        "error: flags.temperature must be >= 2.2250738585072014e-308, got 1e-320\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -456,7 +458,7 @@ def test_negative_train_seed_rejected_before_data(tmp_path, capsys, monkeypatch)
     config.write_text(json.dumps({"train": {"seed": -1}}))
     rc = main(["train", *TINY, "--config", str(config), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: train.seed must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -482,7 +484,8 @@ def test_empty_variant_list_rejected_before_training(tmp_path, capsys, monkeypat
     monkeypatch.setattr("iaca.cli.run_ablation", lambda *a: pytest.fail("trained"))
     rc = main(["ablation", *TINY, "--variants", "", "--out-dir", str(tmp_path)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: unknown variant ''")
+    assert capsys.readouterr().err.startswith(
+        "error: --variants must be one of ('CA', 'TCA', 'JCA', 'RJCA'), got ''")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import sys
 from dataclasses import asdict, fields, is_dataclass
 from functools import reduce
 from types import SimpleNamespace
@@ -73,6 +74,16 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig.from_dict({"regime": {"bogus": 1}})
 
 
+@pytest.mark.parametrize("data,message", [
+    ([], "config must be an object, got list"),
+    ({"regime": 5}, "regime must be an object, got int"),
+    ({"train": None}, "train must be an object, got NoneType"),
+], ids=["top", "regime", "train"])
+def test_config_that_is_not_an_object_is_named_by_its_path(data, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(data)
+
+
 def test_config_validation_recurses():
     with pytest.raises(ValueError):
         _tiny_cfg(variant="ABC").validate()
@@ -120,23 +131,23 @@ _WRONG_VALUES = {bool: ("a bool", [1]), int: ("an int", [True, 2.5]),
     for path, hint in _scalar_fields() for noun, values in [_WRONG_VALUES[hint]]
     for value in values])
 def test_every_scalar_config_field_rejects_a_value_of_another_type(path, noun, value):
-    # one check reads the annotations, for a config read from JSON and for one
-    # built in Python; a list in a str field used to escape as TypeError
+    # one check reads the annotations and names the dotted field, for a config
+    # read from JSON and for one built in Python; a list in a str field used
+    # to escape as TypeError
     *sections, name = path
     data = value
     for section in reversed(path):
         data = {section: data}
-    label = f"config field {'.'.join(path)!r}"
-    with pytest.raises(ValueError, match=re.escape(f"{label} must be {noun},")):
-        ExperimentConfig.from_dict(data)
-    cfg = ExperimentConfig()
-    setattr(reduce(getattr, sections, cfg), name, value)
-    with pytest.raises(ValueError, match=f"^{name} must be {noun}, got "):
-        cfg.validate()
+    built = ExperimentConfig()
+    setattr(reduce(getattr, sections, built), name, value)
+    for cfg in (ExperimentConfig.from_dict(data), built):
+        with pytest.raises(ValueError, match=f"^{re.escape('.'.join(path))} must be {noun}, got "):
+            cfg.validate()
 
 
 # every range or choice a config field declares; ExperimentConfig.seed takes
-# every int (derive_seed defines them all), and the temperature keeps its own check
+# every int (derive_seed defines them all), and the temperature every normal
+# positive double, whose reciprocal the gates can take
 _LIMITS = {
     "variant": {"choices": VARIANTS}, "d": {"lo": 2}, "n_clips": {"lo": 2},
     "n_train": {"lo": 1}, "n_val": {"lo": 1},
@@ -144,7 +155,7 @@ _LIMITS = {
     "regime.corrupt_fraction": {"lo": 0, "hi": 1},
     "train.epochs": {"lo": 1}, "train.batch_size": {"lo": 1}, "train.lr": {"lo": 0},
     "train.optimizer": {"choices": ("sgd", "adaptive-moment")}, "train.seed": {"lo": 0},
-    "train.patience": {"lo": 0},
+    "train.patience": {"lo": 0}, "flags.temperature": {"lo": sys.float_info.min},
 }
 
 
@@ -166,10 +177,9 @@ def _limit_cases():
     # (dotted field, value, its message, or None where the value is taken)
     hints = dict(_scalar_fields())
     for path, limits in _LIMITS.items():
-        name = path.rpartition(".")[2]
         if "choices" in limits:
             yield from ((path, choice, None) for choice in limits["choices"])
-            yield path, "nope", f"{name} must be one of {limits['choices']}, got 'nope'"
+            yield path, "nope", f"{path} must be one of {limits['choices']}, got 'nope'"
             continue
         is_int = hints[tuple(path.split("."))] is int
         lo, hi = limits["lo"], limits.get("hi")
@@ -178,7 +188,7 @@ def _limit_cases():
             if edge is not None:
                 past = edge + step if is_int else float(np.nextafter(edge, edge + step))
                 yield path, edge, None
-                yield path, past, f"{name} must {bound}, got {past}"
+                yield path, past, f"{path} must {bound}, got {past}"
 
 
 @pytest.mark.parametrize("path,value,message", [
@@ -267,6 +277,20 @@ def test_prepare_splits_deterministic_and_dimension_specific():
     assert not np.array_equal(t1[0].target, ta[0].target)
     with pytest.raises(ValueError):
         prepare_splits(cfg, "dominance")
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n_val", -3, "n_val must be >= 1, got -3"),
+    ("n_train", "5", "n_train must be an int, got '5'"),
+    ("regime", {"kind": "x"}, "regime must be a Regime, got {'kind': 'x'}"),
+], ids=["negative-n_val", "str-n_train", "dict-regime"])
+def test_prepare_splits_validates_its_config_before_generating(monkeypatch, field, value,
+                                                               message):
+    # each used to slip through: an empty validation split, an untyped
+    # TypeError, an AttributeError
+    monkeypatch.setattr("iaca.experiments.generate", lambda *a: pytest.fail("generated"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        prepare_splits(_tiny_cfg(**{field: value}), "valence")
 
 
 def test_corrupt_fraction_zeroes_training_audio_only():

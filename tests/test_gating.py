@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,22 @@ def test_create_validates_arguments():
                        ((4, "CA", True, {"temperature": 0.5}), "flags")):
         with pytest.raises(ValueError, match=f"^{name} must be "):
             FusionModel.create(*args)
+
+
+@pytest.mark.parametrize("zero", [np.float32(0.0), np.float32(-0.0)], ids=["zero", "minus-zero"])
+def test_a_float32_zero_temperature_is_rejected(zero):
+    # compared as a float32, the bound (the least normal double) would
+    # underflow to 0 and take it
+    with pytest.raises(ValueError,
+                       match=r"^temperature must be >= 2\.2250738585072014e-308, got -?0\.0$"):
+        ModelFlags(temperature=zero).validate()
+
+
+def test_a_float32_temperature_is_taken_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ModelFlags(temperature=np.float32(0.5)).validate()
+        FusionModel.create(4, "CA", True, ModelFlags(temperature=np.float32(0.5)))
 
 
 @pytest.mark.parametrize("seed, message", [(-1, "must be >= 0, got -1"),
