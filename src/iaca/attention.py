@@ -20,7 +20,8 @@ products), written into the correlation's own buffer: a graph node holds
 no value and the product's vjps read only its inputs, so nothing reads the
 correlation after its map is built, and each map costs one L x L buffer.
 A training graph keeps the maps, which the attended products' vjps read,
-until its backward drops them.
+until its backward drops them; the x^T W inside each correlation it
+rebuilds in backward instead of keeping (autodiff.matmul).
 """
 
 from __future__ import annotations

@@ -8,11 +8,15 @@ it; the node keeps the op's tag, the output shape, its inputs' nodes and
 the vjps mapping its grad to theirs, and each vjp closes over only the
 arrays its formula reads. So a value no vjp reads, such as a product that
 only feeds a softmax, is freed during the forward as soon as the last
-Tensor naming it goes. No vjp keeps a layout copy either: a Tensor made by
-``transpose`` or a concat carries a recipe that rebuilds its value bit for
-bit from its inputs' values, or from an input copy's own recipe, and the
-vjps of ``matmul`` and ``gate_mix`` keep the recipe instead of the copy and
-run it when they run. A copy of a constant is a plain array and stays.
+Tensor naming it goes. Nor does a vjp keep a value that is cheap to make
+again: a layout copy (a Tensor made by ``transpose`` or a concat) and a
+``matmul`` product with a parameter leaf among its operands carry a recipe
+that rebuilds the value bit for bit from what their own vjps keep, their
+inputs' values or an input's own recipe (a concat fills one buffer, a
+concat part its own slice of it). The vjps of ``matmul`` and ``gate_mix``
+keep the recipe instead of the value and run it when they run. A product
+of two activations carries none, so no L x L product is computed twice;
+a copy of a constant is a plain array and stays.
 ``matmul``'s vjps drop the operand each read, and ``softmax``'s vjp its
 output, once run; so a spent graph no longer holds the L x L attention
 maps, only the per-clip arrays that the vjps of ``tanh``, ``relu``,
@@ -42,9 +46,10 @@ rather than the ndarray method wrappers.
 Values are treated as immutable once wrapped, but for one exception:
 attention's ``softmax(z, in_place=True)`` normalizes each L x L product
 z in its own buffer, which is safe only because the caller drops z and no
-vjp reads it, not even through a kept recipe. Sharing values across
-threads is safe. A graph itself belongs to one thread from construction
-through backward.
+vjp reads it, not even through a kept recipe. A recipe reads only what its
+own op's vjps read, so rebuilding never reads a buffer this rule does not
+already protect. Sharing values across threads is safe. A graph itself
+belongs to one thread from construction through backward.
 """
 
 from __future__ import annotations
@@ -197,7 +202,7 @@ class Tensor:
 
 
 def _result(value: np.ndarray, op: str, parents: tuple, vjps: tuple, recipe=None) -> Tensor:
-    # an op's output over at least one Tensor input, and a layout copy's recipe;
+    # an op's output over at least one Tensor input, and its recipe if it has one;
     # its value is float64, 2-D and C-contiguous by construction: no check
     t = object.__new__(Tensor)
     t.value = value
@@ -207,9 +212,13 @@ def _result(value: np.ndarray, op: str, parents: tuple, vjps: tuple, recipe=None
 
 
 def _keep(x, v):
-    # what a vjp keeps of input x, whose value is v: a layout copy's recipe, so
-    # that the copy goes with its last Tensor, else a function returning v
+    # what a vjp keeps of input x, whose value is v: its recipe, if it has one,
+    # so that the value goes with its last Tensor, else a function returning v
     return (isinstance(x, Tensor) and x._recipe) or (lambda: v)
+
+
+def _is_leaf(x) -> bool:
+    return isinstance(x, Tensor) and x._node.op == "leaf"
 
 
 def _topo_order(root: _Node) -> list[_Node]:
@@ -233,7 +242,15 @@ def _topo_order(root: _Node) -> list[_Node]:
 
 
 def matmul(a, b) -> Tensor | np.ndarray:
-    """Standard matrix product (m,k) @ (k,n) -> (m,n)."""
+    """Standard matrix product (m,k) @ (k,n) -> (m,n).
+
+    A product with a parameter leaf among its operands (a correlation's
+    x^T W, TCA's q and v) carries a recipe, ``keep_a() @ keep_b()`` over what
+    its own vjps keep, so a consumer that keeps it rebuilds it bit for bit
+    at the cost of one product with a d x d parameter. A product of two
+    activations (each L x L correlation, each attended product) carries
+    none: its consumers keep its value, and no O(d L^2) product runs twice.
+    """
     av, bv = _value(a), _value(b)
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {av.shape} @ {bv.shape}")
@@ -252,7 +269,8 @@ def matmul(a, b) -> Tensor | np.ndarray:
         gb, keep_a = keep_a().T @ g, None
         return gb
 
-    return _result(value, "matmul", (a, b), (vjp_a, vjp_b))
+    return _result(value, "matmul", (a, b), (vjp_a, vjp_b),
+                   (lambda: keep_a() @ keep_b()) if _is_leaf(a) or _is_leaf(b) else None)
 
 
 def add(a, b) -> Tensor | np.ndarray:
@@ -349,15 +367,28 @@ def _concat(op: str, parts: tuple, axis: int) -> Tensor | np.ndarray:
     value = np.concatenate(values, axis=axis)
     if not any(isinstance(p, Tensor) for p in parts):
         return value
-    vjps = []
-    offset = 0
+    index, offset = [], 0
     for v in values:
         n = v.shape[axis]
-        vjps.append(lambda g, i=(slice(None),) * axis + (slice(offset, offset + n),): g[i])
+        index.append((slice(None),) * axis + (slice(offset, offset + n),))
         offset += n
     keeps = [_keep(p, v) for p, v in zip(parts, values)]
-    return _result(value, op, parts, tuple(vjps),
-                   lambda: np.concatenate([keep() for keep in keeps], axis=axis))
+    nested = [isinstance(p, Tensor) and p._node.op in ("concat_rows", "concat_cols")
+              for p in parts]
+    shape = value.shape
+
+    def rebuild(out=None):
+        # one buffer filled part by part; a part that is itself a concat
+        # fills its own slice, so no inner copy is built on its own
+        out = np.empty(shape) if out is None else out
+        for keep, i, inner in zip(keeps, index, nested):
+            if inner:
+                keep(out[i])
+            else:
+                out[i] = keep()
+        return out
+
+    return _result(value, op, parts, tuple(lambda g, i=i: g[i] for i in index), rebuild)
 
 
 def concat_rows(*parts) -> Tensor | np.ndarray:

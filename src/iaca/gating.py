@@ -62,10 +62,15 @@ from .autodiff import (
 )
 
 
-def _gate(scorer, w, candidates, temperature: float) -> tuple[Tensor, Tensor]:
-    # the gating layer: K x L scores softmax(w^T . scorer / T), one column per
-    # clip, weight the K candidates; returns the ReLU'd blend and the scores
-    g = softmax(matmul(transpose(w), scorer), temperature=temperature)
+def _scores(scorer, w, temperature: float) -> Tensor:
+    # a gate's K x L scores softmax(w^T . scorer / T), one column per clip
+    return softmax(matmul(transpose(w), scorer), temperature=temperature)
+
+
+def _gate(g, candidates) -> tuple[Tensor, Tensor]:
+    # the gating layer: the scores g weight the K candidates; returns the
+    # ReLU'd blend and the scores. Callers build g first, so a stacked scorer
+    # is dropped with its matmul (which keeps only its recipe) before the mix
     return relu(gate_mix(g, candidates)), g
 
 
@@ -77,7 +82,7 @@ def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, Tensor
     feature, row 1 the attended one; the convex blend passes through ReLU.
     Returns the blend and the 2 x L scores.
     """
-    return _gate(x_att, w_gl, (x_base, x_att), temperature)
+    return _gate(_scores(x_att, w_gl, temperature), (x_base, x_att))
 
 
 def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, Tensor]:
@@ -88,7 +93,7 @@ def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, T
     weight x_ga, x_gv, x_gav in that order. Returns the mix and the 3 x L
     scores.
     """
-    return _gate(concat_rows(x_ga, x_gv, x_gav), w_avl, (x_ga, x_gv, x_gav), temperature)
+    return _gate(_scores(concat_rows(x_ga, x_gv, x_gav), w_avl, temperature), (x_ga, x_gv, x_gav))
 
 
 def predict(x_fused, head: dict) -> Tensor:

@@ -8,7 +8,7 @@ from iaca import autodiff
 from iaca.autodiff import ShapeError, Tensor
 
 import reference as ref
-from helpers import bits, ops as ad, relative_error
+from helpers import bits, live_arrays, ops as ad, relative_error
 
 
 def test_matmul_identity():
@@ -174,15 +174,19 @@ def test_a_value_no_vjp_reads_goes_with_its_last_tensor():
     np.testing.assert_array_equal(a.grad, (y.value * (upstream - inner)) @ b.value.T)
 
 
-# each layout op as (its inputs' shapes, the op, its value from the input
-# values, and the input grads from the copy's grad); every copy is 4 x 6
+# each op whose output a consumer rebuilds, the layout ops and a product with
+# a parameter leaf, as (its inputs' shapes, the op, its value from the input
+# values, and the input grads from the copy's grad g and the input values);
+# every copy is 4 x 6
 LAYOUT_OPS = {
     "transpose": ([(6, 4)], ad.transpose, lambda x: np.ascontiguousarray(x.T),
-                  lambda g: [g.T]),
+                  lambda g, *_: [g.T]),
     "concat_rows": ([(1, 6), (3, 6)], ad.concat_rows, lambda x, y: np.concatenate([x, y]),
-                    lambda g: [g[:1], g[1:]]),
+                    lambda g, *_: [g[:1], g[1:]]),
     "concat_cols": ([(4, 2), (4, 4)], ad.concat_cols, lambda x, y: np.concatenate([x, y], 1),
-                    lambda g: [g[:, :2], g[:, 2:]]),
+                    lambda g, *_: [g[:, :2], g[:, 2:]]),
+    "parameter_product": ([(4, 3), (3, 6)], ad.matmul, lambda x, w: x @ w,
+                          lambda g, x, w: [g @ w.T, x.T @ g]),
 }
 
 # each consumer that keeps a layout copy's recipe, as (the other operand's
@@ -200,7 +204,8 @@ CONSUMERS = {
 @pytest.mark.parametrize("layout", LAYOUT_OPS)
 def test_a_layout_copy_goes_with_its_last_tensor(layout, consumer):
     # the consumer's vjp keeps the copy's recipe, not the copy: the copy is
-    # freed once the caller drops it, and backward rebuilds it bit for bit
+    # freed once the caller drops it, and backward rebuilds it bit for bit;
+    # so is a product with a parameter leaf (here both operands are leaves)
     rng = np.random.default_rng(17)
     shapes, op, copy_of, split = LAYOUT_OPS[layout]
     other_shape, consume, grads_of = CONSUMERS[consumer]
@@ -213,8 +218,26 @@ def test_a_layout_copy_goes_with_its_last_tensor(layout, consumer):
     assert copy() is None
     upstream = rng.normal(size=out.shape)
     ad.sum_all(ad.hadamard(out, upstream)).backward()
-    grad_c, grad_other = grads_of(copy_of(*(x.value for x in inputs)), other.value, upstream)
-    assert bits(*(x.grad for x in inputs), other.grad) == bits(*split(grad_c), grad_other)
+    values = [x.value for x in inputs]
+    grad_c, grad_other = grads_of(copy_of(*values), other.value, upstream)
+    assert bits(*(x.grad for x in inputs), other.grad) == bits(*split(grad_c, *values), grad_other)
+
+
+def test_a_product_of_two_activations_is_kept_not_rebuilt():
+    # only a product with a parameter leaf carries a recipe; the consumer of
+    # one of two activations (an L x L correlation, an attended product)
+    # keeps its value, so backward never multiplies it out again
+    rng = np.random.default_rng(29)
+    x, y, w = (Tensor(rng.normal(size=shape)) for shape in ((4, 3), (3, 6), (6, 5)))
+    c = ad.matmul(ad.tanh(x), ad.tanh(y))
+    assert c._recipe is None
+    product = c.value
+    out = ad.matmul(c, w)
+    del c
+    assert any(a is product for a in live_arrays(out))
+    upstream = rng.normal(size=out.shape)
+    ad.sum_all(ad.hadamard(out, upstream)).backward()
+    assert bits(w.grad) == bits(product.T @ upstream)
 
 
 def test_a_copy_of_a_copy_keeps_its_input_as_a_recipe():

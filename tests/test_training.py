@@ -1,12 +1,13 @@
 import csv
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
-from iaca import training
-from iaca.attention import VARIANTS
-from iaca.autodiff import Tensor, add
+from iaca import attention, gating, training
+from iaca.attention import RJCA_ITERATIONS, VARIANTS
+from iaca.autodiff import Tensor, add, gate_mix, matmul
 from iaca.experiments import save_history
 from iaca.gating import FusionModel, ModelFlags, param_schema
 from iaca.metrics import ccc
@@ -489,6 +490,13 @@ def test_one_batch_backward_reaches_every_parameter(variant, gated):
     assert [name for name, leaf in leaves.items() if leaf.grad is None] == []
 
 
+def _batch(d, n_clips, n_seqs):
+    rng = np.random.default_rng(19)
+    return [SyntheticSequence(rng.normal(size=(d, n_clips)), rng.normal(size=(d, n_clips)),
+                              rng.uniform(-1.0, 1.0, size=(1, n_clips)), 0)
+            for _ in range(n_seqs)]
+
+
 @pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_spent_training_graph_holds_no_lxl_array(variant, gated):
@@ -496,12 +504,8 @@ def test_a_spent_training_graph_holds_no_lxl_array(variant, gated):
     # backward nothing the caller holds keeps a weight map alive; fit holds
     # a spent graph until the next one is built
     d, n_clips, n_seqs = 3, 5, 2
-    rng = np.random.default_rng(19)
     model = FusionModel.create(d, variant, gated)
-    batch = [SyntheticSequence(rng.normal(size=(d, n_clips)), rng.normal(size=(d, n_clips)),
-                               rng.uniform(-1.0, 1.0, size=(1, n_clips)), 0)
-             for _ in range(n_seqs)]
-    held = training._batch_loss(model, batch)
+    held = training._batch_loss(model, _batch(d, n_clips, n_seqs))
     loss = held[0]
     loss.backward()
     assert [a for a in live_arrays(held) if a.shape == (n_clips, n_clips)] == []
@@ -516,11 +520,59 @@ def test_a_training_graph_holds_no_stack_copy(variant, gated):
     # layout copies: their consumers keep recipes, so the graph waiting for
     # backward holds the stacked candidates but not the stacks
     d, n_clips, n_seqs = 3, 5, 2
-    rng = np.random.default_rng(19)
     model = FusionModel.create(d, variant, gated)
-    batch = [SyntheticSequence(rng.normal(size=(d, n_clips)), rng.normal(size=(d, n_clips)),
-                               rng.uniform(-1.0, 1.0, size=(1, n_clips)), 0)
-             for _ in range(n_seqs)]
-    held = training._batch_loss(model, batch)
+    held = training._batch_loss(model, _batch(d, n_clips, n_seqs))
     stacks = [(k * d, n_clips * n_seqs) for k in (2, 3)]
     assert [a.shape for a in live_arrays(held) if a.shape in stacks] == []
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_training_graph_holds_no_parameter_product(variant, gated, monkeypatch):
+    # each correlation's x^T W and TCA's q and v are products with a
+    # parameter leaf: their consumers keep recipes that rebuild them, so the
+    # graph waiting for backward holds none of them
+    d, n_clips, n_seqs = 3, 5, 2
+    calls = []
+
+    def recording(a, b):
+        out = matmul(a, b)
+        calls.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(attention, "matmul", recording)
+    model = FusionModel.create(d, variant, gated)
+    held = training._batch_loss(model, _batch(d, n_clips, n_seqs))
+    params = [id(leaf) for leaf in held[1].values()]
+    products = [out.value for a, b, out in calls if id(a) in params or id(b) in params]
+    # per sequence: CA's one correlation, JCA's two, RJCA's two per pass;
+    # TCA's q, k and v in both directions (and its feed-forward products)
+    per_seq = {"CA": 1, "TCA": 6, "JCA": 2, "RJCA": 2 * RJCA_ITERATIONS}[variant]
+    assert sum(p.shape == ((d, n_clips) if variant == "TCA" else (n_clips, d))
+               for p in products) >= n_seqs * per_seq
+    live = {id(a) for a in live_arrays(held)}
+    assert [p.shape for p in products if id(p) in live] == []
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_stage2_stack_is_not_alive_when_its_gate_mixes(variant, monkeypatch):
+    # the stage-2 scores are built before the mix, so the (3d, N) stack the
+    # scorer read is freed with its matmul, which keeps only its recipe: at
+    # the mix, no frame of the pass holds it
+    d, n_clips, n_seqs = 3, 5, 2
+    stacks = []
+
+    def spying(g, candidates):
+        frames, f = [], sys._getframe(1)
+        while f.f_globals["__name__"].startswith("iaca."):
+            frames.append(dict(f.f_locals))
+            f = f.f_back
+        if len(candidates) == 3:
+            stacks.append([a.shape for a in live_arrays(frames)
+                           if a.shape == (3 * d, n_clips * n_seqs)])
+        return gate_mix(g, candidates)
+
+    monkeypatch.setattr(gating, "gate_mix", spying)
+    model = FusionModel.create(d, variant, True)
+    training._batch_loss(model, _batch(d, n_clips, n_seqs))
+    assert stacks == [[]]
