@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -69,7 +68,7 @@ def save_checkpoint(model: FusionModel, path, extra_meta: dict = None) -> None:
     # Write a sibling temp file and rename it over the target, so a crash
     # mid-write leaves any previous checkpoint at `path` intact.
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(MAGIC)

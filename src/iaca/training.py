@@ -158,8 +158,6 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
         losses, preds, golds = [], [], []
         for start in range(0, len(train), cfg.batch_size):
             batch = [train[i] for i in order[start:start + cfg.batch_size]]
-            # the last step's spent graph, per-clip values only (backward dropped
-            # its maps), lives until here: glibc would trim the heap every step
             loss, leaves, pred, gold = _batch_loss(model, batch)
             value = loss.item()
             if not np.isfinite(value):
@@ -176,6 +174,7 @@ def fit(model: FusionModel, train: Sequence, val: Sequence,
                     f"non-finite gradient for {name} at epoch {epoch}, "
                     f"batch starting at {start}")
             optimizer.step(model.params, grads)
+            del loss, leaves, grads  # the spent graph goes before the next is built
             losses.append(value)
             preds.append(pred)
             golds.append(gold)

@@ -1,11 +1,15 @@
 import json
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iaca
 from iaca.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -380,3 +384,14 @@ def test_one_check_rejects_a_bad_description_alike_everywhere(tmp_path, field, v
     config, create, load = messages
     assert config == create
     assert load == f"invalid model metadata in checkpoint: {config}"
+
+
+def test_importing_the_package_loads_no_hashing_or_openssl():
+    # save_checkpoint names its temp file with os.urandom, not secrets,
+    # whose import pulls in hmac, hashlib and OpenSSL's libcrypto
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import iaca; "
+            "print(sorted({'_hashlib', 'hmac', 'secrets'} & set(sys.modules)))")
+    src = str(Path(iaca.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

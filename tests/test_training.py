@@ -1,11 +1,14 @@
 import csv
 import dataclasses
+import platform
+import resource
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from iaca import attention, gating, training
+from iaca import attention, autodiff, gating, training
 from iaca.attention import RJCA_ITERATIONS, VARIANTS
 from iaca.autodiff import Tensor, add, gate_mix, matmul
 from iaca.experiments import save_history
@@ -501,8 +504,7 @@ def _batch(d, n_clips, n_seqs):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_spent_training_graph_holds_no_lxl_array(variant, gated):
     # the matmul and softmax vjps drop what they read once run, so after
-    # backward nothing the caller holds keeps a weight map alive; fit holds
-    # a spent graph until the next one is built
+    # backward nothing the caller holds keeps a weight map alive
     d, n_clips, n_seqs = 3, 5, 2
     model = FusionModel.create(d, variant, gated)
     held = training._batch_loss(model, _batch(d, n_clips, n_seqs))
@@ -576,3 +578,41 @@ def test_the_stage2_stack_is_not_alive_when_its_gate_mixes(variant, monkeypatch)
     model = FusionModel.create(d, variant, True)
     training._batch_loss(model, _batch(d, n_clips, n_seqs))
     assert stacks == [[]]
+
+
+def test_a_steps_graph_is_gone_before_the_next_is_built(monkeypatch):
+    # fit drops its spent graph after the optimizer step; the loss value is
+    # an array that only the graph holds
+    train, val = _small_data()
+    real, spent, calls = training._batch_loss, [], []
+
+    def watched(model, batch):
+        calls.append([ref() is None for ref in spent])
+        held = real(model, batch)
+        spent.append(weakref.ref(held[0].value))
+        return held
+
+    monkeypatch.setattr(training, "_batch_loss", watched)
+    fit(_small_model(), train, val, TrainConfig(epochs=2, batch_size=3, patience=0))
+    assert len(calls) == 6
+    assert all(all(dead) for dead in calls)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setup is glibc's")
+def test_a_long_prediction_faults_no_page_back_in():
+    # glibc keeps the heap that one call frees for the next: at its default
+    # trim threshold each call faulted its maps back in (576 minor faults)
+    seq = generate(Regime("weak_conflicting", noise_sigma=2.0), d=32, n_clips=256,
+                   n_sequences=1, seed=1)[0]
+    model = FusionModel.create(32, "RJCA", True, seed=1)
+    for _ in range(2):
+        model.predict_values(seq.xa, seq.xv)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        model.predict_values(seq.xa, seq.xv)
+    assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10 <= 20
+
+
+def test_the_heap_setup_is_skipped_without_mallopt(monkeypatch):
+    monkeypatch.setattr(autodiff.ctypes, "CDLL", lambda name: object())
+    assert autodiff._keep_heap() is None
