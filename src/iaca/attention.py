@@ -34,6 +34,8 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
+    affine,
+    attend,
     concat_rows,
     matmul,
     relu,
@@ -75,18 +77,12 @@ def cross_correlation(xa, xv, w) -> Tensor:
 def joint_representation(xa, xv, w, b) -> Tensor:
     """Concatenate the two modalities and project back to d rows: w . [xa; xv] + b."""
     _check_pair(xa, xv)
-    return add(matmul(w, concat_rows(xa, xv)), b)
+    return affine(w, concat_rows(xa, xv), b)
 
 
 def _normalize(z: Tensor) -> Tensor:
     """Column softmax of the L x L product z, written over z's value."""
     return softmax(z, in_place=True)
-
-
-def _attend(x, weights) -> Tensor:
-    """Query side of the cross block: x re-weights its own clips with the
-    L x L map, around a residual: tanh(x + x . weights)."""
-    return tanh(add(x, matmul(x, weights)))
 
 
 def cross_attention(xa, xv, w) -> AttendedPair:
@@ -100,14 +96,14 @@ def cross_attention(xa, xv, w) -> AttendedPair:
     z = cross_correlation(xa, xv, w)
     zt = transpose(z)  # taken before z is normalized in place
     audio_weights, visual_weights = _normalize(z), _normalize(zt)
-    return AttendedPair(_attend(xa, audio_weights), _attend(xv, visual_weights),
+    return AttendedPair(attend(xa, audio_weights), attend(xv, visual_weights),
                         audio_weights, visual_weights)
 
 
 def self_attention(x, w) -> Tensor:
     """Intra-modal analogue of the cross block: the modality attends to its
     own clips, same residual and tanh."""
-    return _attend(x, _normalize(cross_correlation(x, x, w)))
+    return attend(x, _normalize(cross_correlation(x, x, w)))
 
 
 def tca_block(xq, xkv, p: dict) -> tuple[Tensor, Tensor]:
@@ -127,8 +123,8 @@ def tca_block(xq, xkv, p: dict) -> tuple[Tensor, Tensor]:
     weights = _normalize(matmul(scale(transpose(k), 1.0 / d**0.5), q))
     attended = matmul(v, weights)
     h = add(xq, attended)
-    hidden = relu(add(matmul(p["ff1_w"], h), p["ff1_b"]))
-    ff = add(matmul(p["ff2_w"], hidden), p["ff2_b"])
+    hidden = relu(affine(p["ff1_w"], h, p["ff1_b"]))
+    ff = affine(p["ff2_w"], hidden, p["ff2_b"])
     return tanh(add(h, ff)), weights
 
 
@@ -149,7 +145,7 @@ def joint_cross_attention(xa, xv, p: dict) -> AttendedPair:
     joint = joint_representation(xa, xv, p["joint_w"], p["joint_b"])
     w_a = _normalize(cross_correlation(xa, joint, p["cross_a"]))
     w_v = _normalize(cross_correlation(xv, joint, p["cross_v"]))
-    return AttendedPair(_attend(xa, w_a), _attend(xv, w_v), w_a, w_v)
+    return AttendedPair(attend(xa, w_a), attend(xv, w_v), w_a, w_v)
 
 
 def recursive_jca(xa, xv, p: dict) -> AttendedPair:

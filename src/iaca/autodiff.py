@@ -1,7 +1,17 @@
 """Dense 2-D float64 tensors with reverse-mode automatic differentiation.
 
 Values enter 2-D, as float64 numpy arrays of shape (rows, cols), row-major;
-a scalar raises ShapeError. Every op, ``add`` too, is called by name.
+a scalar raises ShapeError. Every op, ``add`` too, is called by name. The
+ops are the model's: ``matmul``, ``add``, ``scale``, ``transpose``,
+``tanh``, ``relu``, ``softmax``, the two concats, and four fused ops, one
+node each for a layer the model repeats: ``affine`` (w . x + b),
+``attend`` (tanh(x + x . m)), and the gating layer's ``gate_scores``
+(softmax(w^T . s / T)) and ``gate_blend`` (ReLU of the scores' blend). A
+fused op runs its chain's numpy expressions in the chain's order, and its
+vjps hand each input the chain's contributions in the chain's parent
+order, so its values and grads are the chain's bit for bit; its closing
+vjp (the tanh, softmax or ReLU step) maps the node's grad once, which
+backward then drops, before the input vjps read the result.
 One rule shapes the engine: a graph node holds no value. A
 :class:`Tensor` is what a caller holds, one payload plus the node behind
 it; the node keeps the op's tag, the output shape, its inputs' nodes and
@@ -13,14 +23,19 @@ again: a layout copy (a Tensor made by ``transpose`` or a concat) and a
 ``matmul`` product with a parameter leaf among its operands carry a recipe
 that rebuilds the value bit for bit from what their own vjps keep, their
 inputs' values or an input's own recipe (a concat fills one buffer, a
-concat part its own slice of it). The vjps of ``matmul`` and ``gate_mix``
-keep the recipe instead of the value and run it when they run. A product
-of two activations carries none, so no L x L product is computed twice;
-a copy of a constant is a plain array and stays.
-``matmul``'s vjps drop the operand each read, and ``softmax``'s vjp its
+concat part its own slice of it). The vjps of ``matmul``, ``affine``,
+``attend``, ``gate_scores`` and ``gate_blend`` keep the recipe instead of
+the value and run it when they run. A product of two activations carries
+none, so no L x L product is computed twice; a copy of a constant is a
+plain array and stays. What each fused op keeps is what its chain kept:
+``affine`` w and x, ``attend`` its output and x and m, ``gate_scores``
+w, the scorer and its scores, ``gate_blend`` the scores, the candidates
+and its ReLU mask (each input as a value or a recipe).
+The vjps of a product (``matmul``'s, and those of ``affine``, ``attend``
+and ``gate_scores``) drop the operand each read, and a softmax vjp its
 output, once run; so a spent graph no longer holds the L x L attention
 maps, only the per-clip arrays that the vjps of ``tanh``, ``relu``,
-``gate_mix`` and ``metrics.ccc_loss`` read.
+``attend``, ``gate_blend`` and ``metrics.ccc_loss`` read.
 ``Tensor.parents`` yields nodes, which carry ``op``, ``shape``,
 ``parents`` and ``grad``.
 
@@ -65,7 +80,7 @@ threshold alone a long gated RJCA fit still took 52k minor faults. Without
 from __future__ import annotations
 
 import ctypes
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,6 +88,8 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "matmul",
+    "affine",
+    "attend",
     "add",
     "scale",
     "transpose",
@@ -81,7 +98,8 @@ __all__ = [
     "softmax",
     "concat_rows",
     "concat_cols",
-    "gate_mix",
+    "gate_scores",
+    "gate_blend",
 ]
 
 class ShapeError(ValueError):
@@ -123,21 +141,23 @@ def _value(x) -> np.ndarray:
 
 class _Node:
     """What backward walks: an op's tag, output shape, the nodes of its
-    Tensor inputs and their vjps, and the grad backward leaves (on leaves
-    only). No value."""
+    Tensor inputs and their vjps, the vjp of a fused op's closing step
+    (None elsewhere), and the grad backward leaves (on leaves only). No
+    value."""
 
-    __slots__ = ("op", "shape", "parents", "_vjps", "grad", "_used")
+    __slots__ = ("op", "shape", "parents", "_vjps", "_closing", "grad", "_used")
 
-    def __init__(self, op: str, shape: tuple, parents: tuple, vjps: tuple):
+    def __init__(self, op: str, shape: tuple, parents: tuple, vjps: tuple, closing=None):
         self.op = op
         self.shape = shape
         self.parents = parents
         self._vjps = vjps
+        self._closing = closing
         self.grad = None
         self._used = False
 
 
-def _link(op: str, shape: tuple, parents, vjps) -> _Node:
+def _link(op: str, shape: tuple, parents, vjps, closing=None) -> _Node:
     # the node over the Tensors among the inputs `parents`, each with its vjp,
     # in one pass; arrays are constants and are not linked
     nodes, kept = [], []
@@ -145,7 +165,7 @@ def _link(op: str, shape: tuple, parents, vjps) -> _Node:
         if isinstance(p, Tensor):
             nodes.append(p._node)
             kept.append(f)
-    return _Node(op, shape, tuple(nodes), tuple(kept))
+    return _Node(op, shape, tuple(nodes), tuple(kept), closing)
 
 
 class Tensor:
@@ -193,8 +213,9 @@ class Tensor:
         its first contribution, and later contributions are added to it in
         the order the reverse topological walk produces them. An interior
         node's grad is set back to None once passed to its parents, so only
-        leaves keep theirs. Each graph may be differentiated once, a second
-        call on any overlapping graph raises.
+        leaves keep theirs; a fused op's closing vjp maps it first, and
+        its input vjps read the result. Each graph may be differentiated
+        once, a second call on any overlapping graph raises.
         """
         if self.value.shape != (1, 1):
             raise ValueError(f"backward needs a 1x1 scalar seed, got shape {self.value.shape}")
@@ -204,6 +225,11 @@ class Tensor:
         self._node.grad = np.ones((1, 1))
         for node in reversed(order):
             g = node.grad
+            if node.parents:
+                node.grad = None
+                if node._closing is not None:  # g goes once mapped, as a chain's would
+                    g = node._closing(g)
+            c = None  # the last contribution goes with its node's step, not the next's
             for parent, vjp in zip(node.parents, node._vjps):
                 c = vjp(g)
                 if parent.grad is None:
@@ -218,20 +244,20 @@ class Tensor:
                     parent.grad = c
                 else:
                     parent.grad = parent.grad + c
-            if node.parents:
-                node.grad = None
             node._used = True
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, op={self.op!r})"
 
 
-def _result(value: np.ndarray, op: str, parents: tuple, vjps: tuple, recipe=None) -> Tensor:
-    # an op's output over at least one Tensor input, and its recipe if it has one;
-    # its value is float64, 2-D and C-contiguous by construction: no check
+def _result(value: np.ndarray, op: str, parents: tuple, vjps: tuple, recipe=None,
+            closing=None) -> Tensor:
+    # an op's output over at least one Tensor input, and its recipe and closing
+    # vjp if it has them; its value is float64, 2-D and C-contiguous by
+    # construction: no check
     t = object.__new__(Tensor)
     t.value = value
-    t._node = _link(op, value.shape, parents, vjps)
+    t._node = _link(op, value.shape, parents, vjps, closing)
     t._recipe = recipe
     return t
 
@@ -266,25 +292,10 @@ def _topo_order(root: _Node) -> list[_Node]:
     return order
 
 
-def matmul(a, b) -> Tensor | np.ndarray:
-    """Standard matrix product (m,k) @ (k,n) -> (m,n).
-
-    A product with a parameter leaf among its operands (a correlation's
-    x^T W, TCA's q and v) carries a recipe, ``keep_a() @ keep_b()`` over what
-    its own vjps keep, so a consumer that keeps it rebuilds it bit for bit
-    at the cost of one product with a d x d parameter. A product of two
-    activations (each L x L correlation, each attended product) carries
-    none: its consumers keep its value, and no O(d L^2) product runs twice.
-    """
-    av, bv = _value(a), _value(b)
-    if av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {av.shape} @ {bv.shape}")
-    value = av @ bv
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return value
-    keep_a, keep_b = _keep(a, av), _keep(b, bv)
-
-    def vjp_a(g):  # each vjp drops the operand it read once run: the graph is single-use
+def _product_vjps(keep_a, keep_b) -> tuple:
+    # the two vjps of a product a @ b over what each keeps of a and b; each
+    # drops the operand it read once run: the graph is single-use
+    def vjp_a(g):
         nonlocal keep_b
         ga, keep_b = g @ keep_b().T, None
         return ga
@@ -294,8 +305,60 @@ def matmul(a, b) -> Tensor | np.ndarray:
         gb, keep_a = keep_a().T @ g, None
         return gb
 
-    return _result(value, "matmul", (a, b), (vjp_a, vjp_b),
+    return vjp_a, vjp_b
+
+
+def matmul(a, b) -> Tensor | np.ndarray:
+    """Standard matrix product (m,k) @ (k,n) -> (m,n).
+
+    A product with a parameter leaf among its operands (a correlation's
+    x^T W, TCA's q and v) carries a recipe, ``keep_a() @ keep_b()`` over what
+    its own vjps keep, so a consumer that keeps it rebuilds it bit for bit
+    at the cost of one product with a d x d parameter. A product of two
+    activations (each L x L correlation) carries none: its consumers keep
+    its value, and no O(d L^2) product runs twice.
+    """
+    av, bv = _value(a), _value(b)
+    if av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions differ, {av.shape} @ {bv.shape}")
+    value = av @ bv
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return value
+    keep_a, keep_b = _keep(a, av), _keep(b, bv)
+    return _result(value, "matmul", (a, b), _product_vjps(keep_a, keep_b),
                    (lambda: keep_a() @ keep_b()) if _is_leaf(a) or _is_leaf(b) else None)
+
+
+def affine(w, x, b) -> Tensor | np.ndarray:
+    """A linear layer over every column of x: w . x + b, for an r x 1 column
+    b; one node for ``add(matmul(w, x), b)``."""
+    wv, xv, bv = _value(w), _value(x), _value(b)
+    if wv.shape[1] != xv.shape[0] or bv.shape != (wv.shape[0], 1):
+        raise ShapeError(f"affine: needs w (r, k), x (k, n) and b (r, 1), "
+                         f"got {wv.shape}, {xv.shape} and {bv.shape}")
+    value = wv @ xv
+    value += bv
+    if not (isinstance(w, Tensor) or isinstance(x, Tensor) or isinstance(b, Tensor)):
+        return value
+    return _result(value, "affine", (w, x, b), (
+        *_product_vjps(_keep(w, wv), _keep(x, xv)),
+        lambda g: np.add.reduce(g, axis=1, keepdims=True)))
+
+
+def attend(x, m) -> Tensor | np.ndarray:
+    """Attention's query side: x re-weights its own columns with the L x L map
+    m, around a residual, tanh(x + x . m); one node for
+    ``tanh(add(x, matmul(x, m)))``, with x as its input twice, once per use."""
+    xv, mv = _value(x), _value(m)
+    if xv.shape[1] != mv.shape[0] or mv.shape[0] != mv.shape[1]:
+        raise ShapeError(f"attend: needs an L x L map for x of {xv.shape[1]} columns, "
+                         f"got {mv.shape}")
+    y = np.tanh(xv + xv @ mv)
+    if not (isinstance(x, Tensor) or isinstance(m, Tensor)):
+        return y
+    return _result(y, "attend", (x, x, m),
+                   (lambda g: g, *_product_vjps(_keep(x, xv), _keep(m, mv))),
+                   closing=lambda g: g * (1.0 - y * y))
 
 
 def add(a, b) -> Tensor | np.ndarray:
@@ -347,6 +410,20 @@ def relu(a) -> Tensor | np.ndarray:
     return _result(value, "relu", (a,), (lambda g: g * mask,))
 
 
+def _softmax_vjp(y: np.ndarray, temperature: float) -> Callable:
+    def vjp(g):  # drops the map y once run: the graph is single-use
+        nonlocal y
+        gz = g * y
+        np.subtract(g, np.add.reduce(gz, axis=0, keepdims=True), out=gz)
+        gz *= y
+        y = None
+        if temperature != 1.0:
+            gz /= temperature
+        return gz
+
+    return vjp
+
+
 def softmax(a, temperature: float = 1.0, in_place: bool = False) -> Tensor | np.ndarray:
     """Temperature softmax of every column, max-subtracted for stability.
 
@@ -368,18 +445,7 @@ def softmax(a, temperature: float = 1.0, in_place: bool = False) -> Tensor | np.
     y /= np.add.reduce(y, axis=0, keepdims=True)
     if not isinstance(a, Tensor):
         return y
-
-    def vjp(g):  # drops the map y once run: the graph is single-use
-        nonlocal y
-        gz = g * y
-        np.subtract(g, np.add.reduce(gz, axis=0, keepdims=True), out=gz)
-        gz *= y
-        y = None
-        if temperature != 1.0:
-            gz /= temperature
-        return gz
-
-    return _result(y, "softmax", (a,), (vjp,))
+    return _result(y, "softmax", (a,), (_softmax_vjp(y, temperature),))
 
 
 def _concat(op: str, parts: tuple, axis: int) -> Tensor | np.ndarray:
@@ -426,34 +492,55 @@ def concat_cols(*parts) -> Tensor | np.ndarray:
     return _concat("concat_cols", parts, 1)
 
 
-def gate_mix(gate, candidates: Sequence) -> Tensor | np.ndarray:
-    """Mix K candidates clip by clip: column l is sum_j gate[j, l] * candidates[j][:, l].
+def gate_scores(w, scorer, temperature: float) -> Tensor | np.ndarray:
+    """The gating layer's K x L scores from a d x K weight and a d x L scorer:
+    softmax(w^T . scorer / T) per column, one column per clip; one node for
+    ``softmax(matmul(transpose(w), scorer), temperature)``."""
+    wv, sv = _value(w), _value(scorer)
+    if wv.shape[0] != sv.shape[0]:
+        raise ShapeError(f"gate_scores: the weight's {wv.shape[0]} rows "
+                         f"score a scorer of shape {sv.shape}")
+    y = softmax(np.ascontiguousarray(wv.T) @ sv, temperature, in_place=True)
+    if not (isinstance(w, Tensor) or isinstance(scorer, Tensor)):
+        return y
+    keep_w = _keep(w, wv)
+    vjp_wt, vjp_s = _product_vjps(lambda: np.ascontiguousarray(keep_w().T), _keep(scorer, sv))
+    return _result(y, "gate_scores", (w, scorer), (lambda g: vjp_wt(g).T, vjp_s),
+                   closing=_softmax_vjp(y, temperature))
 
-    gate is K x L, one column per clip, so row j scales candidate j; the K
-    candidates share one d x L shape. Terms are added left to right, j = 0 first.
+
+def gate_blend(scores, candidates: Sequence) -> Tensor | np.ndarray:
+    """The gating layer's blend of K candidates, clip by clip, through ReLU:
+    column l is relu(sum_j scores[j, l] * candidates[j][:, l]).
+
+    scores is K x L, one column per clip, so row j scales candidate j; the K
+    candidates share one d x L shape. Terms are added left to right, j = 0
+    first. One node for the mix and its ``relu``.
     """
-    parents = (*candidates, gate)
-    rows = _value(gate)
+    parents = (*candidates, scores)
+    rows = _value(scores)
     xs = [_value(x) for x in parents[:-1]]
     k, n_clips = rows.shape
     if len(xs) != k:
-        raise ShapeError(f"gate_mix: {k} gate rows for {len(xs)} candidates")
+        raise ShapeError(f"gate_blend: {k} gate rows for {len(xs)} candidates")
     shape = xs[0].shape
     if shape[1] != n_clips or any(x.shape != shape for x in xs):
-        raise ShapeError(f"gate_mix: candidates must share one shape with {n_clips} "
+        raise ShapeError(f"gate_blend: candidates must share one shape with {n_clips} "
                          f"columns, got {[x.shape for x in xs]}")
     value = xs[0] * rows[0]  # a fresh buffer, so the sum builds in place
     for j in range(1, k):
         value += xs[j] * rows[j]
+    mask = value > 0.0
+    value = value * mask  # relu's v * (v > 0): a -0.0 keeps its sign
     if not any(isinstance(p, Tensor) for p in parents):
         return value
     keeps = [_keep(x, v) for x, v in zip(parents, xs)]
 
-    def gate_vjp(g):
+    def scores_vjp(g):
         out = np.empty((k, n_clips))
         for j, keep in enumerate(keeps):
             out[j] = np.add.reduce(g * keep(), axis=0)
         return out
 
     vjps = [lambda g, r=rows[j]: g * r for j in range(k)]
-    return _result(value, "gate_mix", parents, (*vjps, gate_vjp))
+    return _result(value, "gate_blend", parents, (*vjps, scores_vjp), closing=lambda g: g * mask)

@@ -1,10 +1,11 @@
 """Two-stage gated fusion over attended bimodal features.
 
-Both stages use one gating layer: per clip, a softmax of a scorer's logits
-blends K candidates, then ReLU. Stage 1 scores each modality's attended
-feature and blends it with its raw, unattended one. The joint layer that
-JCA also uses fuses the two blends, and stage 2 scores all three stacked
-to gate among gated audio, gated visual and joint. An MLP with a 16-wide
+Both stages use one gating layer, two engine ops: per clip, a softmax of a
+scorer's logits (gate_scores) blends K candidates, then ReLU (gate_blend).
+Stage 1 scores each modality's attended feature and blends it with its
+raw, unattended one. The joint layer that JCA also uses fuses the two
+blends, and stage 2 scores all three stacked to gate among gated audio,
+gated visual and joint. An MLP with a 16-wide
 hidden layer maps each clip's fused d-vector into [-1, 1].
 
 The gate scores carry no bias term, and the ops check every shape. The
@@ -50,28 +51,14 @@ from .attention import (
 from .autodiff import (
     Tensor,
     _as_value,
-    add,
+    affine,
     concat_cols,
     concat_rows,
-    gate_mix,
-    matmul,
+    gate_blend,
+    gate_scores,
     relu,
-    softmax,
     tanh,
-    transpose,
 )
-
-
-def _scores(scorer, w, temperature: float) -> Tensor:
-    # a gate's K x L scores softmax(w^T . scorer / T), one column per clip
-    return softmax(matmul(transpose(w), scorer), temperature=temperature)
-
-
-def _gate(g, candidates) -> tuple[Tensor, Tensor]:
-    # the gating layer: the scores g weight the K candidates; returns the
-    # ReLU'd blend and the scores. Callers build g first, so a stacked scorer
-    # is dropped with its matmul (which keeps only its recipe) before the mix
-    return relu(gate_mix(g, candidates)), g
 
 
 def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, Tensor]:
@@ -82,7 +69,8 @@ def stage1_gate(x_base, x_att, w_gl, temperature: float) -> tuple[Tensor, Tensor
     feature, row 1 the attended one; the convex blend passes through ReLU.
     Returns the blend and the 2 x L scores.
     """
-    return _gate(_scores(x_att, w_gl, temperature), (x_base, x_att))
+    g = gate_scores(w_gl, x_att, temperature)
+    return gate_blend(g, (x_base, x_att)), g
 
 
 def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, Tensor]:
@@ -93,13 +81,15 @@ def stage2_gate(x_ga, x_gv, x_gav, w_avl, temperature: float) -> tuple[Tensor, T
     weight x_ga, x_gv, x_gav in that order. Returns the mix and the 3 x L
     scores.
     """
-    return _gate(_scores(concat_rows(x_ga, x_gv, x_gav), w_avl, temperature), (x_ga, x_gv, x_gav))
+    # the scores come first, so the stack dies with them before the blend
+    g = gate_scores(w_avl, concat_rows(x_ga, x_gv, x_gav), temperature)
+    return gate_blend(g, (x_ga, x_gv, x_gav)), g
 
 
 def predict(x_fused, head: dict) -> Tensor:
     """MLP head: ReLU hidden layer, linear output, tanh into [-1, 1]."""
-    hidden = relu(add(matmul(head["w1"], x_fused), head["b1"]))
-    return tanh(add(matmul(head["w2"], hidden), head["b2"]))
+    hidden = relu(affine(head["w1"], x_fused, head["b1"]))
+    return tanh(affine(head["w2"], hidden, head["b2"]))
 
 
 # what a scalar config field of each annotated type takes from JSON, Python or

@@ -3,7 +3,9 @@
 Besides the error metric, a bitwise fingerprint of arrays and a walker
 that finds the arrays a set of objects keeps alive, this holds the graph
 ops only tests need: the scalar probes (sum_all, mean_all), sub and
-hadamard for building test graphs, and the finite-difference oracle. The
+hadamard for building test graphs, gate_mix (the gating layer's blend
+before its ReLU, which the fused ``gate_blend`` is checked against), and
+the finite-difference oracle. The
 ops are built on the public
 ``Tensor(value, op=..., parents=..., vjps=...)`` constructor, so they enter
 a graph the way any library op does, and they keep the library's contract:
@@ -102,6 +104,29 @@ def mean_all(a):
     return scale(sum_all(a), 1.0 / _value(a).size)
 
 
+def gate_mix(gate, candidates):
+    """Column l is sum_j gate[j, l] * candidates[j][:, l], terms added left to
+    right; gate is K x L and the K candidates share one d x L shape."""
+    parents = (*candidates, gate)
+    rows = _value(gate)
+    xs = [_value(x) for x in candidates]
+    k, n_clips = rows.shape
+    if len(xs) != k:
+        raise ShapeError(f"gate_mix: {k} gate rows for {len(xs)} candidates")
+    value = xs[0] * rows[0]
+    for j in range(1, k):
+        value += xs[j] * rows[j]
+
+    def gate_vjp(g):
+        out = np.empty((k, n_clips))
+        for j, x in enumerate(xs):
+            out[j] = np.add.reduce(g * x, axis=0)
+        return out
+
+    vjps = [lambda g, r=rows[j]: g * r for j in range(k)]
+    return _result(value, "gate_mix", parents, (*vjps, gate_vjp))
+
+
 def finite_diff(f, x, eps: float = 1e-5) -> np.ndarray:
     """Central-difference gradient estimate of a scalar function, per entry.
 
@@ -123,4 +148,4 @@ def finite_diff(f, x, eps: float = 1e-5) -> np.ndarray:
 
 ops = SimpleNamespace(**{name: getattr(autodiff, name) for name in autodiff.__all__},
                       sub=sub, hadamard=hadamard, sum_all=sum_all, mean_all=mean_all,
-                      finite_diff=finite_diff)
+                      gate_mix=gate_mix, finite_diff=finite_diff)

@@ -195,9 +195,28 @@ LAYOUT_OPS = {
 CONSUMERS = {
     "matmul_a": ((6, 5), ad.matmul, lambda c, o, u: (u @ o.T, c.T @ u)),
     "matmul_b": ((5, 4), lambda c, o: ad.matmul(o, c), lambda c, o, u: (o.T @ u, u @ c.T)),
-    "gate_mix": ((2, 6), lambda c, o: ad.gate_mix(o, (c, np.ones((4, 6)))),
-                 lambda c, o, u: (u * o[0], np.stack([(u * c).sum(axis=0), u.sum(axis=0)]))),
+    "affine": ((5, 4), lambda c, o: ad.affine(o, c, np.ones((5, 1))),
+               lambda c, o, u: (o.T @ u, u @ c.T)),
+    "gate_scores": ((4, 2), lambda c, o: ad.gate_scores(o, c, 0.5),
+                    lambda c, o, u: _scores_grads(c, o, u, 0.5)),
+    "gate_blend": ((2, 6), lambda c, o: ad.gate_blend(o, (c, np.ones((4, 6)))),
+                   lambda c, o, u: _blend_grads(c, o, u)),
 }
+
+
+def _scores_grads(c, o, u, temperature):
+    # the scores softmax(o^T c / T): grads of the scorer c and the weight o
+    wt = np.ascontiguousarray(o.T)
+    y = ref.ref_softmax(wt @ c, "columns", temperature)
+    gz = y * (u - (u * y).sum(axis=0, keepdims=True)) / temperature
+    return wt.T @ gz, np.ascontiguousarray((gz @ c.T).T)
+
+
+def _blend_grads(c, o, u):
+    # the blend relu(o[0] c + o[1] 1): grads of the candidate c and the scores o
+    mix = c * o[0] + np.ones((4, 6)) * o[1]
+    m = u * (mix > 0.0)
+    return m * o[0], np.stack([(m * c).sum(axis=0), m.sum(axis=0)])
 
 
 @pytest.mark.parametrize("consumer", CONSUMERS)
@@ -337,31 +356,96 @@ def test_add_rejects_a_b_of_neither_shape():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_gate_mix_matches_loop_and_finite_diff(k):
+def test_gate_blend_matches_loop_and_finite_diff(k):
     rng = np.random.default_rng(9 + k)
     gate = rng.uniform(size=(k, 5))  # K x L: row j scales candidate j
     xs = [rng.normal(size=(4, 5)) for _ in range(k)]
-    out = ad.gate_mix(gate, xs)
+    out = ad.gate_blend(gate, xs)
     expected = np.zeros((4, 5))
     for l in range(5):
         for j in range(k):
             expected[:, l] += gate[j, l] * xs[j][:, l]
-    np.testing.assert_allclose(out, expected, atol=1e-14)
-    _check_grads(lambda g, *cands: ad.gate_mix(g, cands), [gate, *xs])
+    np.testing.assert_allclose(out, np.maximum(expected, 0.0), atol=1e-14)
+    _check_grads(lambda g, *cands: ad.gate_blend(g, cands), [gate, *xs])
 
 
-def test_gate_mix_rejects_mis_shaped_gates():
+def test_gate_blend_rejects_mis_shaped_gates():
     xs = [np.ones((4, 5)), np.ones((4, 5))]
     with pytest.raises(ShapeError, match="3 gate rows for 2 candidates"):
-        ad.gate_mix(np.ones((3, 5)), xs)
+        ad.gate_blend(np.ones((3, 5)), xs)
     with pytest.raises(ShapeError, match="1 gate rows for 2 candidates"):
-        ad.gate_mix(np.ones((1, 5)), xs)
+        ad.gate_blend(np.ones((1, 5)), xs)
     # a wrong column count, and the L x K layout
     for gate in (np.ones((2, 4)), np.ones((5, 2))):
         with pytest.raises(ShapeError):
-            ad.gate_mix(gate, xs)
+            ad.gate_blend(gate, xs)
     with pytest.raises(ShapeError):
-        ad.gate_mix(np.ones((2, 5)), [np.ones((4, 5)), np.ones((3, 5))])
+        ad.gate_blend(np.ones((2, 5)), [np.ones((4, 5)), np.ones((3, 5))])
+
+
+def test_affine_attend_and_scores_match_finite_diff():
+    rng = np.random.default_rng(31)
+    w, x, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(3, 1))
+    _check_grads(ad.affine, [w, x, b])
+    m = ad.softmax(rng.normal(size=(5, 5)))
+    _check_grads(ad.attend, [x, m])
+    _check_grads(lambda w, s: ad.gate_scores(w, s, 0.3), [rng.normal(size=(4, 3)), x])
+
+
+def test_affine_and_attend_reject_mis_shaped_inputs():
+    with pytest.raises(ShapeError, match="affine"):
+        ad.affine(np.ones((3, 4)), np.ones((5, 2)), np.ones((3, 1)))
+    for b in (np.ones((2, 1)), np.ones((3, 2))):  # a bias is an r x 1 column
+        with pytest.raises(ShapeError, match="affine"):
+            ad.affine(np.ones((3, 4)), np.ones((4, 2)), b)
+    for m in (np.ones((4, 4)), np.ones((5, 4))):  # the map is L x L
+        with pytest.raises(ShapeError, match="attend"):
+            ad.attend(np.ones((3, 5)), m)
+    with pytest.raises(ShapeError, match="gate_scores"):
+        ad.gate_scores(np.ones((4, 2)), np.ones((3, 5)), 1.0)
+    with pytest.raises(ValueError, match="temperature"):
+        ad.gate_scores(np.ones((3, 2)), np.ones((3, 5)), 0.0)
+
+
+# each fused op and the chain of ops it replaces, over leaves of the given
+# shapes; an L x L map enters as a softmax, as attention's maps do
+_CHAINS = {
+    "affine": ([(3, 4), (4, 5), (3, 1)], lambda t: ad.affine(*t),
+               lambda t: ad.add(ad.matmul(t[0], t[1]), t[2])),
+    "attend": ([(3, 5), (5, 5)], lambda t: ad.attend(t[0], ad.softmax(t[1])),
+               lambda t: ad.tanh(ad.add(t[0], ad.matmul(t[0], ad.softmax(t[1]))))),
+    "gate_blend": ([(3, 5), (3, 5), (3, 5), (3, 5)],
+                   lambda t: ad.gate_blend(ad.softmax(t[0]), t[1:]),
+                   lambda t: ad.relu(ad.gate_mix(ad.softmax(t[0]), t[1:]))),
+}
+for _t in (1.0, 0.5, 0.3):
+    _CHAINS[f"gate_scores-T{_t}"] = (
+        [(6, 3), (6, 5)], lambda t, _t=_t: ad.gate_scores(t[0], t[1], _t),
+        lambda t, _t=_t: ad.softmax(ad.matmul(ad.transpose(t[0]), t[1]), temperature=_t))
+
+
+@pytest.mark.parametrize("case", sorted(_CHAINS))
+def test_a_fused_op_bitwise_equals_the_chain_it_replaces(case):
+    # the value, and every input's grad under a random upstream; each input
+    # also feeds a tanh probe that backward reaches first, so a grad sums
+    # several contributions and its bits pin the order in which the op hands
+    # them over
+    shapes, fused, chain = _CHAINS[case]
+    rng = np.random.default_rng(37)
+    values = [rng.normal(size=shape) for shape in shapes]
+    probes = [rng.normal(size=shape) for shape in shapes]
+
+    def run(build):
+        leaves = [Tensor(v) for v in values]
+        out = build(leaves)
+        upstream = np.random.default_rng(41).normal(size=out.shape)
+        loss = ad.sum_all(ad.hadamard(out, upstream))
+        for leaf, probe in zip(leaves, probes):
+            loss = ad.add(ad.sum_all(ad.hadamard(ad.tanh(leaf), probe)), loss)
+        loss.backward()
+        return [out.value, *(leaf.grad for leaf in leaves)]
+
+    assert bits(*run(fused)) == bits(*run(chain))
 
 
 def test_finite_diff_sum_and_squares():
@@ -489,10 +573,14 @@ _OP_CASES = {
     "concat_rows": ([(2, 4), (3, 4), (1, 4)], lambda t: autodiff.concat_rows(*t), False),
     "concat_cols": ([(3, 2), (3, 4)], lambda t: autodiff.concat_cols(*t), False),
     "add-col": ([(3, 4), (3, 1)], lambda t: autodiff.add(*t), False),
-    "gate_mix": ([(3, 4), (2, 4), (2, 4), (2, 4)],
-                 lambda t: autodiff.gate_mix(t[0], t[1:]), False),
+    "affine": ([(3, 4), (4, 2), (3, 1)], lambda t: autodiff.affine(*t), False),
+    "attend": ([(3, 4), (4, 4)], lambda t: autodiff.attend(*t), False),
+    "gate_blend": ([(3, 4), (2, 4), (2, 4), (2, 4)],
+                   lambda t: autodiff.gate_blend(t[0], t[1:]), False),
 }
 for _t in (1.0, 0.5, 0.3):
+    _OP_CASES[f"gate_scores-T{_t}"] = (
+        [(4, 3), (4, 5)], lambda t, _t=_t: autodiff.gate_scores(t[0], t[1], _t), False)
     _OP_CASES[f"softmax-T{_t}"] = (
         [(4, 5)], lambda t, _t=_t: autodiff.softmax(t[0], temperature=_t), False)
     _OP_CASES[f"softmax-T{_t}-out"] = (
@@ -576,7 +664,7 @@ def test_plain_arrays_beside_a_leaf_enter_the_graph_as_constants():
     def loss(wrap):
         x = Tensor(x_value.copy())
         h = ad.add(ad.matmul(wrap(w), x), wrap(col))
-        mixed = ad.gate_mix(wrap(gate), [ad.softmax(h, temperature=0.5), wrap(other)])
+        mixed = ad.gate_blend(wrap(gate), [ad.softmax(h, temperature=0.5), wrap(other)])
         out = ad.sum_all(ad.hadamard(ad.concat_rows(ad.tanh(mixed), wrap(other)), wrap(probe)))
         return x, out
 

@@ -16,7 +16,16 @@ from iaca.gating import (
 from iaca.metrics import ccc_loss
 
 import reference as ref
-from helpers import bits, finite_diff, hadamard, mean_all, relative_error, sub, sum_all
+from helpers import (
+    bits,
+    finite_diff,
+    gate_mix,
+    hadamard,
+    mean_all,
+    relative_error,
+    sub,
+    sum_all,
+)
 
 ALL_VARIANTS = ["CA", "TCA", "JCA", "RJCA"]
 
@@ -143,7 +152,7 @@ def test_stage2_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         stage2_gate(x, x, x, Tensor(np.zeros((8, 3))), 0.1)
     # a joint candidate a row short, with weights sized to the stacked rows:
-    # only gate_mix sees that the candidates differ
+    # only gate_blend sees that the candidates differ
     with pytest.raises(ShapeError):
         stage2_gate(x, x, Tensor(np.zeros((2, 4))), Tensor(np.zeros((8, 3))), 0.1)
 
@@ -163,7 +172,7 @@ def test_gates_bitwise_equal_the_public_op_composition(stage):
         if public:
             scorer = cands[1] if stage == 1 else ad.concat_rows(*cands)
             scores = ad.softmax(ad.matmul(ad.transpose(w_t), scorer), 0.5)
-            out, g = ad.relu(ad.gate_mix(scores, cands)), scores
+            out, g = ad.relu(gate_mix(scores, cands)), scores
         else:
             out, g = (stage1_gate if stage == 1 else stage2_gate)(*cands, w_t, 0.5)
         ad.add(sum_all(hadamard(out, up_out)), sum_all(hadamard(g, up_g))).backward()
@@ -558,7 +567,7 @@ def test_gated_run_keeps_gate_scores_in_the_clip_layout(variant):
                 wide.append(node)
     assert wide == []
     assert [g.shape for g in gates] == [(2, n), (2, n), (3, n)]
-    assert all(g.op == "softmax" for g in gates)
+    assert all(g.op == "gate_scores" for g in gates)
 
 
 def test_the_model_runs_every_exported_op_and_no_other():

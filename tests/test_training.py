@@ -10,7 +10,7 @@ import pytest
 
 from iaca import attention, autodiff, gating, training
 from iaca.attention import RJCA_ITERATIONS, VARIANTS
-from iaca.autodiff import Tensor, add, gate_mix, matmul
+from iaca.autodiff import Tensor, add, gate_blend, matmul
 from iaca.experiments import save_history
 from iaca.gating import FusionModel, ModelFlags, param_schema
 from iaca.metrics import ccc
@@ -500,6 +500,20 @@ def _batch(d, n_clips, n_seqs):
             for _ in range(n_seqs)]
 
 
+# one batch graph's nodes per cell, 2 sequences at d=3, L=5: each layer is
+# one node (affine, attend, gate_scores, gate_blend) where it was a chain
+_GRAPH_NODES = {("CA", False): 30, ("CA", True): 40, ("TCA", False): 85, ("TCA", True): 95,
+                ("JCA", False): 37, ("JCA", True): 47, ("RJCA", False): 61, ("RJCA", True): 71}
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_batch_graph_has_one_node_per_layer(variant, gated):
+    model = FusionModel.create(3, variant, gated)
+    loss = training._batch_loss(model, _batch(3, 5, 2))[0]
+    assert len(autodiff._topo_order(loss._node)) == _GRAPH_NODES[variant, gated]
+
+
 @pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_spent_training_graph_holds_no_lxl_array(variant, gated):
@@ -548,7 +562,7 @@ def test_a_training_graph_holds_no_parameter_product(variant, gated, monkeypatch
     params = [id(leaf) for leaf in held[1].values()]
     products = [out.value for a, b, out in calls if id(a) in params or id(b) in params]
     # per sequence: CA's one correlation, JCA's two, RJCA's two per pass;
-    # TCA's q, k and v in both directions (and its feed-forward products)
+    # TCA's q, k and v in both directions
     per_seq = {"CA": 1, "TCA": 6, "JCA": 2, "RJCA": 2 * RJCA_ITERATIONS}[variant]
     assert sum(p.shape == ((d, n_clips) if variant == "TCA" else (n_clips, d))
                for p in products) >= n_seqs * per_seq
@@ -558,9 +572,9 @@ def test_a_training_graph_holds_no_parameter_product(variant, gated, monkeypatch
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_the_stage2_stack_is_not_alive_when_its_gate_mixes(variant, monkeypatch):
-    # the stage-2 scores are built before the mix, so the (3d, N) stack the
-    # scorer read is freed with its matmul, which keeps only its recipe: at
-    # the mix, no frame of the pass holds it
+    # the stage-2 scores are built before the blend, so the (3d, N) stack the
+    # scorer read is freed with its scores node, which keeps only its recipe:
+    # at the blend, no frame of the pass holds it
     d, n_clips, n_seqs = 3, 5, 2
     stacks = []
 
@@ -572,9 +586,9 @@ def test_the_stage2_stack_is_not_alive_when_its_gate_mixes(variant, monkeypatch)
         if len(candidates) == 3:
             stacks.append([a.shape for a in live_arrays(frames)
                            if a.shape == (3 * d, n_clips * n_seqs)])
-        return gate_mix(g, candidates)
+        return gate_blend(g, candidates)
 
-    monkeypatch.setattr(gating, "gate_mix", spying)
+    monkeypatch.setattr(gating, "gate_blend", spying)
     model = FusionModel.create(d, variant, True)
     training._batch_loss(model, _batch(d, n_clips, n_seqs))
     assert stacks == [[]]
